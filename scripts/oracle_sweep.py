@@ -2,8 +2,10 @@
 """Random agreement sweep: every fast distance against its brute-force twin.
 
 Covers staircase Hausdorff, formigram interleaving, grid-clustering
-interleaving and bottleneck distances on freshly sampled instances, and
-reports per-family counts (including how many infinite values were hit).
+interleaving and bottleneck distances, and the correspondence searches
+(Gromov-Hausdorff between formigrams, line- and interval-indexed tripod
+distances at |X|*|Y| <= 8), on freshly sampled instances, and reports
+per-family counts (including how many infinite values were hit).
 Disagreements abort with the offending instance printed for replay.
 """
 
@@ -11,15 +13,22 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations
 
 sys.path.insert(0, "tests")
 
 from stairdist import (
     INF,
+    RFiltration,
     bottleneck_distance,
     grid_interleaving_distance,
+    gromov_hausdorff_formigrams,
     hausdorff,
     interleaving_distance,
+    to_int_indexed,
+    tripod_distance_int,
+    tripod_distance_r,
 )
 from stairdist.oracle import (
     oracle_formigram_distance,
@@ -29,11 +38,57 @@ from stairdist.oracle import (
 from conftest import (
     ground,
     rand_barcode,
+    rand_formigram,
     rand_formigram_pair,
+    rand_fraction,
     rand_grid_pair,
+    rand_int_filtration,
+    rand_merged_tail_formigram,
+    rand_r_filtration,
     rand_staircase_pair,
 )
+from test_compare import oracle_gh_via_pullbacks
+from test_filtration import oracle_tripod_int, oracle_tripod_r
 from test_persistence import oracle_bottleneck
+
+# ground-set sizes of the correspondence families: |X| * |Y| <= 8
+SEARCH_SIZES = [(nx, ny) for nx in range(1, 9) for ny in range(1, 9) if nx * ny <= 8]
+
+
+def search_pair(make):
+    """Two inputs over ground sets of a random size pair from SEARCH_SIZES."""
+
+    def draw(r):
+        nx, ny = r.choice(SEARCH_SIZES)
+        return make(r, ground(nx)), make(r, ground(ny))
+
+    return draw
+
+
+def small_formigram(r, g):
+    make = r.choice((rand_formigram, rand_merged_tail_formigram))
+    return make(r, g, max_crit=2)
+
+
+def full_r_filtration(r, g):
+    """Every simplex present, each born no earlier than its faces, so that
+    distances between different vertex counts can be finite."""
+    births = {}
+    for k in range(1, len(g) + 1):
+        for s in map(frozenset, combinations(g.elements, k)):
+            base = max((births[s - {v}] for v in s if k > 1), default=Fraction(0))
+            births[s] = base + abs(rand_fraction(r, lo=0, hi=4))
+    return RFiltration(g, births)
+
+
+def small_r_filtration(r, g):
+    return r.choice((rand_r_filtration, full_r_filtration))(r, g)
+
+
+def small_int_filtration(r, g):
+    if r.random() < 0.5:
+        return rand_int_filtration(r, g)
+    return to_int_indexed(full_r_filtration(r, g))
 
 
 def sweep(name, make, fast, slow, rng, iterations):
@@ -90,6 +145,30 @@ def main():
         lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
         bottleneck_distance,
         oracle_bottleneck,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "gh",
+        search_pair(small_formigram),
+        gromov_hausdorff_formigrams,
+        oracle_gh_via_pullbacks,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "tripod-r",
+        search_pair(small_r_filtration),
+        tripod_distance_r,
+        oracle_tripod_r,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "tripod-int",
+        search_pair(small_int_filtration),
+        tripod_distance_int,
+        oracle_tripod_int,
         rng,
         args.iterations,
     )

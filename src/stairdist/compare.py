@@ -49,15 +49,24 @@ def _iter_correspondences(x: GroundSet, y: GroundSet) -> Iterator[Correspondence
             yield tuple(chosen)
 
 
-def _min_max_over_pairs(
-    x: GroundSet, y: GroundSet, cost, guard: int
+def min_max_over_correspondences(
+    x: GroundSet, y: GroundSet, items, cost, guard: int
 ) -> RatX:
-    """min over correspondences of the max cost over pairs of related pairs."""
+    """min over correspondences R of the max of `cost` over `items(R)`.
+
+    `items` maps a correspondence to hashable (left, right) items; `cost`
+    is evaluated once per distinct item over the whole search.  A
+    correspondence is abandoned as soon as its worst item reaches the best
+    value so far, and the search stops at 0.
+    """
+    memo: dict = {}
     best: RatX = INF
     for rel in enumerate_correspondences(x, y, guard):
         worst: RatX = Fraction(0)
-        for (x1, y1), (x2, y2) in combinations_with_replacement(rel, 2):
-            c = cost(x1, x2, y1, y2)
+        for item in items(rel):
+            c = memo.get(item)
+            if c is None:
+                c = memo[item] = cost(*item)
             if c > worst:
                 worst = c
                 if worst >= best:
@@ -69,6 +78,12 @@ def _min_max_over_pairs(
     return best
 
 
+def _key_pairs(rel: Correspondence) -> Iterator[tuple[frozenset, frozenset]]:
+    """Pair keys ({x1, x2}, {y1, y2}) of every two related pairs."""
+    for (x1, y1), (x2, y2) in combinations_with_replacement(rel, 2):
+        yield frozenset({x1, x2}), frozenset({y1, y2})
+
+
 def gromov_hausdorff_formigrams(
     fx: Formigram, fy: Formigram, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
@@ -76,15 +91,11 @@ def gromov_hausdorff_formigrams(
     merge staircases of related pairs."""
     code_x = cosheaf_code(fx)
     code_y = cosheaf_code(fy)
-    memo: dict[tuple[frozenset, frozenset], RatX] = {}
 
-    def cost(x1, x2, y1, y2):
-        key = (frozenset({x1, x2}), frozenset({y1, y2}))
-        if key not in memo:
-            memo[key] = hausdorff(code_x[key[0]], code_y[key[1]])
-        return memo[key]
+    def cost(kx, ky):
+        return hausdorff(code_x[kx], code_y[ky])
 
-    return _min_max_over_pairs(fx.ground, fy.ground, cost, guard) / 2
+    return min_max_over_correspondences(fx.ground, fy.ground, _key_pairs, cost, guard) / 2
 
 
 def gromov_hausdorff_ultrametrics(
@@ -93,10 +104,10 @@ def gromov_hausdorff_ultrametrics(
     """Half the smallest correspondence distortion between two ultrametric
     (or plain metric) matrices."""
 
-    def cost(x1, x2, y1, y2):
-        return abs(ux(x1, x2) - uy(y1, y2))
+    def cost(kx, ky):
+        return abs(ux(min(kx), max(kx)) - uy(min(ky), max(ky)))
 
-    return _min_max_over_pairs(ux.ground, uy.ground, cost, guard) / 2
+    return min_max_over_correspondences(ux.ground, uy.ground, _key_pairs, cost, guard) / 2
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
+from .compare import CORRESPONDENCE_GUARD, min_max_over_correspondences
 from .errors import (
     EmptySimplex,
     GroundSetMismatch,
@@ -183,62 +184,34 @@ def _realizable_pairs(pairs) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
                 yield a, b
 
 
-def _min_over_correspondences(f, g, cost, guard: int) -> RatX:
-    """min over correspondences of the max cost over realizable image pairs;
-    `cost` maps (A, B) to a RatX with cost = 0 allowed to be skipped."""
-    from .compare import enumerate_correspondences
-
-    best: RatX = INF
-    for pairs in enumerate_correspondences(f.ground, g.ground, guard):
-        worst: RatX = Fraction(0)
-        for a, b in _realizable_pairs(pairs):
-            c = cost(a, b)
-            if c > worst:
-                worst = c
-                if worst >= best:
-                    break
-        if worst < best:
-            best = worst
-            if best == 0:
-                break
-    return best
-
-
-def tripod_distance_r(f: RFiltration, g: RFiltration, guard: int = 12) -> RatX:
+def tripod_distance_r(
+    f: RFiltration, g: RFiltration, guard: int = CORRESPONDENCE_GUARD
+) -> RatX:
     """Smallest worst birth discrepancy over correspondences.
 
     Simplices absent from both sides cost nothing; absent versus present is
     an infinite discrepancy.
     """
-    memo: dict[tuple[frozenset, frozenset], RatX] = {}
 
     def cost(a, b):
-        key = (a, b)
-        if key not in memo:
-            ba, bb = birth(f, a), birth(g, b)
-            if is_finite(ba) != is_finite(bb):
-                memo[key] = INF
-            elif not is_finite(ba):
-                memo[key] = Fraction(0)
-            else:
-                memo[key] = abs(ba - bb)
-        return memo[key]
+        ba, bb = birth(f, a), birth(g, b)
+        if is_finite(ba) != is_finite(bb):
+            return INF
+        return abs(ba - bb) if is_finite(ba) else Fraction(0)
 
-    return _min_over_correspondences(f, g, cost, guard)
+    return min_max_over_correspondences(f.ground, g.ground, _realizable_pairs, cost, guard)
 
 
-def tripod_distance_int(f: IntFiltration, g: IntFiltration, guard: int = 12) -> RatX:
+def tripod_distance_int(
+    f: IntFiltration, g: IntFiltration, guard: int = CORRESPONDENCE_GUARD
+) -> RatX:
     """Interval-indexed tripod distance: worst support-staircase Hausdorff
     distance over realizable image pairs, minimized over correspondences."""
-    memo: dict[tuple[frozenset, frozenset], RatX] = {}
 
     def cost(a, b):
-        key = (a, b)
-        if key not in memo:
-            memo[key] = hausdorff(support(f, a), support(g, b))
-        return memo[key]
+        return hausdorff(support(f, a), support(g, b))
 
-    return _min_over_correspondences(f, g, cost, guard)
+    return min_max_over_correspondences(f.ground, g.ground, _realizable_pairs, cost, guard)
 
 
 def one_point_tripod(f: IntFiltration, g: IntFiltration) -> RatX:

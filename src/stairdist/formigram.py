@@ -19,13 +19,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .errors import (
+    EmptyInterval,
     GroundSetMismatch,
     InvalidMetric,
     NegativeEpsilon,
     NotADendrogram,
     ValidationError,
 )
-from .lattice import GroundSet, SubPartition, Surjection, pullback
+from .lattice import GroundSet, SubPartition, Surjection, find, pullback
 from .rat import INF, NEG_INF, RatX
 from .staircase import INT, Staircase, hausdorff
 
@@ -134,10 +135,8 @@ def pointwise_refines(f: Formigram, g: Formigram) -> bool:
     return all(f.evaluate(t).refines(g.evaluate(t)) for t in _sample_points(f, g))
 
 
-def _join_over_closed(f: Formigram, a: Fraction, b: Fraction) -> SubPartition:
-    """Join of f over the closed window [a, b]."""
-    i = f._piece_of(a)
-    j = f._piece_of(b)
+def _join_run(f: Formigram, i: int, j: int) -> SubPartition:
+    """Join of the run of pieces i..j."""
     acc = f.values[i]
     for k in range(i + 1, j + 1):
         acc = acc.join(f.values[k])
@@ -157,9 +156,10 @@ def smooth(f: Formigram, eps: Fraction) -> Formigram:
     cand = sorted({t + d for t in f.crit for d in (eps, -eps)})
     values = [f.values[0]]
     for k, c in enumerate(cand):
-        values.append(_join_over_closed(f, c - eps, c + eps))
         mid = (c + cand[k + 1]) / 2 if k + 1 < len(cand) else c + 1
-        values.append(_join_over_closed(f, mid - eps, mid + eps))
+        for t in (c, mid):
+            # join over the closed window [t - eps, t + eps]
+            values.append(_join_run(f, f._piece_of(t - eps), f._piece_of(t + eps)))
     return normalized(Formigram(f.ground, tuple(cand), tuple(values)))
 
 
@@ -197,26 +197,14 @@ class CosheafTable:
         return self._rows[i][j - i]
 
 
-def evaluate_cosheaf(f: Formigram, interval: tuple[Fraction, Fraction],
-                     table: CosheafTable | None = None) -> SubPartition:
+def evaluate_cosheaf(f: Formigram, interval: tuple[Fraction, Fraction]) -> SubPartition:
     """Join of f over the nonempty open interval (a, b)."""
-    from .errors import EmptyInterval
-
     a, b = interval
     if not a < b:
         raise EmptyInterval(f"({a}, {b}) is not a nonempty open interval")
-    i = f._piece_of(a)
-    if i % 2 == 1:
-        i += 1
-    j = f._piece_of(b)
-    if j % 2 == 1:
-        j -= 1
-    if table is not None:
-        return table.cell(i, j)
-    acc = f.values[i]
-    for k in range(i + 1, j + 1):
-        acc = acc.join(f.values[k])
-    return acc
+    # a critical point at either end lies outside the open interval
+    i, j = f._piece_of(a), f._piece_of(b)
+    return _join_run(f, i + i % 2, j - j % 2)
 
 
 def _reach_left(f: Formigram, i: int) -> RatX:
@@ -239,7 +227,7 @@ def all_pair_keys(ground: GroundSet) -> list[PairKey]:
     return [frozenset(p) for p in combinations_with_replacement(ground.elements, 2)]
 
 
-def cosheaf_code(f: Formigram, table: CosheafTable | None = None) -> dict[PairKey, Staircase]:
+def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     """Merge staircase per unordered pair (singletons included).
 
     The staircase of {x, x'} is the closed set of intervals I on which x and
@@ -247,8 +235,7 @@ def cosheaf_code(f: Formigram, table: CosheafTable | None = None) -> dict[PairKe
     minimal runs of pieces that merge the pair, found with a monotone
     two-pointer sweep over the run-join table.
     """
-    if table is None:
-        table = CosheafTable(f)
+    table = CosheafTable(f)
     p = f.num_pieces
     out: dict[PairKey, Staircase] = {}
     for key in all_pair_keys(f.ground):
@@ -363,19 +350,6 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
     n = len(ground)
     thresholds = sorted({d[i][j] for i in range(n) for j in range(i + 1, n)})
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def current_partition() -> SubPartition:
-        comps: dict[int, list[str]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(ground.elements[i])
-        return SubPartition(ground, tuple(tuple(c) for c in comps.values()))
-
     crit: list[Fraction] = [Fraction(0)]
     start = SubPartition.singletons(ground)
     values: list[SubPartition] = [SubPartition.empty(ground), start, start]
@@ -384,12 +358,12 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
         for i in range(n):
             for j in range(i + 1, n):
                 if d[i][j] <= t:
-                    ri, rj = find(i), find(j)
+                    ri, rj = find(parent, i), find(parent, j)
                     if ri != rj:
                         parent[ri] = rj
                         changed = True
         if changed:
-            part = current_partition()
+            part = SubPartition.from_forest(ground, parent, range(n))
             crit.append(t)
             values.append(part)
             values.append(part)

@@ -34,10 +34,21 @@ def _require(obj, key, kind=None):
     return val
 
 
+def _rows(obj, key):
+    rows = _require(obj, key, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValidationError(f"each row of {key!r} must be a list")
+    return rows
+
+
+def _names(obj, what: str) -> list[str]:
+    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
+        raise ValidationError(f"{what} must be a list of strings")
+    return obj
+
+
 def ground_from_json(names) -> GroundSet:
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise ValidationError("ground set must be a list of strings")
-    return GroundSet(tuple(names))
+    return GroundSet(tuple(_names(names, "ground set")))
 
 
 def subpartition_from_json(obj, ground: GroundSet | None = None) -> SubPartition:
@@ -49,9 +60,9 @@ def subpartition_from_json(obj, ground: GroundSet | None = None) -> SubPartition
         blocks = obj
     if ground is None:
         raise ValidationError("subpartition needs a ground set")
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+    if not isinstance(blocks, list):
         raise ValidationError("blocks must be a list of lists")
-    return SubPartition(ground, tuple(tuple(b) for b in blocks))
+    return SubPartition(ground, tuple(tuple(_names(b, "each block")) for b in blocks))
 
 
 def subpartition_to_json(p: SubPartition, with_ground: bool = True):
@@ -117,7 +128,7 @@ def formigram_to_json(f: Formigram):
 
 def metric_from_json(obj) -> tuple[GroundSet, list[list[Fraction]]]:
     ground = ground_from_json(_require(obj, "points", list))
-    rows = _require(obj, "d", list)
+    rows = _rows(obj, "d")
     d = [[_rat(x, allow_infinite=False) for x in row] for row in rows]
     return ground, d
 
@@ -133,7 +144,7 @@ def grid_from_json(obj) -> GridClustering:
     ground = ground_from_json(_require(obj, "ground", list))
     x_cuts = tuple(_rat(c, allow_infinite=False) for c in _require(obj, "x_cuts", list))
     y_cuts = tuple(_rat(c, allow_infinite=False) for c in _require(obj, "y_cuts", list))
-    rows = _require(obj, "cells", list)
+    rows = _rows(obj, "cells")
     cells = tuple(
         tuple(subpartition_from_json(v, ground) for v in row) for row in rows
     )
@@ -156,7 +167,7 @@ def r_filtration_from_json(obj) -> RFiltration:
     ground = ground_from_json(_require(obj, "vertices", list))
     births = {}
     for entry in _require(obj, "simplices", list):
-        s = Simplex(_require(entry, "verts", list))
+        s = Simplex(_names(_require(entry, "verts"), "simplex vertices"))
         births[s] = _rat(_require(entry, "birth"), allow_infinite=False)
     return RFiltration(ground, births)
 
@@ -175,7 +186,7 @@ def int_filtration_from_json(obj) -> IntFiltration:
     ground = ground_from_json(_require(obj, "vertices", list))
     supports = {}
     for entry in _require(obj, "simplices", list):
-        s = Simplex(_require(entry, "verts", list))
+        s = Simplex(_names(_require(entry, "verts"), "simplex vertices"))
         supports[s] = staircase_from_json(_require(entry, "support", dict))
     return IntFiltration(ground, supports)
 

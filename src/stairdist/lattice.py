@@ -46,6 +46,15 @@ class GroundSet:
         return iter(self.elements)
 
 
+def find(parent, x):
+    """Root of x in a union-find forest stored as a list or dict of parents
+    (a root is its own parent), halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _check_same_ground(a, b):
     if a.ground != b.ground:
         raise GroundSetMismatch(
@@ -94,6 +103,17 @@ class SubPartition:
     def one_block(cls, ground: GroundSet) -> "SubPartition":
         return cls(ground, (tuple(ground.elements),))
 
+    @classmethod
+    def from_forest(
+        cls, ground: GroundSet, parent: list[int], members: Iterable[int]
+    ) -> "SubPartition":
+        """Blocks are the union-find trees over the ground indices `members`
+        (in order), each block listed from its first member on."""
+        comps: dict[int, list[str]] = {}
+        for i in members:
+            comps.setdefault(find(parent, i), []).append(ground.elements[i])
+        return cls(ground, tuple(tuple(c) for c in comps.values()))
+
     @cached_property
     def block_index(self) -> Mapping[str, int]:
         """Element name -> index of its block (absent elements missing)."""
@@ -141,13 +161,6 @@ class SubPartition:
         _check_same_ground(self, other)
         idx = self.ground.index
         parent = list(range(len(idx)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         members = set()
         for part in (self, other):
             for blk in part.blocks:
@@ -156,13 +169,10 @@ class SubPartition:
                 for x in blk[1:]:
                     i = idx[x]
                     members.add(i)
-                    ri, r0 = find(i), find(i0)
+                    ri, r0 = find(parent, i), find(parent, i0)
                     if ri != r0:
                         parent[ri] = r0
-        comps: dict[int, list[str]] = {}
-        for i in sorted(members):
-            comps.setdefault(find(i), []).append(self.ground.elements[i])
-        return SubPartition(self.ground, tuple(tuple(c) for c in comps.values()))
+        return SubPartition.from_forest(self.ground, parent, sorted(members))
 
     def meet(self, other: "SubPartition") -> "SubPartition":
         """Coarsest common refinement: nonempty pairwise block intersections."""
@@ -212,16 +222,9 @@ def _spanning_trees(block: tuple[str, ...]) -> Iterator[frozenset[frozenset[str]
     edges = list(combinations(block, 2))
     for tree in combinations(edges, k - 1):
         parent = {x: x for x in block}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         acyclic = True
         for u, v in tree:
-            ru, rv = find(u), find(v)
+            ru, rv = find(parent, u), find(parent, v)
             if ru == rv:
                 acyclic = False
                 break

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
+from .lattice import find
 from .rat import INF, RatX, is_finite
 from .staircase import INT, Staircase, hausdorff, staircase
 
@@ -108,12 +109,6 @@ def h0_barcode(f: RFiltration) -> Barcode:
         parent[v] = v
         record[v] = (f.births[s], idx[v])
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     edges = sorted(
         (s for s in f.births if len(s) == 2),
         key=lambda s: (f.births[s], sorted(idx[v] for v in s)),
@@ -121,7 +116,7 @@ def h0_barcode(f: RFiltration) -> Barcode:
     bars = []
     for s in edges:
         u, v = s
-        ru, rv = find(u), find(v)
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
             continue
         if record[ru] > record[rv]:
@@ -129,7 +124,7 @@ def h0_barcode(f: RFiltration) -> Barcode:
         bars.append((record[rv][0], f.births[s]))  # the younger dies
         parent[rv] = ru
     for v in parent:
-        if find(v) == v:
+        if find(parent, v) == v:
             bars.append((record[v][0], INF))
     return barcode(bars)
 

@@ -156,9 +156,21 @@ def _breaks(u: Staircase) -> set[Fraction]:
     return out
 
 
-def _merged_breaks(u: Staircase, v: Staircase) -> list[Fraction]:
-    cs = sorted(_breaks(u) | _breaks(v))
+def _merged_breaks(*us: Staircase) -> list[Fraction]:
+    """Sorted union of the staircases' candidate kinks ([0] when none)."""
+    cs = sorted(set().union(*map(_breaks, us)))
     return cs if cs else [Fraction(0)]
+
+
+def _sweep(u: Staircase, cs: list[Fraction]) -> tuple[list[RatX], RatX, RatX]:
+    """g_u at the sorted breakpoints cs, and the slopes of the two tails.
+
+    Beyond the extreme breakpoints the profile is a single line, so the
+    unit steps g(cs[0]) - g(cs[0] - 1) and g(cs[-1] + 1) - g(cs[-1]) are
+    its slopes there.
+    """
+    vals = [_g(u, c) for c in cs]
+    return vals, vals[0] - _g(u, cs[0] - 1), _g(u, cs[-1] + 1) - vals[-1]
 
 
 def _check_ambient(u: Staircase, v: Staircase):
@@ -182,19 +194,13 @@ def hausdorff(u: Staircase, v: Staircase) -> RatX:
             return INF
         # clamped full Int still has the finite profile c/2: fall through
     cs = _merged_breaks(u, v)
-    best = Fraction(0)
-    for c in cs:
-        d = abs(_g(u, c) - _g(v, c))
-        if d > best:
-            best = d
+    gu, lo_u, hi_u = _sweep(u, cs)
+    gv, lo_v, hi_v = _sweep(v, cs)
     # Beyond the extreme breakpoints both profiles are single lines: equal
     # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.
-    hi, lo = cs[-1], cs[0]
-    if _g(u, hi + 1) - _g(u, hi) != _g(v, hi + 1) - _g(v, hi):
+    if hi_u != hi_v or lo_u != lo_v:
         return INF
-    if _g(u, lo) - _g(u, lo - 1) != _g(v, lo) - _g(v, lo - 1):
-        return INF
-    return best
+    return max(Fraction(0), *(abs(a - b) for a, b in zip(gu, gv)))
 
 
 def subset(u: Staircase, v: Staircase) -> bool:
@@ -209,15 +215,12 @@ def subset(u: Staircase, v: Staircase) -> bool:
     if u.is_full() and not u.clamped:
         return False
     cs = _merged_breaks(u, v)
-    f = {c: _g(u, c) - _g(v, c) for c in cs}
-    if any(f[c] < 0 for c in cs):
+    gu, lo_u, hi_u = _sweep(u, cs)
+    gv, lo_v, hi_v = _sweep(v, cs)
+    # g_u - g_v must stay >= 0 out in both tails as well
+    if hi_u < hi_v or lo_u > lo_v:
         return False
-    hi, lo = cs[-1], cs[0]
-    if (_g(u, hi + 1) - _g(v, hi + 1)) - f[hi] < 0:
-        return False
-    if f[lo] - (_g(u, lo - 1) - _g(v, lo - 1)) > 0:
-        return False
-    return True
+    return all(a >= b for a, b in zip(gu, gv))
 
 
 def upper_set_interleaved(u: Staircase, v: Staircase, eps: Fraction) -> bool:
@@ -251,12 +254,7 @@ def profile(u: Staircase) -> StepProfile:
     if u.is_full() and not u.clamped:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
-    cs = sorted(_breaks(u))
-    if not cs:
-        cs = [Fraction(0)]
-    vals = [_g(u, c) for c in cs]
-    slopes = [_g(u, cs[0]) - _g(u, cs[0] - 1)]
-    for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:]):
-        slopes.append((v1 - v0) / (c1 - c0))
-    slopes.append(_g(u, cs[-1] + 1) - _g(u, cs[-1]))
-    return StepProfile(tuple(cs), tuple(vals), tuple(slopes))
+    cs = _merged_breaks(u)
+    vals, lo, hi = _sweep(u, cs)
+    inner = [(v1 - v0) / (c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])]
+    return StepProfile(tuple(cs), tuple(vals), (lo, *inner, hi))

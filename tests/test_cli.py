@@ -215,6 +215,24 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "lattice", "join", good)
     assert code == 2 and "two input" in err
 
+    # malformed members: a validation failure, never a traceback
+    nested = write(tmp_path, "nested.json", {
+        "vertices": ["a"], "simplices": [{"verts": [["a"]], "birth": "0"}]})
+    code, _, err = run(capsys, "h0", nested)
+    assert code == 2 and "simplex vertices" in err
+    code, _, err = run(capsys, "tripod", "--indexing", "r", nested, nested)
+    assert code == 2 and "simplex vertices" in err
+    p = write(tmp_path, "p.json", {"ground": ["x"], "blocks": [[["x"]]]})
+    code, _, err = run(capsys, "lattice", "parts", p)
+    assert code == 2 and "block" in err
+    m = write(tmp_path, "m.json", {"points": ["a", "b"], "d": [1, 2]})
+    code, _, err = run(capsys, "dendro", "slhc", m)
+    assert code == 2 and "row" in err
+    grid = write(tmp_path, "grid.json", {
+        "ground": ["x"], "x_cuts": [], "y_cuts": ["0"], "cells": [1, [[["x"]]]]})
+    code, _, err = run(capsys, "clustering", "di", grid, grid)
+    assert code == 2 and "row" in err
+
 
 def test_guard_override_warns(tmp_path, capsys):
     big = {"ground": list("abcdefg"), "blocks": [list("abcdefg")]}

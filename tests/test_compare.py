@@ -25,6 +25,7 @@ from stairdist import (
     single_linkage,
     ultrametric,
 )
+from stairdist.filtration import RFiltration, to_int_indexed, tripod_distance_int, tripod_distance_r
 from stairdist.formigram import Ultrametric
 from stairdist.oracle import grid_interleaved, oracle_grid_distance
 from conftest import ground, rand_formigram, rand_grid_pair, rand_merged_tail_formigram, rand_metric
@@ -71,6 +72,19 @@ def test_correspondence_counts():
 def test_correspondence_guard():
     with pytest.raises(SizeGuardExceeded):
         list(enumerate_correspondences(ground(4), ground(4)))
+    # every search over correspondences keeps the default guard at 4 x 4
+    f4 = Formigram.constant(SubPartition.one_block(ground(4)))
+    with pytest.raises(SizeGuardExceeded):
+        gromov_hausdorff_formigrams(f4, f4)
+    u4 = ultrametric(single_linkage(ground(4), rand_metric(random.Random(3), ground(4))))
+    with pytest.raises(SizeGuardExceeded):
+        gromov_hausdorff_ultrametrics(u4, u4)
+    r4 = RFiltration(ground(4), {fs(x): F(0) for x in ground(4)})
+    with pytest.raises(SizeGuardExceeded):
+        tripod_distance_r(r4, r4)
+    i4 = to_int_indexed(r4)
+    with pytest.raises(SizeGuardExceeded):
+        tripod_distance_int(i4, i4)
 
 
 # --- Gromov-Hausdorff between formigrams ------------------------------------------

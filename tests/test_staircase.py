@@ -193,14 +193,15 @@ def find_violating_line(u, v):
     return None
 
 
-def test_subset_agrees_with_raw_membership():
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_subset_agrees_with_raw_membership(ambient):
     """Ties the profile route to plain generator containment: a True subset
     never contradicts point membership, a False one yields an explicit
-    witness point inside u but outside v."""
+    witness point inside u but outside v.  Only interval points need a < b."""
     rng = random.Random(37)
     falsified = 0
     for _ in range(80):
-        u, v = rand_staircase_pair(rng, "int")
+        u, v = rand_staircase_pair(rng, ambient)
         if subset(u, v):
             for c2 in range(-16, 17):
                 c = F(c2, 2)
@@ -210,7 +211,7 @@ def test_subset_agrees_with_raw_membership():
                 for bump in (F(0), F(1, 3), F(2)):
                     b = b0 + bump
                     a = c - b
-                    if a < b:
+                    if a < b or ambient == "plane":
                         assert contains(v, (a, b)), (u, v, (a, b))
         else:
             assert not u.is_empty()
