@@ -141,38 +141,58 @@ def _deletion_cost(p: Bar) -> RatX:
 
 
 def _perfect_matching_exists(adj: list[list[int]], nright: int) -> bool:
-    """Kuhn's augmenting paths; adj maps each left node to allowed rights."""
-    match_r = [-1] * nright
+    """Kuhn's augmenting paths; adj maps each left node to allowed rights.
 
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
+    Each search is a depth-first walk on an explicit stack of (left node,
+    its untried rights), so path length is bounded by memory, not by the
+    recursion limit.  ``via[d]`` is the right node that frame d went
+    through to reach frame d + 1.
+    """
+    match_r = [-1] * nright
+    for root in range(len(adj)):
+        seen: set[int] = set()
+        stack = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            for j in stack[-1][1]:
+                if j not in seen:
+                    break
+            else:  # dead end: back up one step
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(j)
-            if match_r[j] == -1 or augment(match_r[j], seen):
-                match_r[j] = i
-                return True
-        return False
+            via.append(j)
+            if match_r[j] == -1:  # free right node: flip the path
+                for (i, _), jj in zip(stack, via):
+                    match_r[jj] = i
+                break
+            stack.append((match_r[j], iter(adj[match_r[j]])))
+        else:
+            return False
+    return True
 
-    return all(augment(i, set()) for i in range(len(adj)))
 
-
-def _bottleneck_feasible(b1: Barcode, b2: Barcode, eps: RatX) -> bool:
+def _bottleneck_feasible(
+    costs: list[list[RatX]], dels1: list[RatX], dels2: list[RatX], eps: RatX
+) -> bool:
     """Partial matching with per-pair cost <= eps and all unmatched bars
     deletable at cost <= eps, via the standard diagonal-augmented perfect
-    matching."""
-    n1, n2 = len(b1), len(b2)
+    matching.  costs[i][j] is the cost of matching bar i of the first
+    barcode to bar j of the second; dels1 and dels2 are deletion costs."""
+    n1, n2 = len(dels1), len(dels2)
     # left: bars of b1 then diagonal slots for b2; right: bars of b2 then
     # diagonal slots for b1
     adj: list[list[int]] = []
-    for i, p in enumerate(b1):
-        row = [j for j, q in enumerate(b2) if _match_cost(p, q) <= eps]
-        if _deletion_cost(p) <= eps:
+    for i, row_costs in enumerate(costs):
+        row = [j for j, c in enumerate(row_costs) if c <= eps]
+        if dels1[i] <= eps:
             row.append(n2 + i)
         adj.append(row)
-    for j, q in enumerate(b2):
+    for j, d in enumerate(dels2):
         row = list(range(n2, n2 + n1))  # diagonal-to-diagonal is free
-        if _deletion_cost(q) <= eps:
+        if d <= eps:
             row.insert(0, j)
         adj.append(row)
     return _perfect_matching_exists(adj, n1 + n2)
@@ -182,23 +202,20 @@ def bottleneck_distance(b1: Barcode, b2: Barcode) -> RatX:
     """Exact bottleneck distance.
 
     The optimum lies in the finite set of pairwise matching costs and
-    half-lengths; binary search that set with matching feasibility.
+    half-lengths; binary search that set with matching feasibility.  The
+    costs are computed once and shared by every feasibility test.
     """
+    costs = [[_match_cost(p, q) for q in b2] for p in b1]
+    dels1 = [_deletion_cost(p) for p in b1]
+    dels2 = [_deletion_cost(q) for q in b2]
     cands: set[RatX] = {Fraction(0)}
-    for p in b1:
-        for q in b2:
-            c = _match_cost(p, q)
-            if is_finite(c):
-                cands.add(c)
-    for p in (*b1, *b2):
-        c = _deletion_cost(p)
-        if is_finite(c):
-            cands.add(c)
+    cands.update(c for row in costs for c in row if is_finite(c))
+    cands.update(c for c in dels1 + dels2 if is_finite(c))
     ordered = sorted(cands)
     lo, hi = 0, len(ordered)  # first feasible index, if any
     while lo < hi:
         mid = (lo + hi) // 2
-        if _bottleneck_feasible(b1, b2, ordered[mid]):
+        if _bottleneck_feasible(costs, dels1, dels2, ordered[mid]):
             hi = mid
         else:
             lo = mid + 1

@@ -19,12 +19,22 @@ an upward ray whose entry height is
 a non-decreasing piecewise-linear function with slopes in {0, 1/2, 1}.  The
 Hausdorff distance in the sup-norm is sup_c |g_U(c) - g_V(c)|, evaluated
 exactly at profile breakpoints plus a tail-slope comparison.
+
+A normalized antichain sorted by l is also sorted by r and by the corner
+sum l + r, so g can only kink at O(k) candidate points: the own corners
+l_i + r_i, the inner corners l_i + r_{i+1} and, when clamped, 2 l_i and
+2 r_i.  These are a subset of the pairwise line intersections, and one
+left-to-right walk over the generators reads g at all of them.  With k_u
+and k_v generators, ``hausdorff`` and ``subset`` cost
+O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
+normalizing k generators (a sort by l and one sweep) costs O(k log k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient
 from .rat import INF, NEG_INF, RatX, is_finite
@@ -32,11 +42,6 @@ from .rat import INF, NEG_INF, RatX, is_finite
 INT, PLANE = "int", "plane"
 
 Gen = tuple[RatX, RatX]
-
-
-def _dominates(g: Gen, h: Gen) -> bool:
-    """Region of g contains region of h."""
-    return g[0] >= h[0] and g[1] <= h[1]
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,26 @@ class Staircase:
     def __post_init__(self):
         if self.ambient not in (INT, PLANE):
             raise ValueError(f"unknown ambient {self.ambient!r}")
-        kept: list[Gen] = []
         for g in self.gens:
-            if g[0] == NEG_INF or g[1] == INF:
+            # a Fraction is never infinite, so only other scalars are compared
+            l, r = g
+            if (not is_finite(l) and l == NEG_INF) or (not is_finite(r) and r == INF):
                 raise ValueError(f"generator {g} denotes an empty region")
-            if any(_dominates(h, g) for h in kept):
-                continue
-            kept = [h for h in kept if not _dominates(g, h)]
-            kept.append(g)
-        kept.sort(key=lambda g: (g[0], g[1]))
+        # (l, r) contains (l', r') iff l >= l' and r <= r'.  Scanning by l
+        # descending meets every strict dominator of a generator before it,
+        # so a generator survives iff its r is below every r seen so far;
+        # among equal l the smaller r replaces the larger.  The sort is
+        # stable, so equal duplicates keep their first copy.
+        kept: list[Gen] = []
+        low = INF
+        for g in sorted(self.gens, key=itemgetter(0), reverse=True):
+            if g[1] < low:
+                if kept and kept[-1][0] == g[0]:
+                    kept[-1] = g
+                else:
+                    kept.append(g)
+                low = g[1]
+        kept.reverse()
         object.__setattr__(self, "gens", tuple(kept))
 
     @property
@@ -68,7 +84,8 @@ class Staircase:
         return not self.gens
 
     def is_full(self) -> bool:
-        return any(g == (INF, NEG_INF) for g in self.gens)
+        # the full generator dominates every other, so it stands alone
+        return self.gens == ((INF, NEG_INF),)
 
 
 def staircase(gens, ambient: str = INT) -> Staircase:
@@ -125,7 +142,8 @@ def thicken(u: Staircase, eps: Fraction) -> Staircase:
 def _g(u: Staircase, c: Fraction) -> RatX:
     """Entry height of the staircase on the flow line a + b = c.
 
-    +inf for the empty staircase; -inf only for the full plane.
+    +inf for the empty staircase; -inf only for the full plane.  Rescans
+    every generator: the reference that ``_sweep`` is tested against.
     """
     if not u.gens:
         return INF
@@ -140,19 +158,14 @@ def _g(u: Staircase, c: Fraction) -> RatX:
 
 
 def _breaks(u: Staircase) -> set[Fraction]:
-    """Candidate kink positions: pairwise intersections of the constituent
-    lines b = r_i, b = c - l_i and (clamped) b = c/2."""
-    horiz = [r for _, r in u.gens if is_finite(r)]
-    diag = [l for l, _ in u.gens if is_finite(l)]
-    out: set[Fraction] = set()
-    for r in horiz:
-        for l in diag:
-            out.add(r + l)
-        if u.clamped:
-            out.add(2 * r)
+    """Candidate kink positions of g_u: own corners l_i + r_i, inner corners
+    l_i + r_{i+1} and (clamped) the diagonal hits 2 l_i and 2 r_i.  Sums
+    with an infinite term are skipped."""
+    gens = u.gens
+    pairs = [*gens, *((l, r) for (l, _), (_, r) in zip(gens, gens[1:]))]
+    out = {l + r for l, r in pairs if is_finite(l) and is_finite(r)}
     if u.clamped:
-        for l in diag:
-            out.add(2 * l)
+        out.update(2 * x for g in gens for x in g if is_finite(x))
     return out
 
 
@@ -167,10 +180,29 @@ def _sweep(u: Staircase, cs: list[Fraction]) -> tuple[list[RatX], RatX, RatX]:
 
     Beyond the extreme breakpoints the profile is a single line, so the
     unit steps g(cs[0]) - g(cs[0] - 1) and g(cs[-1] + 1) - g(cs[-1]) are
-    its slopes there.
+    its slopes there.  One walk serves all points: j is the first
+    generator whose corner l_j + r_j is not left of c, every generator
+    before it is on its slope-1 leg and every one after it is higher than
+    r_j, so g(c) = min(r_j, c - l_{j-1}).
     """
-    vals = [_g(u, c) for c in cs]
-    return vals, vals[0] - _g(u, cs[0] - 1), _g(u, cs[-1] + 1) - vals[-1]
+    pts = [cs[0] - 1, *cs, cs[-1] + 1]
+    if u.is_full():
+        # INF + NEG_INF has no corner; the profile is c/2 or -inf
+        vals = [c / 2 if u.clamped else NEG_INF for c in pts]
+    else:
+        gens = u.gens
+        corners = [l + r for l, r in gens]
+        k, j, vals = len(gens), 0, []
+        for c in pts:
+            while j < k and corners[j] < c:
+                j += 1
+            t = gens[j][1] if j < k else INF
+            if j:
+                t = min(t, c - gens[j - 1][0])
+            if u.clamped:
+                t = max(t, c / 2)
+            vals.append(t)
+    return vals[1:-1], vals[1] - vals[0], vals[-1] - vals[-2]
 
 
 def _check_ambient(u: Staircase, v: Staircase):
@@ -247,8 +279,12 @@ class StepProfile:
 
 
 def profile(u: Staircase) -> StepProfile:
-    """Exact entry profile; breakpoints are kept even where no slope change
-    happens (they come from all pairwise line intersections)."""
+    """Exact entry profile at the O(k) candidate kinks of ``_breaks``.
+
+    A breakpoint may still carry no slope change (a candidate that turns
+    out not to be a kink); every true kink is listed.  The values are those
+    of g, so pieces interpolated between breakpoints reproduce g anywhere.
+    """
     if u.is_empty():
         return StepProfile((), (), (), empty=True)
     if u.is_full() and not u.clamped:

@@ -5,6 +5,7 @@ reproduce; hypothesis drives the algebraic-law property tests.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 import random
 
 from hypothesis import HealthCheck, settings
@@ -189,7 +190,24 @@ def rand_grid_pair(rng: random.Random, g: GroundSet, max_cuts=4):
     return boxed(), boxed()
 
 
-def rand_r_filtration(rng: random.Random, g: GroundSet, edge_prob=0.7) -> RFiltration:
+def _triangles(g: GroundSet, present, rng: random.Random, tri_prob):
+    """The 2-simplices of g whose three edges are all present, each kept
+    with probability tri_prob (no draws at all when tri_prob is 0)."""
+    if not tri_prob:
+        return []
+    out = []
+    for tri in map(frozenset, combinations(g.elements, 3)):
+        faces = [tri - {v} for v in tri]
+        if all(e in present for e in faces) and rng.random() < tri_prob:
+            out.append((tri, faces))
+    return out
+
+
+def rand_r_filtration(
+    rng: random.Random, g: GroundSet, edge_prob=0.7, tri_prob=0.0
+) -> RFiltration:
+    """Random vertex and edge births; with tri_prob > 0 also 2-simplices,
+    each born no earlier than its edges."""
     births = {}
     for x in g:
         births[frozenset({x})] = rand_fraction(rng, lo=0, hi=4)
@@ -200,6 +218,8 @@ def rand_r_filtration(rng: random.Random, g: GroundSet, edge_prob=0.7) -> RFiltr
                 e = frozenset({elems[i], elems[j]})
                 base = max(births[frozenset({v})] for v in e)
                 births[e] = base + abs(rand_fraction(rng, lo=0, hi=4))
+    for tri, faces in _triangles(g, births, rng, tri_prob):
+        births[tri] = max(births[e] for e in faces) + abs(rand_fraction(rng, lo=0, hi=4))
     return RFiltration(g, births)
 
 
@@ -207,9 +227,25 @@ def union_staircase(u: Staircase, v: Staircase) -> Staircase:
     return Staircase(u.ambient, u.gens + v.gens)
 
 
-def rand_int_filtration(rng: random.Random, g: GroundSet, edge_prob=0.7) -> IntFiltration:
+def rand_int_filtration(
+    rng: random.Random, g: GroundSet, edge_prob=0.7, tri_prob=0.0, pinned=False
+) -> IntFiltration:
     """Edges get random supports; vertices get at least the union of their
-    cofaces' supports, keeping the filtration monotone."""
+    cofaces' supports, keeping the filtration monotone.
+
+    With tri_prob > 0 a 2-simplex over three present edges is supported on
+    the intersection of their supports, generated by the corner-wise meets
+    (min l, max r) over every choice of one generator per edge.  With pinned, every drawn support also
+    carries a horizontal and a vertical tail generator, so any two supports
+    are at finite Hausdorff distance."""
+
+    def draw():
+        u = rand_staircase(rng, "int")
+        if pinned:
+            tails = staircase([(INF, rand_fraction(rng)), (rand_fraction(rng), NEG_INF)])
+            u = union_staircase(u, tails)
+        return u
+
     supports = {}
     elems = list(g.elements)
     edges = []
@@ -217,13 +253,19 @@ def rand_int_filtration(rng: random.Random, g: GroundSet, edge_prob=0.7) -> IntF
         for j in range(i + 1, len(elems)):
             if rng.random() < edge_prob:
                 e = frozenset({elems[i], elems[j]})
-                supports[e] = rand_staircase(rng, "int")
+                supports[e] = draw()
                 edges.append(e)
     for x in g:
         v = frozenset({x})
-        acc = rand_staircase(rng, "int")
+        acc = draw()
         for e in edges:
             if x in e:
                 acc = union_staircase(acc, supports[e])
         supports[v] = acc
-    return IntFiltration(g, {s: u for s, u in supports.items() if not u.is_empty()})
+    supports = {s: u for s, u in supports.items() if not u.is_empty()}
+    for tri, faces in _triangles(g, supports, rng, tri_prob):
+        supports[tri] = staircase(
+            (min(l for l, _ in picks), max(r for _, r in picks))
+            for picks in product(*(supports[e].gens for e in faces))
+        )
+    return IntFiltration(g, supports)

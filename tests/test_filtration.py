@@ -198,6 +198,21 @@ def test_tripod_matches_subset_enumeration_oracle():
         assert tripod_distance_r(f, g) == oracle_tripod_r(f, g)
 
 
+def test_tripod_with_triangles_matches_oracle_at_finite_values():
+    """Complete 1-skeleta with 2-simplices make unequal vertex counts
+    comparable, so a good share of the distances is finite."""
+    rng = random.Random(307)
+    finite = 0
+    for _ in range(12):
+        f = rand_r_filtration(rng, ground(rng.randint(1, 3)), edge_prob=1.0, tri_prob=0.7)
+        g = rand_r_filtration(rng, ground(rng.randint(1, 3)), edge_prob=1.0, tri_prob=0.7)
+        assert validate_filtration(f) is None and validate_filtration(g) is None
+        d = tripod_distance_r(f, g)
+        assert d == oracle_tripod_r(f, g)
+        finite += d != INF
+    assert finite >= 6
+
+
 def test_tripod_metric_properties():
     rng = random.Random(107)
     for _ in range(8):
@@ -275,6 +290,25 @@ def test_tripod_int_matches_subset_enumeration_oracle():
         else:
             seen_finite += 1
     assert seen_inf + seen_finite == 8
+
+
+def test_tripod_int_with_triangles_matches_oracle_at_finite_values():
+    """Pinned tails keep every pair of supports at finite distance, and
+    2-simplices over the intersection of their edges' supports make unequal
+    vertex counts comparable."""
+    rng = random.Random(307)
+    finite = 0
+    for _ in range(8):
+        f, g = (
+            rand_int_filtration(rng, ground(rng.randint(1, n)), edge_prob=1.0,
+                                tri_prob=0.7, pinned=True)
+            for n in (3, 2)
+        )
+        assert validate_filtration(f) is None and validate_filtration(g) is None
+        d = tripod_distance_int(f, g)
+        assert d == oracle_tripod_int(f, g)
+        finite += d != INF
+    assert finite >= 5
 
 
 def test_one_point_matches_general_route():

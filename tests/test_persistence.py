@@ -22,7 +22,7 @@ from stairdist import (
     sublevel_staircase,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.persistence import _deletion_cost, _match_cost
+from stairdist.persistence import _deletion_cost, _match_cost, _perfect_matching_exists
 from conftest import rand_barcode, rand_fraction, rand_r_filtration, ground
 
 F = Fraction
@@ -285,6 +285,16 @@ def test_bottleneck_matches_brute_force():
             seen_inf += 1
         assert d == oracle_bottleneck(b1, b2)
     assert seen_inf > 0
+
+
+def test_matching_survives_long_augmenting_paths():
+    """The last left node's only right is taken, and freeing it shifts every
+    earlier match by one: a 5000-step augmenting path, which recursion
+    could not follow."""
+    n = 5000
+    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    assert _perfect_matching_exists(adj, n)
+    assert not _perfect_matching_exists(adj + [[n - 1]], n)
 
 
 def test_erosion_below_bottleneck():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,8 +24,8 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.staircase import _g, _merged_breaks
-from conftest import rand_staircase, rand_staircase_pair
+from stairdist.staircase import Staircase, _g, _merged_breaks, _sweep
+from conftest import rand_fraction, rand_staircase, rand_staircase_pair
 
 F = Fraction
 DELTA = F(3, 2)
@@ -281,3 +282,141 @@ def test_plane_oracle_agreement():
         if d != INF:
             finite += 1
     assert finite > 10
+
+
+# --- linear-time engine against its rescanning twins ---------------------------
+
+
+def naive_normalize(gens):
+    """Quadratic dominance filter: keep the first copy of each generator
+    that no other generator's region contains, sorted by l."""
+    kept = []
+    for g in gens:
+        if any(h[0] >= g[0] and h[1] <= g[1] for h in kept):
+            continue
+        kept = [h for h in kept if not (g[0] >= h[0] and g[1] <= h[1])]
+        kept.append(g)
+    return tuple(sorted(kept))
+
+
+def pairwise_breaks(u):
+    """Every intersection of the constituent lines b = r_i, b = c - l_j and
+    (clamped) b = c/2: a superset of the profile's kinks."""
+    horiz = [r for _, r in u.gens if r != NEG_INF]
+    diag = [l for l, _ in u.gens if l != INF]
+    out = {r + l for r in horiz for l in diag}
+    if u.clamped:
+        out.update(2 * x for x in horiz + diag)
+    return out
+
+
+def rand_gen_list(rng, k):
+    """k generators with infinite coordinates, repeats and a chance of the
+    full generator, unnormalized."""
+    gens = []
+    for _ in range(k):
+        roll = rng.random()
+        l = INF if roll < 0.15 else rand_fraction(rng, lo=-12, hi=12)
+        r = NEG_INF if roll > 0.85 else rand_fraction(rng, lo=-12, hi=12)
+        gens.append((l, r))
+    if gens:
+        gens += rng.choices(gens, k=rng.randint(0, 3))
+    if rng.random() < 0.05:
+        gens.append((INF, NEG_INF))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_normalize_matches_naive_dominance_filter(ambient):
+    rng = random.Random(41)
+    for _ in range(400):
+        gens = rand_gen_list(rng, rng.randint(0, 25))
+        u = staircase(gens, ambient)
+        assert u.gens == naive_normalize(gens)
+        assert u.is_full() == ((INF, NEG_INF) in gens)
+    with pytest.raises(ValueError):
+        staircase([(F(0), F(1)), (NEG_INF, F(0))])
+    with pytest.raises(ValueError):
+        staircase([(F(0), INF)])
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_sweep_matches_rescanning_reference(ambient):
+    """The one-pass walk equals _g at every breakpoint, between breakpoints
+    and in both tails."""
+    rng = random.Random(43)
+    for _ in range(150):
+        u = staircase(rand_gen_list(rng, rng.randint(1, 20)), ambient)
+        if u.is_full() and ambient == "plane":
+            continue
+        cs = _merged_breaks(u, staircase(rand_gen_list(rng, 4), ambient))
+        pts = sorted({*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:])), cs[0] - 3, cs[-1] + 3})
+        vals, lo, hi = _sweep(u, pts)
+        assert vals == [_g(u, c) for c in pts]
+        assert lo == _g(u, pts[0]) - _g(u, pts[0] - 1)
+        assert hi == _g(u, pts[-1] + 1) - _g(u, pts[-1])
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_profile_breakpoints_describe_the_same_function(ambient):
+    """The O(k) breakpoints are a subset of all pairwise line intersections,
+    and the pieces they delimit, interpolated at every one of those
+    intersections, reproduce _g there."""
+    rng = random.Random(47)
+    for _ in range(150):
+        u = staircase(rand_gen_list(rng, rng.randint(1, 15)), ambient)
+        if u.is_full():
+            continue
+        prof = profile(u)
+        bps, vals, slopes = prof.breakpoints, prof.values, prof.slopes
+        assert set(bps) <= pairwise_breaks(u) | {F(0)}
+        for c in sorted(pairwise_breaks(u)):
+            i = sum(1 for b in bps if b <= c)
+            if i == 0:
+                expect = vals[0] - slopes[0] * (bps[0] - c)
+            else:
+                expect = vals[i - 1] + slopes[i] * (c - bps[i - 1])
+            assert expect == _g(u, c), (u, c)
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_merged_breaks_are_linear_in_generators(ambient):
+    rng = random.Random(53)
+    for _ in range(200):
+        u = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
+        v = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
+        assert len(_merged_breaks(u, v)) <= 4 * (len(u.gens) + len(v.gens)) + 1
+
+
+def test_hausdorff_growth_band():
+    """Hausdorff cost grows no faster than c * k (4x band): the unit is a
+    batch at k = 40; k = 320 must stay within 4 * unit * k.  Near-linear
+    growth is about 8x here, quadratic growth would be 64x and fail."""
+    rng = random.Random(1313)
+
+    def antichain(k):
+        l = r = F(0)
+        gens = []
+        for _ in range(k):
+            l += F(rng.randint(1, 10**4), 1000)
+            r += F(rng.randint(1, 10**4), 1000)
+            gens.append((l, r))
+        return Staircase("int", tuple(gens))
+
+    def batch_time(k):
+        pairs = [(antichain(k), antichain(k)) for _ in range(5)]
+        best = INF
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for u, v in pairs:
+                hausdorff(u, v)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    unit = batch_time(40) / 40
+    k = 320
+    t = batch_time(k)
+    assert t <= 4 * unit * k, (
+        f"hausdorff batch at k={k} took {t:.4f}s, band allows {4 * unit * k:.4f}s"
+    )
