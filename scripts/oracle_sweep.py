@@ -2,7 +2,8 @@
 """Random agreement sweep: every fast distance against its brute-force twin.
 
 Covers staircase Hausdorff, formigram interleaving, grid-clustering
-interleaving and bottleneck distances, and the correspondence searches
+interleaving, erosion and bottleneck distances, single-linkage merge
+times, and the correspondence searches
 (Gromov-Hausdorff between formigrams, line- and interval-indexed tripod
 distances at |X|*|Y| <= 8), on freshly sampled instances, and reports
 per-family counts (including how many infinite values were hit).
@@ -22,13 +23,16 @@ from stairdist import (
     INF,
     RFiltration,
     bottleneck_distance,
+    erosion_distance,
     grid_interleaving_distance,
     gromov_hausdorff_formigrams,
     hausdorff,
     interleaving_distance,
+    single_linkage,
     to_int_indexed,
     tripod_distance_int,
     tripod_distance_r,
+    ultrametric,
 )
 from stairdist.oracle import (
     oracle_formigram_distance,
@@ -44,12 +48,14 @@ from conftest import (
     rand_grid_pair,
     rand_int_filtration,
     rand_merged_tail_formigram,
+    rand_metric,
     rand_r_filtration,
     rand_staircase_pair,
 )
 from test_compare import oracle_gh_via_pullbacks
 from test_filtration import oracle_tripod_int, oracle_tripod_r
-from test_persistence import oracle_bottleneck
+from test_formigram import brute_merge_time
+from test_persistence import oracle_bottleneck, oracle_erosion_direct
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
 SEARCH_SIZES = [(nx, ny) for nx in range(1, 9) for ny in range(1, 9) if nx * ny <= 8]
@@ -89,6 +95,20 @@ def small_int_filtration(r, g):
     if r.random() < 0.5:
         return rand_int_filtration(r, g)
     return to_int_indexed(full_r_filtration(r, g))
+
+
+def slhc_merge_times(g, d):
+    return ultrametric(single_linkage(g, d)).entries
+
+
+def brute_merge_times(g, d):
+    n = len(g)
+    return tuple(tuple(brute_merge_time(d, i, j) for j in range(n)) for i in range(n))
+
+
+def metric_instance(r):
+    g = ground(r.randint(1, 6))
+    return g, rand_metric(r, g)
 
 
 def sweep(name, make, fast, slow, rng, iterations):
@@ -169,6 +189,22 @@ def main():
         search_pair(small_int_filtration),
         tripod_distance_int,
         oracle_tripod_int,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "erosion",
+        lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
+        erosion_distance,
+        oracle_erosion_direct,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "slhc",
+        metric_instance,
+        slhc_merge_times,
+        brute_merge_times,
         rng,
         args.iterations,
     )

@@ -5,6 +5,13 @@ A correspondence is a relation between two ground sets covering both; it
 carries exactly the information of a tripod (the apex can be taken to be
 the relation itself).  The searches are exact and guarded: exceeding the
 guard raises instead of approximating.
+
+Both searched objectives (the worst pair-key mismatch of GH and the worst
+realizable image pair of the tripod distances) only grow when the relation
+grows, and every correspondence contains a minimal one, so the search
+visits minimal covers only: relations in which every pair has an end of
+degree one, i.e. disjoint unions of stars.  There are far fewer of them
+than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
 """
 
 from __future__ import annotations
@@ -27,15 +34,19 @@ Pair = tuple[str, str]
 Correspondence = tuple[Pair, ...]
 
 
+def _check_guard(x: GroundSet, y: GroundSet, guard: int) -> None:
+    nx, ny = len(x), len(y)
+    if nx * ny > guard:
+        raise SizeGuardExceeded(f"|X| * |Y| = {nx * ny} exceeds guard {guard}")
+
+
 def enumerate_correspondences(
     x: GroundSet, y: GroundSet, guard: int = CORRESPONDENCE_GUARD
 ) -> Iterator[Correspondence]:
     """Every relation between x and y surjective on both factors, once.
 
     The guard is checked up front (not lazily on first iteration)."""
-    nx, ny = len(x), len(y)
-    if nx * ny > guard:
-        raise SizeGuardExceeded(f"|X| * |Y| = {nx * ny} exceeds guard {guard}")
+    _check_guard(x, y, guard)
     return _iter_correspondences(x, y)
 
 
@@ -49,19 +60,74 @@ def _iter_correspondences(x: GroundSet, y: GroundSet) -> Iterator[Correspondence
             yield tuple(chosen)
 
 
+def _minimal_covers(
+    x: GroundSet, y: GroundSet, guard: int = CORRESPONDENCE_GUARD
+) -> Iterator[Correspondence]:
+    """Every correspondence in which each pair has an end of degree one,
+    once, in the order (and with the pair order) of
+    `enumerate_correspondences`.
+
+    Such a relation is a choice of a nonempty neighbourhood N(a) in y for
+    every a in x, where each N(a) of two or more elements is disjoint from
+    all the others and together they cover y.  The guard is checked up
+    front."""
+    _check_guard(x, y, guard)
+    return _iter_minimal_covers(x, y)
+
+
+def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]:
+    xs, ys = x.elements, y.elements
+    full = (1 << len(ys)) - 1
+    rows = [[(a, b) for b in ys] for a in xs]
+    chosen = [0] * len(xs)  # N(a) for every a in x, as a bitmask over y
+
+    def pairs():
+        return tuple(
+            p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
+        )
+
+    def grow(i: int, stars: int, leaves: int):
+        # N(a) is chosen for xs[i + 1:], the high bits of the mask that
+        # `enumerate_correspondences` counts up.  stars: elements of an N(a)
+        # of size >= 2, which no other N(a) may name; leaves: elements some
+        # N(a) = {b} names.
+        free = full & ~(stars | leaves)
+        if i == 0:  # the last choice must cover what is left
+            options = [free] if free else [1 << k for k in range(len(ys)) if leaves >> k & 1]
+        else:
+            options = [
+                c for c in range(1, full + 1)
+                if not c & (stars | leaves if c & (c - 1) else stars)
+            ]
+        for c in options:
+            chosen[i] = c
+            if i == 0:
+                yield pairs()
+            elif c & (c - 1):
+                yield from grow(i - 1, stars | c, leaves)
+            else:
+                yield from grow(i - 1, stars, leaves | c)
+
+    if xs and ys:
+        yield from grow(len(xs) - 1, 0, 0)
+
+
 def min_max_over_correspondences(
     x: GroundSet, y: GroundSet, items, cost, guard: int
 ) -> RatX:
     """min over correspondences R of the max of `cost` over `items(R)`.
 
-    `items` maps a correspondence to hashable (left, right) items; `cost`
-    is evaluated once per distinct item over the whole search.  A
-    correspondence is abandoned as soon as its worst item reaches the best
-    value so far, and the search stops at 0.
+    `items` maps a correspondence to hashable (left, right) items, and must
+    be monotone: a sub-relation yields a subset of the items.  The minimum
+    is then attained on a minimal cover, so only minimal covers are visited
+    (`_minimal_covers`; far fewer than the 2^(|X||Y|) relations, e.g. 62
+    at 2 x 6).  `cost` is evaluated once per distinct item over the whole
+    search.  A correspondence is abandoned as soon as its worst item
+    reaches the best value so far, and the search stops at 0.
     """
     memo: dict = {}
     best: RatX = INF
-    for rel in enumerate_correspondences(x, y, guard):
+    for rel in _minimal_covers(x, y, guard):
         worst: RatX = Fraction(0)
         for item in items(rel):
             c = memo.get(item)

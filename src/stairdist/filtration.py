@@ -216,13 +216,17 @@ def tripod_distance_int(
 
 def one_point_tripod(f: IntFiltration, g: IntFiltration) -> RatX:
     """Tripod distance against a one-vertex filtration needs no search: it
-    is the worst distance from any simplex support to the point's support."""
+    is the worst distance from any simplex support to the point's support.
+    Absent simplices all have the empty support, so they count once."""
     if len(g.ground) != 1:
         raise NotOnePoint(f"second filtration has {len(g.ground)} vertices")
     star = support(g, Simplex(g.ground.elements))
+    supports = list(f.supports.values())
+    if len(supports) < 2 ** len(f.ground) - 1:
+        supports.append(empty(INT))
     worst: RatX = Fraction(0)
-    for a in _nonempty_subsets(f.ground.elements):
-        d = hausdorff(support(f, a), star)
+    for u in supports:
+        d = hausdorff(u, star)
         if d > worst:
             worst = d
     return worst

@@ -16,7 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from operator import itemgetter
 
 from .errors import (
     EmptyInterval,
@@ -345,23 +346,25 @@ def _check_metric(ground: GroundSet, d: list[list[Fraction]]):
 
 def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
     """Single-linkage dendrogram: at scale t, blocks are the components of
-    the 'distance <= t' graph (transitive closure of the threshold relation)."""
+    the 'distance <= t' graph (transitive closure of the threshold relation).
+
+    Kruskal: the edges are sorted once and united in order; after the last
+    edge of each distinct weight the partition is emitted if that weight
+    merged anything.  O(n^2 log n)."""
     _check_metric(ground, d)
     n = len(ground)
-    thresholds = sorted({d[i][j] for i in range(n) for j in range(i + 1, n)})
+    edges = sorted((d[i][j], i, j) for i in range(n) for j in range(i + 1, n))
     parent = list(range(n))
     crit: list[Fraction] = [Fraction(0)]
     start = SubPartition.singletons(ground)
     values: list[SubPartition] = [SubPartition.empty(ground), start, start]
-    for t in thresholds:
+    for t, same_weight in groupby(edges, key=itemgetter(0)):
         changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i][j] <= t:
-                    ri, rj = find(parent, i), find(parent, j)
-                    if ri != rj:
-                        parent[ri] = rj
-                        changed = True
+        for _, i, j in same_weight:
+            ri, rj = find(parent, i), find(parent, j)
+            if ri != rj:
+                parent[ri] = rj
+                changed = True
         if changed:
             part = SubPartition.from_forest(ground, parent, range(n))
             crit.append(t)

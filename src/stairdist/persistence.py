@@ -51,6 +51,29 @@ def _pick(lo: RatX, hi: RatX) -> Fraction:
     return Fraction(0)
 
 
+def _ranked_cells(bars: Barcode) -> list[tuple[tuple[RatX, RatX], int]]:
+    """(upper-left corner, rank) of every open cell of the grid refined by
+    all births (a-axis) and finite deaths (b-axis) that meets the a < b
+    half-plane; the rank is constant on each.  O(cells * B)."""
+    acoords = [-INF] + sorted({b for b, _ in bars}) + [INF]
+    bcoords = [-INF] + sorted({d for _, d in bars if is_finite(d)}) + [INF]
+    cells = []
+    for i in range(len(acoords) - 1):
+        for j in range(len(bcoords) - 1):
+            alo, ahi = acoords[i], acoords[i + 1]
+            blo, bhi = bcoords[j], bcoords[j + 1]
+            if not alo < bhi:  # cell misses the a < b half-plane
+                continue
+            a = _pick(alo, min(ahi, bhi))
+            b = _pick(max(blo, a), bhi)
+            cells.append(((ahi, blo), rank(bars, a, b)))
+    return cells
+
+
+def _sublevel(cells, n: int) -> Staircase:
+    return staircase([corner for corner, r in cells if r <= n], INT)
+
+
 def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
     """Closure of the region where the rank is at most n.
 
@@ -61,28 +84,17 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    acoords = [-INF] + sorted({b for b, _ in bars}) + [INF]
-    bcoords = [-INF] + sorted({d for _, d in bars if is_finite(d)}) + [INF]
-    gens = []
-    for i in range(len(acoords) - 1):
-        for j in range(len(bcoords) - 1):
-            alo, ahi = acoords[i], acoords[i + 1]
-            blo, bhi = bcoords[j], bcoords[j + 1]
-            if not alo < bhi:  # cell misses the a < b half-plane
-                continue
-            a = _pick(alo, min(ahi, bhi))
-            b = _pick(max(blo, a), bhi)
-            if rank(bars, a, b) <= n:
-                gens.append((ahi, blo))
-    return staircase(gens, INT)
+    return _sublevel(_ranked_cells(bars), n)
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:
     """max over grades n of the Hausdorff distance between the n-th
-    sublevel staircases; beyond the larger bar count both are full."""
+    sublevel staircases; beyond the larger bar count both are full.  Each
+    barcode's cells are ranked once and every grade reads them."""
+    cells1, cells2 = _ranked_cells(b1), _ranked_cells(b2)
     best: RatX = Fraction(0)
     for n in range(max(len(b1), len(b2))):
-        d = hausdorff(sublevel_staircase(b1, n), sublevel_staircase(b2, n))
+        d = hausdorff(_sublevel(cells1, n), _sublevel(cells2, n))
         if d > best:
             best = d
     return best

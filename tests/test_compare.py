@@ -1,5 +1,6 @@
 """Correspondence searches: GH distances and plane-indexed clusterings."""
 
+from collections import Counter
 from fractions import Fraction
 import random
 
@@ -25,6 +26,7 @@ from stairdist import (
     single_linkage,
     ultrametric,
 )
+from stairdist.compare import _minimal_covers
 from stairdist.filtration import RFiltration, to_int_indexed, tripod_distance_int, tripod_distance_r
 from stairdist.formigram import Ultrametric
 from stairdist.oracle import grid_interleaved, oracle_grid_distance
@@ -85,6 +87,46 @@ def test_correspondence_guard():
     i4 = to_int_indexed(r4)
     with pytest.raises(SizeGuardExceeded):
         tripod_distance_int(i4, i4)
+
+
+def is_minimal_cover(rel, x, y):
+    """A correspondence of x and y in which every pair has an end of
+    degree one."""
+    dx = Counter(a for a, _ in rel)
+    dy = Counter(b for _, b in rel)
+    return set(dx) == set(x.elements) and set(dy) == set(y.elements) and all(
+        dx[a] == 1 or dy[b] == 1 for a, b in rel
+    )
+
+
+@pytest.mark.parametrize(
+    "nx, ny, count", [(1, 1, 1), (2, 2, 2), (2, 5, 30), (5, 2, 30), (3, 4, 48), (2, 6, 62)]
+)
+def test_minimal_cover_counts(nx, ny, count):
+    x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
+    rels = list(_minimal_covers(x, y))
+    assert len(rels) == len(set(rels)) == count
+    assert all(is_minimal_cover(rel, x, y) for rel in rels)
+
+
+def test_minimal_covers_are_the_minimal_correspondences():
+    """Every shape up to the default guard: the generator yields exactly the
+    minimal covers among all correspondences, each once and in the same
+    order."""
+    for nx in range(1, 13):
+        for ny in range(1, 12 // nx + 1):
+            x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
+            rels = list(_minimal_covers(x, y))
+            assert len(rels) == len(set(rels))
+            assert rels == [
+                rel for rel in enumerate_correspondences(x, y) if is_minimal_cover(rel, x, y)
+            ]
+
+
+def test_minimal_covers_guard_is_checked_up_front():
+    with pytest.raises(SizeGuardExceeded):
+        _minimal_covers(ground(4), ground(4))
+    assert len(list(_minimal_covers(ground(4), ground(4), guard=16))) > 0
 
 
 # --- Gromov-Hausdorff between formigrams ------------------------------------------

@@ -319,6 +319,45 @@ def test_one_point_matches_general_route():
         assert one_point_tripod(f, pt) == tripod_distance_int(f, pt)
 
 
+def one_point_tripod_by_subsets(f, g):
+    """The worst support distance to the point over every nonempty vertex
+    subset, stored or absent: 2^|X| Hausdorff calls."""
+    star = support(g, Simplex(g.ground.elements))
+    worst = F(0)
+    for k in range(1, len(f.ground) + 1):
+        for a in combinations(f.ground.elements, k):
+            worst = max(worst, hausdorff(support(f, fs(*a)), star))
+    return worst
+
+
+def test_one_point_tripod_matches_subset_loop():
+    rng = random.Random(149)
+    seen = set()
+    for _ in range(40):
+        f = rand_int_filtration(
+            rng, ground(rng.randint(1, 4)), edge_prob=rng.choice((0.5, 1.0)),
+            tri_prob=rng.choice((0.0, 1.0)), pinned=rng.random() < 0.5,
+        )
+        g = rand_int_filtration(rng, ground(1), pinned=rng.random() < 0.5)
+        d = one_point_tripod(f, g)
+        assert d == one_point_tripod_by_subsets(f, g)
+        seen.add(d == INF)
+    assert seen == {False, True}
+    # every subset stored: no absent (empty) support takes part
+    f, pt, _ = derived_two_vertex_instance()
+    assert len(f.supports) == 3
+    assert one_point_tripod(f, pt) == one_point_tripod_by_subsets(f, pt) == 1
+
+
+def test_one_point_tripod_on_many_vertices_reads_only_stored_simplices():
+    g40 = ground(40)
+    f = IntFiltration(g40, {fs(x): full() for x in g40.elements[:3]})
+    pt = IntFiltration(GroundSet(("p",)), {fs("p"): full()})
+    assert one_point_tripod(f, pt) == INF  # the absent vertices
+    empty_pt = IntFiltration(GroundSet(("p",)), {})
+    assert one_point_tripod(f, empty_pt) == INF  # the stored full supports
+
+
 def test_int_encoding_matches_birth_formula():
     rng = random.Random(131)
     for _ in range(10):

@@ -33,6 +33,7 @@ from stairdist import (
     validate,
 )
 from stairdist.formigram import CosheafTable
+from stairdist.lattice import find
 from stairdist.oracle import reconstruct
 from conftest import ground, rand_formigram, rand_formigram_pair, rand_metric
 
@@ -336,6 +337,46 @@ def test_single_linkage_matches_brute_transitive_closure():
             for j in range(n):
                 x, y = g.elements[i], g.elements[j]
                 assert u(x, y) == brute_merge_time(d, i, j)
+
+
+def single_linkage_rescan(ground_set, d):
+    """Reference single linkage: at every distinct distance t, rescan all
+    pairs and unite those at distance <= t; emit the partition when t
+    merged anything."""
+    n = len(ground_set)
+    thresholds = sorted({d[i][j] for i in range(n) for j in range(i + 1, n)})
+    parent = list(range(n))
+    crit = [F(0)]
+    start = SubPartition.singletons(ground_set)
+    values = [SubPartition.empty(ground_set), start, start]
+    for t in thresholds:
+        changed = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if d[i][j] <= t:
+                    ri, rj = find(parent, i), find(parent, j)
+                    if ri != rj:
+                        parent[ri] = rj
+                        changed = True
+        if changed:
+            part = SubPartition.from_forest(ground_set, parent, range(n))
+            crit.append(t)
+            values.extend((part, part))
+    return Formigram(ground_set, tuple(crit), tuple(values))
+
+
+def test_single_linkage_matches_rescan_with_ties():
+    rng = random.Random(53)
+    for _ in range(60):
+        g = ground(rng.randint(1, 8))
+        n = len(g)
+        d = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                # few distinct values, so most thresholds carry tied edges
+                d[i][j] = d[j][i] = F(rng.randint(1, 4), rng.choice((1, 2)))
+        f, ref = single_linkage(g, d), single_linkage_rescan(g, d)
+        assert (f.crit, f.values) == (ref.crit, ref.values)
 
 
 def brute_merge_time(d, i, j):

@@ -21,6 +21,7 @@ from stairdist import (
     rank,
     sublevel_staircase,
 )
+import stairdist.persistence as persistence
 from stairdist.oracle import oracle_hausdorff
 from stairdist.persistence import _deletion_cost, _match_cost, _perfect_matching_exists
 from conftest import rand_barcode, rand_fraction, rand_r_filtration, ground
@@ -172,6 +173,33 @@ def test_erosion_matches_direct_rank_interleaving():
         elif d > 0:
             seen_finite += 1
     assert seen_inf > 0 and seen_finite > 10
+
+
+def grid_cell_count(bars):
+    """Open cells of the grid of births and finite deaths (with both
+    infinities) that meet the half-plane a < b."""
+    acoords = [-INF] + sorted({p for p, _ in bars}) + [INF]
+    bcoords = [-INF] + sorted({q for _, q in bars if q != INF}) + [INF]
+    return sum(1 for alo in acoords[:-1] for bhi in bcoords[1:] if alo < bhi)
+
+
+def test_erosion_ranks_each_cell_once(monkeypatch):
+    calls = []
+
+    def counting_rank(bars, a, b):
+        calls.append(bars)
+        return rank(bars, a, b)
+
+    monkeypatch.setattr(persistence, "rank", counting_rank)
+    rng = random.Random(71)
+    grades = set()
+    for _ in range(20):
+        b1, b2 = rand_barcode(rng, 6), rand_barcode(rng, 6)
+        calls.clear()
+        erosion_distance(b1, b2)
+        assert len(calls) == grid_cell_count(b1) + grid_cell_count(b2)
+        grades.add(max(len(b1), len(b2)))
+    assert len(grades) >= 4
 
 
 def test_erosion_is_extended_pseudometric():
