@@ -12,8 +12,9 @@ import argparse
 import json
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from stairdist import (
     gromov_hausdorff_formigrams,

@@ -16,8 +16,9 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from stairdist import (
     INF,

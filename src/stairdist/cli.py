@@ -36,10 +36,12 @@ def _load(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: not valid JSON ({e})") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(doc, fmt: str):
@@ -70,11 +72,6 @@ def _guard(args, default=compare.CORRESPONDENCE_GUARD):
             file=sys.stderr,
         )
     return args.max_size if args.max_size is not None else default
-
-
-def _parse_eps(text: str):
-    eps = parse_rat(text, allow_infinite=False)
-    return eps
 
 
 def _run_lattice(args):
@@ -110,7 +107,8 @@ def _run_formigram(args):
     if args.op == "smooth":
         if args.epsilon is None:
             raise ValidationError("smooth requires --epsilon")
-        return io_json.formigram_to_json(formigram.smooth(a, _parse_eps(args.epsilon)))
+        eps = parse_rat(args.epsilon, allow_infinite=False)
+        return io_json.formigram_to_json(formigram.smooth(a, eps))
     if args.op == "code":
         code = formigram.cosheaf_code(a)
         return {

@@ -86,30 +86,41 @@ def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]
             p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
         )
 
-    def grow(i: int, stars: int, leaves: int):
-        # N(a) is chosen for xs[i + 1:], the high bits of the mask that
-        # `enumerate_correspondences` counts up.  stars: elements of an N(a)
-        # of size >= 2, which no other N(a) may name; leaves: elements some
-        # N(a) = {b} names.
+    def options(i: int, stars: int, leaves: int) -> list[int]:
+        # the choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the
+        # high bits of the mask that `enumerate_correspondences` counts up.
+        # stars: elements of an N(a) of size >= 2, which no other N(a) may
+        # name; leaves: elements some N(a) = {b} names.
         free = full & ~(stars | leaves)
         if i == 0:  # the last choice must cover what is left
-            options = [free] if free else [1 << k for k in range(len(ys)) if leaves >> k & 1]
-        else:
-            options = [
-                c for c in range(1, full + 1)
-                if not c & (stars | leaves if c & (c - 1) else stars)
-            ]
-        for c in options:
-            chosen[i] = c
-            if i == 0:
-                yield pairs()
-            elif c & (c - 1):
-                yield from grow(i - 1, stars | c, leaves)
-            else:
-                yield from grow(i - 1, stars, leaves | c)
+            return [free] if free else [1 << k for k in range(len(ys)) if leaves >> k & 1]
+        return [
+            c for c in range(1, full + 1)
+            if not c & (stars | leaves if c & (c - 1) else stars)
+        ]
 
-    if xs and ys:
-        yield from grow(len(xs) - 1, 0, 0)
+    if not (xs and ys):
+        return
+    # depth-first over xs from the last element down, on an explicit stack
+    # of (untried choices, stars, leaves), so |X| is not bounded by the
+    # recursion limit; stack[d] chooses N(xs[len(xs) - 1 - d])
+    stack = [(iter(options(len(xs) - 1, 0, 0)), 0, 0)]
+    while stack:
+        untried, stars, leaves = stack[-1]
+        i = len(xs) - len(stack)
+        c = next(untried, None)
+        if c is None:
+            stack.pop()
+            continue
+        chosen[i] = c
+        if i == 0:
+            yield pairs()
+            continue
+        if c & (c - 1):
+            stars |= c
+        else:
+            leaves |= c
+        stack.append((iter(options(i - 1, stars, leaves)), stars, leaves))
 
 
 def min_max_over_correspondences(

@@ -5,9 +5,9 @@ A line-indexed filtration stores a birth time per simplex (absent simplices
 are born at +inf); an interval-indexed filtration stores a staircase support
 per simplex.  The tripod distance minimizes, over correspondences between
 the vertex sets, the worst birth/support discrepancy over pulled-back
-simplices; images of subsets of a correspondence are enumerated directly as
-realizable pairs (A, B), which carries the same information as subsets of a
-tripod apex.
+simplices.  The pulled-back simplex pairs are the images (A, B) of the
+nonempty sub-relations of the correspondence (the subsets of a tripod apex);
+they are enumerated as such, each once.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .rat import INF, RatX, is_finite
 from .staircase import INT, Staircase, empty, hausdorff, staircase, subset
 
 Simplex = frozenset
+
+_EMPTY = empty(INT)  # the support of every absent simplex
 
 
 def _check_simplices(ground: GroundSet, keys) -> None:
@@ -96,7 +98,7 @@ def support(f: IntFiltration, simplex) -> Staircase:
     for v in s:
         if v not in f.ground:
             raise GroundSetMismatch(f"vertex {v!r} not in the filtration ground set")
-    return f.supports.get(s, empty(INT))
+    return f.supports.get(s, _EMPTY)
 
 
 def validate_filtration(f) -> str | None:
@@ -161,27 +163,18 @@ def to_int_indexed(f: RFiltration) -> IntFiltration:
     )
 
 
-def _nonempty_subsets(elems: tuple[str, ...]) -> Iterator[frozenset[str]]:
-    for k in range(1, len(elems) + 1):
-        for c in combinations(elems, k):
-            yield frozenset(c)
-
-
 def _realizable_pairs(pairs) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-    """Image pairs (A, B) of subsets of the correspondence: A and B are
-    realizable iff the restriction of the relation to A x B still covers
-    both of them."""
-    xs = tuple(sorted({x for x, _ in pairs}))
-    ys = tuple(sorted({y for _, y in pairs}))
-    rows: dict[str, set[str]] = {x: set() for x in xs}
-    cols: dict[str, set[str]] = {y: set() for y in ys}
-    for x, y in pairs:
-        rows[x].add(y)
-        cols[y].add(x)
-    for a in _nonempty_subsets(xs):
-        for b in _nonempty_subsets(ys):
-            if all(rows[x] & b for x in a) and all(cols[y] & a for y in b):
-                yield a, b
+    """The image pairs (pi_X S, pi_Y S) of the nonempty sub-relations S of
+    the correspondence, each once, in order of first appearance.  A
+    minimal cover has at most |X| + |Y| - 1 pairs, so this walks at most
+    2^(|X| + |Y| - 1) subsets."""
+    seen = set()
+    for k in range(1, len(pairs) + 1):
+        for sub in combinations(pairs, k):
+            item = frozenset(x for x, _ in sub), frozenset(y for _, y in sub)
+            if item not in seen:
+                seen.add(item)
+                yield item
 
 
 def tripod_distance_r(
@@ -223,7 +216,7 @@ def one_point_tripod(f: IntFiltration, g: IntFiltration) -> RatX:
     star = support(g, Simplex(g.ground.elements))
     supports = list(f.supports.values())
     if len(supports) < 2 ** len(f.ground) - 1:
-        supports.append(empty(INT))
+        supports.append(_EMPTY)
     worst: RatX = Fraction(0)
     for u in supports:
         d = hausdorff(u, star)

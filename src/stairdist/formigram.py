@@ -60,9 +60,6 @@ class Formigram:
     def num_pieces(self) -> int:
         return 2 * len(self.crit) + 1
 
-    def piece_value(self, i: int) -> SubPartition:
-        return self.values[i]
-
     def _piece_of(self, t: Fraction) -> int:
         """Index of the piece containing t (odd = critical point)."""
         k = bisect_left(self.crit, t)
@@ -72,16 +69,6 @@ class Formigram:
 
     def evaluate(self, t: Fraction) -> SubPartition:
         return self.values[self._piece_of(t)]
-
-    def piece_bounds(self, i: int) -> tuple[RatX, RatX]:
-        """Endpoints of piece i ((t, t) for the critical point pieces)."""
-        if i % 2 == 1:
-            t = self.crit[(i - 1) // 2]
-            return (t, t)
-        k = i // 2
-        lo = self.crit[k - 1] if k >= 1 else NEG_INF
-        hi = self.crit[k] if k < len(self.crit) else INF
-        return (lo, hi)
 
 
 def validate(f: Formigram) -> str | None:

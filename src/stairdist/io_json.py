@@ -21,7 +21,7 @@ from .staircase import INT, PLANE, Staircase, profile
 def _rat(obj, allow_infinite=True):
     try:
         return parse_rat(obj, allow_infinite=allow_infinite)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise ValidationError(f"bad number {obj!r}: {e}") from None
 
 

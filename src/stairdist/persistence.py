@@ -4,19 +4,23 @@ A bar is a closed interval [birth, death] (death may be +inf) counted with
 multiplicity.  The rank at (a, b) counts bars containing [a, b]; the n-th
 sublevel staircase is the closed region where the rank stays <= n, and the
 erosion distance is the largest Hausdorff distance between matching
-sublevel staircases.  Degree-0 persistence of a line-indexed filtration is
-computed by the elder rule, and the bottleneck distance by bipartite
-matching feasibility over the finite candidate set.
+sublevel staircases.  All grades of a barcode come from one sweep over the
+strips between consecutive births, each strip giving one generator per
+grade.  Degree-0 persistence of a line-indexed filtration is computed by
+the elder rule, and the bottleneck distance by bipartite matching
+feasibility over the finite candidate set.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
 from .lattice import find
-from .rat import INF, RatX, is_finite
+from .rat import INF, NEG_INF, RatX, is_finite
 from .staircase import INT, Staircase, hausdorff, staircase
 
 Bar = tuple[Fraction, RatX]
@@ -40,61 +44,63 @@ def rank(bars: Barcode, a: Fraction, b: Fraction) -> int:
     return sum(1 for p, q in bars if p <= a and b <= q)
 
 
-def _pick(lo: RatX, hi: RatX) -> Fraction:
-    """Some rational strictly inside (lo, hi)."""
-    if is_finite(lo) and is_finite(hi):
-        return (lo + hi) / 2
-    if is_finite(lo):
-        return lo + 1
-    if is_finite(hi):
-        return hi - 1
-    return Fraction(0)
+def _sublevels(bars: Barcode, grades: int) -> list[Staircase]:
+    """The sublevel staircases of grades 0 .. grades - 1, by one sweep over
+    the births.
 
-
-def _ranked_cells(bars: Barcode) -> list[tuple[tuple[RatX, RatX], int]]:
-    """(upper-left corner, rank) of every open cell of the grid refined by
-    all births (a-axis) and finite deaths (b-axis) that meets the a < b
-    half-plane; the rank is constant on each.  O(cells * B)."""
-    acoords = [-INF] + sorted({b for b, _ in bars}) + [INF]
-    bcoords = [-INF] + sorted({d for _, d in bars if is_finite(d)}) + [INF]
-    cells = []
-    for i in range(len(acoords) - 1):
-        for j in range(len(bcoords) - 1):
-            alo, ahi = acoords[i], acoords[i + 1]
-            blo, bhi = bcoords[j], bcoords[j + 1]
-            if not alo < bhi:  # cell misses the a < b half-plane
-                continue
-            a = _pick(alo, min(ahi, bhi))
-            b = _pick(max(blo, a), bhi)
-            cells.append(((ahi, blo), rank(bars, a, b)))
-    return cells
-
-
-def _sublevel(cells, n: int) -> Staircase:
-    return staircase([corner for corner, r in cells if r <= n], INT)
+    On the strip alo < a < ahi between consecutive distinct births (with
+    -inf and +inf at the ends) the live bars are those born at or before
+    alo, and the rank at (a, b) counts the live deaths >= b.  So the rank
+    is at most n exactly above D, the (n + 1)-th largest live death (-inf
+    when fewer than n + 1 bars are live), and the strip yields the single
+    generator (ahi, max(D, floor)), none when D = +inf.  floor, the largest
+    finite death <= alo, lifts the corner as far as the region allows:
+    what it cuts off has a < b < floor <= alo, and the earlier strips cover
+    that, since the rank only drops as a decreases.  Each grade gets at
+    most (distinct births + 1) generators: O(B^2) for the sweep plus one
+    O(B log B) normalization per grade.
+    """
+    deaths = sorted({d for _, d in bars if is_finite(d)})
+    by_birth = iter(sorted(bars, key=itemgetter(0)))
+    nxt = next(by_birth, None)
+    live: list[RatX] = []  # deaths of the bars born at or before alo, ascending
+    gens: list[list] = [[] for _ in range(grades)]
+    alo: RatX = NEG_INF
+    for ahi in [*sorted({b for b, _ in bars}), INF]:
+        k = bisect_right(deaths, alo)
+        floor = deaths[k - 1] if k else NEG_INF
+        for n, out in enumerate(gens):
+            d = live[-n - 1] if n < len(live) else NEG_INF
+            if d != INF:
+                out.append((ahi, max(d, floor)))
+        while nxt is not None and nxt[0] == ahi:
+            insort(live, nxt[1])
+            nxt = next(by_birth, None)
+        alo = ahi
+    return [staircase(g, INT) for g in gens]
 
 
 def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
     """Closure of the region where the rank is at most n.
 
-    The rank is constant on the open cells of the grid refined by all
-    births (a-axis) and finite deaths (b-axis); each low-rank cell emits
-    the generator at its upper-left corner and normalization keeps the
-    minimal ones.
+    Read from the strip sweep of ``_sublevels``: at most one generator per
+    strip between consecutive distinct births.  Grades from B up are all
+    the same region, so the sweep stops at min(n, B): O(B^2 log B).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _sublevel(_ranked_cells(bars), n)
+    n = min(n, len(bars))
+    return _sublevels(bars, n + 1)[n]
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:
     """max over grades n of the Hausdorff distance between the n-th
     sublevel staircases; beyond the larger bar count both are full.  Each
-    barcode's cells are ranked once and every grade reads them."""
-    cells1, cells2 = _ranked_cells(b1), _ranked_cells(b2)
+    barcode is swept once for all its grades."""
+    grades = max(len(b1), len(b2))
     best: RatX = Fraction(0)
-    for n in range(max(len(b1), len(b2))):
-        d = hausdorff(_sublevel(cells1, n), _sublevel(cells2, n))
+    for u, v in zip(_sublevels(b1, grades), _sublevels(b2, grades)):
+        d = hausdorff(u, v)
         if d > best:
             best = d
     return best

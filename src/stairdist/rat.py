@@ -23,7 +23,8 @@ def is_finite(x: RatX) -> bool:
 
 
 def parse_rat(text, allow_infinite: bool = True) -> RatX:
-    """Parse "p/q", "p", an int, or "inf"/"-inf" into a RatX."""
+    """Parse "p/q", "p", an int, or "inf"/"-inf" into a RatX; anything else,
+    a zero denominator included, raises ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -44,7 +45,10 @@ def parse_rat(text, allow_infinite: bool = True) -> RatX:
             if not allow_infinite:
                 raise ValueError("infinite value not allowed here")
             return NEG_INF
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"cannot parse rational from {text!r}")
 
 

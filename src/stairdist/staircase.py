@@ -109,11 +109,6 @@ def contains(u: Staircase, p: tuple[Fraction, Fraction]) -> bool:
     return any(a <= l and b >= r for l, r in u.gens)
 
 
-def plane_point(p: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Flip a product-order plane point into internal (a, b) coordinates."""
-    return (-p[0], p[1])
-
-
 def plane_generator(corner: tuple[RatX, RatX]) -> Gen:
     """Generator for the product-order up-set of a plane corner point."""
     px, py = corner

@@ -233,6 +233,18 @@ def test_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "clustering", "di", grid, grid)
     assert code == 2 and "row" in err
 
+    # unreadable inputs and bad numbers: exit 2 with a message
+    loop = write(tmp_path, "loop.json", LOOP_THETA)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in [
+        ("formigram", "smooth", loop, "--epsilon", "1/0"),
+        ("formigram", "validate", str(tmp_path)),  # a directory
+        ("formigram", "validate", str(deep)),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
 
 def test_guard_override_warns(tmp_path, capsys):
     big = {"ground": list("abcdefg"), "blocks": [list("abcdefg")]}

@@ -129,6 +129,13 @@ def test_minimal_covers_guard_is_checked_up_front():
     assert len(list(_minimal_covers(ground(4), ground(4), guard=16))) > 0
 
 
+def test_minimal_covers_walk_long_ground_sets():
+    """One choice per element of X, far past the recursion limit."""
+    x, y = GroundSet(tuple(f"x{i:04d}" for i in range(1200))), GroundSet(("y",))
+    rels = list(_minimal_covers(x, y, guard=5000))
+    assert rels == [tuple((a, "y") for a in x.elements)]
+
+
 # --- Gromov-Hausdorff between formigrams ------------------------------------------
 
 

@@ -31,7 +31,8 @@ from stairdist import (
     validate_filtration,
 )
 from stairdist.compare import enumerate_correspondences
-from stairdist.filtration import Simplex
+from stairdist.filtration import Simplex, _realizable_pairs
+from stairdist.staircase import Staircase
 from conftest import ground, rand_fraction, rand_int_filtration, rand_r_filtration
 
 F = Fraction
@@ -374,3 +375,46 @@ def test_support_of_absent_simplex_is_empty():
     assert support(pt, fs("p")).is_full()
     lonely = IntFiltration(GroundSet(("u",)), {})
     assert support(lonely, fs("u")).is_empty()
+
+
+def test_support_lookup_builds_no_staircase(monkeypatch):
+    f, _, _ = derived_two_vertex_instance()
+    built = []
+    init = Staircase.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Staircase, "__post_init__", counting_init)
+    assert support(f, fs("x1", "x2")) is f.supports[fs("x1", "x2")]
+    assert support(IntFiltration(GroundSet(("u",)), {}), fs("u")).is_empty()
+    assert built == []
+
+
+def covered_subset_pairs(rel):
+    """(A, B) over all nonempty subsets A of X and B of Y whose restricted
+    relation R & (A x B) still covers both."""
+
+    def subsets(es):
+        es = sorted(es)
+        return [frozenset(c) for k in range(1, len(es) + 1) for c in combinations(es, k)]
+
+    return {
+        (a, b)
+        for a in subsets({x for x, _ in rel})
+        for b in subsets({y for _, y in rel})
+        if all(any((x, y) in rel for y in b) for x in a)
+        and all(any((x, y) in rel for x in a) for y in b)
+    }
+
+
+def test_realizable_pairs_are_the_covered_subset_pairs():
+    """Images of sub-relations against the subset-pair cover filter, on
+    every correspondence (minimal or not) up to 2 x 3 and 3 x 2."""
+    for nx, ny in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
+        x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
+        for rel in enumerate_correspondences(x, y):
+            items = list(_realizable_pairs(rel))
+            assert len(items) == len(set(items))
+            assert set(items) == covered_subset_pairs(set(rel))

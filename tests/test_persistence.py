@@ -19,10 +19,12 @@ from stairdist import (
     h0_barcode,
     hausdorff,
     rank,
+    staircase,
     sublevel_staircase,
 )
 import stairdist.persistence as persistence
 from stairdist.oracle import oracle_hausdorff
+from stairdist.staircase import INT
 from stairdist.persistence import _deletion_cost, _match_cost, _perfect_matching_exists
 from conftest import rand_barcode, rand_fraction, rand_r_filtration, ground
 
@@ -38,13 +40,22 @@ def oracle_erosion(b1, b2):
     return best
 
 
+def _pick(lo, hi):
+    """Some rational strictly inside (lo, hi)."""
+    if lo != -INF and hi != INF:
+        return (lo + hi) / 2
+    if lo != -INF:
+        return lo + 1
+    if hi != INF:
+        return hi - 1
+    return F(0)
+
+
 def rank_interleaved(b1, b2, eps):
     """Direct interleaving of the two rank functions, no staircases: each
     rank at the eps-thickened interval must not exceed the other's rank at
     the original interval, for every interval.  Checked on cell interiors
     of the grid refined by all endpoints and their eps-shifts."""
-    from stairdist.persistence import _pick
-
     a_coords = sorted(
         {p for p, _ in b1 + b2} | {p + eps for p, _ in b1 + b2} | {-INF, INF}
     )
@@ -175,31 +186,69 @@ def test_erosion_matches_direct_rank_interleaving():
     assert seen_inf > 0 and seen_finite > 10
 
 
-def grid_cell_count(bars):
-    """Open cells of the grid of births and finite deaths (with both
-    infinities) that meet the half-plane a < b."""
+def grid_sublevel(bars, n):
+    """The n-th sublevel staircase cell by cell: on the grid refined by all
+    births (a-axis) and finite deaths (b-axis) the rank is constant on each
+    open cell meeting a < b, and every cell of rank <= n offers its
+    upper-left corner."""
     acoords = [-INF] + sorted({p for p, _ in bars}) + [INF]
     bcoords = [-INF] + sorted({q for _, q in bars if q != INF}) + [INF]
-    return sum(1 for alo in acoords[:-1] for bhi in bcoords[1:] if alo < bhi)
+    corners = []
+    for alo, ahi in zip(acoords, acoords[1:]):
+        for blo, bhi in zip(bcoords, bcoords[1:]):
+            if not alo < bhi:  # cell misses the a < b half-plane
+                continue
+            a = _pick(alo, min(ahi, bhi))
+            b = _pick(max(blo, a), bhi)
+            if rank(bars, a, b) <= n:
+                corners.append((ahi, blo))
+    return staircase(corners, INT)
 
 
-def test_erosion_ranks_each_cell_once(monkeypatch):
-    calls = []
+def rand_tied_barcode(rng, max_bars):
+    """Bars on a coarse grid: tied births and deaths, zero-length bars and
+    infinite deaths, in no particular order."""
+    bars = []
+    for _ in range(rng.randint(0, max_bars)):
+        p = F(rng.randint(-3, 3), rng.choice((1, 2)))
+        r = rng.random()
+        bars.append((p, INF if r < 0.2 else p if r < 0.3 else p + rng.randint(1, 4)))
+    return tuple(bars)
 
-    def counting_rank(bars, a, b):
-        calls.append(bars)
-        return rank(bars, a, b)
 
-    monkeypatch.setattr(persistence, "rank", counting_rank)
+def test_strip_sweep_matches_grid_twin():
     rng = random.Random(71)
-    grades = set()
-    for _ in range(20):
-        b1, b2 = rand_barcode(rng, 6), rand_barcode(rng, 6)
-        calls.clear()
+    for i in range(300):
+        bars = rand_tied_barcode(rng, 7) if i % 2 else rand_barcode(rng, 6)
+        levels = persistence._sublevels(bars, len(bars) + 2)
+        for n in range(len(bars) + 2):
+            twin = grid_sublevel(bars, n)
+            assert levels[n].gens == twin.gens
+            assert sublevel_staircase(bars, n).gens == twin.gens
+
+
+def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
+    """Erosion builds one staircase per grade per barcode, from at most
+    (distinct births + 1) generators."""
+    built = []
+
+    def counting_staircase(gens, ambient):
+        gens = list(gens)
+        built.append(len(gens))
+        return staircase(gens, ambient)
+
+    monkeypatch.setattr(persistence, "staircase", counting_staircase)
+    rng = random.Random(73)
+    for _ in range(40):
+        b1, b2 = rand_tied_barcode(rng, 8), rand_tied_barcode(rng, 8)
+        built.clear()
         erosion_distance(b1, b2)
-        assert len(calls) == grid_cell_count(b1) + grid_cell_count(b2)
-        grades.add(max(len(b1), len(b2)))
-    assert len(grades) >= 4
+        grades = max(len(b1), len(b2))
+        assert len(built) == 2 * grades
+        strips1 = len({p for p, _ in b1}) + 1
+        strips2 = len({p for p, _ in b2}) + 1
+        assert all(k <= strips1 for k in built[:grades])
+        assert all(k <= strips2 for k in built[grades:])
 
 
 def test_erosion_is_extended_pseudometric():
