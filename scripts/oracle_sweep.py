@@ -7,10 +7,12 @@ times, and the correspondence searches
 (Gromov-Hausdorff between formigrams, line- and interval-indexed tripod
 distances at |X|*|Y| <= 8), on freshly sampled instances, and reports
 per-family counts (including how many infinite values were hit).
-Disagreements abort with the offending instance printed for replay.
+Disagreements abort with the offending instance printed for replay, and so
+does a fast answer that is not a Fraction or +-inf.
 """
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -112,6 +114,13 @@ def metric_instance(r):
     return g, rand_metric(r, g)
 
 
+def is_exact(x) -> bool:
+    """A Fraction or +-inf, or a tuple of them (the merge-time matrices)."""
+    if isinstance(x, tuple):
+        return all(map(is_exact, x))
+    return type(x) is Fraction or (type(x) is float and math.isinf(x))
+
+
 def sweep(name, make, fast, slow, rng, iterations):
     t0 = time.perf_counter()
     infinite = 0
@@ -119,6 +128,10 @@ def sweep(name, make, fast, slow, rng, iterations):
         instance = make(rng)
         got = fast(*instance)
         expected = slow(*instance)
+        if not is_exact(got):
+            print(f"{name}: INEXACT answer {got!r} at iteration {i}")
+            print(f"  instance: {instance!r}")
+            sys.exit(1)
         if got != expected:
             print(f"{name}: DISAGREEMENT at iteration {i}")
             print(f"  instance: {instance!r}")

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, Surjection
-from .rat import INF, RatX, is_finite
+from .rat import INF, RatX, is_finite, rat
 from .staircase import INT, Staircase, empty, hausdorff, staircase, subset
 
 Simplex = frozenset
@@ -52,7 +52,7 @@ class RFiltration:
     def __post_init__(self):
         _check_simplices(self.ground, self.births)
         object.__setattr__(
-            self, "births", {Simplex(s): b for s, b in self.births.items()}
+            self, "births", {Simplex(s): rat(b) for s, b in self.births.items()}
         )
 
     def simplices(self) -> list[Simplex]:

@@ -20,7 +20,7 @@ from operator import itemgetter
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
 from .lattice import find
-from .rat import INF, NEG_INF, RatX, is_finite
+from .rat import INF, NEG_INF, RatX, is_finite, rat
 from .staircase import INT, Staircase, hausdorff, staircase
 
 Bar = tuple[Fraction, RatX]
@@ -31,6 +31,7 @@ def barcode(bars) -> Barcode:
     """Canonical (sorted) barcode from an iterable of (birth, death)."""
     out = []
     for b, d in bars:
+        b, d = rat(b), rat(d)
         if not b <= d:
             raise ValidationError(f"bar [{b}, {d}] has birth after death")
         out.append((b, d))
@@ -44,9 +45,9 @@ def rank(bars: Barcode, a: Fraction, b: Fraction) -> int:
     return sum(1 for p, q in bars if p <= a and b <= q)
 
 
-def _sublevels(bars: Barcode, grades: int) -> list[Staircase]:
-    """The sublevel staircases of grades 0 .. grades - 1, by one sweep over
-    the births.
+def _sublevels(bars: Barcode, grades: int, first: int = 0) -> list[Staircase]:
+    """The sublevel staircases of grades first .. grades - 1, by one sweep
+    over the births.
 
     On the strip alo < a < ahi between consecutive distinct births (with
     -inf and +inf at the ends) the live bars are those born at or before
@@ -57,19 +58,20 @@ def _sublevels(bars: Barcode, grades: int) -> list[Staircase]:
     finite death <= alo, lifts the corner as far as the region allows:
     what it cuts off has a < b < floor <= alo, and the earlier strips cover
     that, since the rank only drops as a decreases.  Each grade gets at
-    most (distinct births + 1) generators: O(B^2) for the sweep plus one
-    O(B log B) normalization per grade.
+    most (distinct births + 1) generators: O(B (grades - first)) for the
+    sweep, O(B^2) element moves for the sorted inserts, and one O(B log B)
+    normalization per grade collected.
     """
     deaths = sorted({d for _, d in bars if is_finite(d)})
     by_birth = iter(sorted(bars, key=itemgetter(0)))
     nxt = next(by_birth, None)
     live: list[RatX] = []  # deaths of the bars born at or before alo, ascending
-    gens: list[list] = [[] for _ in range(grades)]
+    gens: list[list] = [[] for _ in range(first, grades)]
     alo: RatX = NEG_INF
     for ahi in [*sorted({b for b, _ in bars}), INF]:
         k = bisect_right(deaths, alo)
         floor = deaths[k - 1] if k else NEG_INF
-        for n, out in enumerate(gens):
+        for n, out in enumerate(gens, first):
             d = live[-n - 1] if n < len(live) else NEG_INF
             if d != INF:
                 out.append((ahi, max(d, floor)))
@@ -83,14 +85,15 @@ def _sublevels(bars: Barcode, grades: int) -> list[Staircase]:
 def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
     """Closure of the region where the rank is at most n.
 
-    Read from the strip sweep of ``_sublevels``: at most one generator per
-    strip between consecutive distinct births.  Grades from B up are all
-    the same region, so the sweep stops at min(n, B): O(B^2 log B).
+    Read from the strip sweep of ``_sublevels``, which collects grade n
+    only: at most one generator per strip between consecutive distinct
+    births, and one normalization.  Grades from B up are all the same
+    region, so n is capped at B.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     n = min(n, len(bars))
-    return _sublevels(bars, n + 1)[n]
+    return _sublevels(bars, n + 1, n)[0]
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:

@@ -4,7 +4,9 @@ All finite coordinates, times and distances in this library are
 `fractions.Fraction` values; the only non-Fraction scalars ever produced are
 the two IEEE infinities, used as order sentinels (`INF`, `NEG_INF`).  Mixed
 comparisons Fraction-vs-infinity are exact, and arithmetic never combines two
-infinities, so no precision is ever lost.
+infinities, so no precision is ever lost.  Staircases, barcodes and
+line-indexed filtrations read their coordinates through `rat`, so an int
+becomes a Fraction and an inexact float is refused.
 """
 
 from fractions import Fraction
@@ -20,6 +22,19 @@ RatX = Fraction | float
 
 def is_finite(x: RatX) -> bool:
     return isinstance(x, Fraction)
+
+
+def rat(x) -> RatX:
+    """A coordinate as a RatX: an int becomes a Fraction, a Fraction or an
+    infinity passes through, anything else (an inexact float included)
+    raises ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float) and (x == INF or x == NEG_INF):
+        return x
+    raise ValueError(f"not an exact coordinate: {x!r}; pass an int, a Fraction or +-inf")
 
 
 def parse_rat(text, allow_infinite: bool = True) -> RatX:

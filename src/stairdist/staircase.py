@@ -28,20 +28,34 @@ left-to-right walk over the generators reads g at all of them.  With k_u
 and k_v generators, ``hausdorff`` and ``subset`` cost
 O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
 normalizing k generators (a sort by l and one sweep) costs O(k log k).
+
+The walk runs on Python ints.  Each staircase caches its generators
+scaled by L, the lcm of its finite denominators; a call on u and v puts
+both on the common scale S = 2 lcm(L_u, L_v), where every coordinate and
+every breakpoint is an even int, so the clamp c/2 is the exact c // 2.
+Fractions appear only at the boundary: ``hausdorff`` returns the largest
+scaled gap over S, and ``profile`` converts each breakpoint, value and
+slope.  The O(k log k) counts above are integer operations on ints of
+the bit size of lcm(L_u, L_v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient
-from .rat import INF, NEG_INF, RatX, is_finite
+from .rat import INF, NEG_INF, RatX, is_finite, rat
 
 INT, PLANE = "int", "plane"
 
 Gen = tuple[RatX, RatX]
+_IntGen = tuple[int | float, int | float]  # a generator on an integer scale
+
+_FULL = ((INF, NEG_INF),)
 
 
 @dataclass(frozen=True)
@@ -54,11 +68,13 @@ class Staircase:
     def __post_init__(self):
         if self.ambient not in (INT, PLANE):
             raise ValueError(f"unknown ambient {self.ambient!r}")
-        for g in self.gens:
-            # a Fraction is never infinite, so only other scalars are compared
-            l, r = g
-            if (not is_finite(l) and l == NEG_INF) or (not is_finite(r) and r == INF):
-                raise ValueError(f"generator {g} denotes an empty region")
+        gens = self.gens
+        for l, r in gens:
+            # a Fraction or an infinity on its own side passes; anything else
+            # (an int, an empty region, an inexact float) goes to _exact_gen
+            if not (is_finite(l) or l == INF) or not (is_finite(r) or r == NEG_INF):
+                gens = tuple(map(_exact_gen, gens))
+                break
         # (l, r) contains (l', r') iff l >= l' and r <= r'.  Scanning by l
         # descending meets every strict dominator of a generator before it,
         # so a generator survives iff its r is below every r seen so far;
@@ -66,7 +82,7 @@ class Staircase:
         # stable, so equal duplicates keep their first copy.
         kept: list[Gen] = []
         low = INF
-        for g in sorted(self.gens, key=itemgetter(0), reverse=True):
+        for g in sorted(gens, key=itemgetter(0), reverse=True):
             if g[1] < low:
                 if kept and kept[-1][0] == g[0]:
                     kept[-1] = g
@@ -80,12 +96,36 @@ class Staircase:
     def clamped(self) -> bool:
         return self.ambient == INT
 
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[_IntGen, ...]]:
+        """(L, the generators times L): L is the lcm of the finite
+        denominators, so every finite coordinate becomes an int.  The only
+        floats are the infinities, and testing for a float is cheaper than
+        comparing a Fraction with one."""
+        gens = self.gens
+        scale = lcm(*(x.denominator for g in gens for x in g if not isinstance(x, float)))
+        return scale, tuple(
+            (
+                l if isinstance(l, float) else l.numerator * (scale // l.denominator),
+                r if isinstance(r, float) else r.numerator * (scale // r.denominator),
+            )
+            for l, r in gens
+        )
+
     def is_empty(self) -> bool:
         return not self.gens
 
     def is_full(self) -> bool:
         # the full generator dominates every other, so it stands alone
-        return self.gens == ((INF, NEG_INF),)
+        return self.gens == _FULL
+
+
+def _exact_gen(g) -> Gen:
+    """g with both coordinates through ``rat``; an empty region raises."""
+    l, r = rat(g[0]), rat(g[1])
+    if l == NEG_INF or r == INF:
+        raise ValueError(f"generator {g} denotes an empty region")
+    return l, r
 
 
 def staircase(gens, ambient: str = INT) -> Staircase:
@@ -94,7 +134,7 @@ def staircase(gens, ambient: str = INT) -> Staircase:
 
 
 def full(ambient: str = INT) -> Staircase:
-    return Staircase(ambient, ((INF, NEG_INF),))
+    return Staircase(ambient, _FULL)
 
 
 def empty(ambient: str = INT) -> Staircase:
@@ -152,50 +192,81 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
-def _breaks(u: Staircase) -> set[Fraction]:
-    """Candidate kink positions of g_u: own corners l_i + r_i, inner corners
-    l_i + r_{i+1} and (clamped) the diagonal hits 2 l_i and 2 r_i.  Sums
-    with an infinite term are skipped."""
-    gens = u.gens
-    pairs = [*gens, *((l, r) for (l, _), (_, r) in zip(gens, gens[1:]))]
-    out = {l + r for l, r in pairs if is_finite(l) and is_finite(r)}
-    if u.clamped:
-        out.update(2 * x for g in gens for x in g if is_finite(x))
+def _at_scale(u: Staircase, scale: int) -> tuple[_IntGen, ...]:
+    """u's generators times ``scale``, a multiple of u's L: ints, with the
+    infinities kept."""
+    own, gens = u._ints
+    m = scale // own
+    return tuple(
+        (l if l == INF else l * m, r if r == NEG_INF else r * m) for l, r in gens
+    )
+
+
+def _common_scale(
+    u: Staircase, v: Staircase
+) -> tuple[int, tuple[_IntGen, ...], tuple[_IntGen, ...]]:
+    """S = 2 lcm(L_u, L_v) and both generator lists on it."""
+    scale = 2 * lcm(u._ints[0], v._ints[0])
+    return scale, _at_scale(u, scale), _at_scale(v, scale)
+
+
+def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
+    """Candidate kink positions of the profile of scaled generators: own
+    corners l_i + r_i, inner corners l_i + r_{i+1} and (clamped) the
+    diagonal hits 2 l_i and 2 r_i.  Sums with an infinite term are skipped;
+    in a normalized antichain only the first r and the last l can be
+    infinite, so every inner corner is finite."""
+    out = {l + r for l, r in gens if l != INF and r != NEG_INF}
+    out.update(l + r for (l, _), (_, r) in zip(gens, gens[1:]))
+    if clamped:
+        out.update(2 * l for l, _ in gens if l != INF)
+        out.update(2 * r for _, r in gens if r != NEG_INF)
     return out
 
 
-def _merged_breaks(*us: Staircase) -> list[Fraction]:
-    """Sorted union of the staircases' candidate kinks ([0] when none)."""
-    cs = sorted(set().union(*map(_breaks, us)))
-    return cs if cs else [Fraction(0)]
+def _merged_breaks(clamped: bool, *gens: tuple[_IntGen, ...]) -> list[int]:
+    """Sorted union of the candidate kinks of scaled generator lists ([0]
+    when none)."""
+    cs = sorted(set().union(*(_breaks(g, clamped) for g in gens)))
+    return cs if cs else [0]
 
 
-def _sweep(u: Staircase, cs: list[Fraction]) -> tuple[list[RatX], RatX, RatX]:
-    """g_u at the sorted breakpoints cs, and the slopes of the two tails.
+def _sweep(
+    gens: tuple[_IntGen, ...], clamped: bool, cs: list[int]
+) -> tuple[list[int | float], int | float, int | float]:
+    """g at the sorted even points cs, on the generators' scale, and the
+    rises of the two tails over a step of 2.
 
     Beyond the extreme breakpoints the profile is a single line, so the
-    unit steps g(cs[0]) - g(cs[0] - 1) and g(cs[-1] + 1) - g(cs[-1]) are
+    steps g(cs[0]) - g(cs[0] - 2) and g(cs[-1] + 2) - g(cs[-1]) are twice
     its slopes there.  One walk serves all points: j is the first
     generator whose corner l_j + r_j is not left of c, every generator
     before it is on its slope-1 leg and every one after it is higher than
-    r_j, so g(c) = min(r_j, c - l_{j-1}).
+    r_j, so g(c) = min(r_j, c - l_{j-1}).  Every c is even, so the clamp
+    c // 2 is exact.
     """
-    pts = [cs[0] - 1, *cs, cs[-1] + 1]
-    if u.is_full():
+    pts = [cs[0] - 2, *cs, cs[-1] + 2]
+    if gens == _FULL:
         # INF + NEG_INF has no corner; the profile is c/2 or -inf
-        vals = [c / 2 if u.clamped else NEG_INF for c in pts]
+        vals = [c // 2 if clamped else NEG_INF for c in pts]
     else:
-        gens = u.gens
-        corners = [l + r for l, r in gens]
+        # only the first corner can be -inf and only the last +inf
+        corners = [
+            NEG_INF if r == NEG_INF else INF if l == INF else l + r for l, r in gens
+        ]
         k, j, vals = len(gens), 0, []
         for c in pts:
             while j < k and corners[j] < c:
                 j += 1
             t = gens[j][1] if j < k else INF
             if j:
-                t = min(t, c - gens[j - 1][0])
-            if u.clamped:
-                t = max(t, c / 2)
+                d = c - gens[j - 1][0]
+                if d < t:
+                    t = d
+            if clamped:
+                d = c // 2
+                if d > t:
+                    t = d
             vals.append(t)
     return vals[1:-1], vals[1] - vals[0], vals[-1] - vals[-2]
 
@@ -220,14 +291,15 @@ def hausdorff(u: Staircase, v: Staircase) -> RatX:
         if not u.clamped:
             return INF
         # clamped full Int still has the finite profile c/2: fall through
-    cs = _merged_breaks(u, v)
-    gu, lo_u, hi_u = _sweep(u, cs)
-    gv, lo_v, hi_v = _sweep(v, cs)
+    scale, su, sv = _common_scale(u, v)
+    cs = _merged_breaks(u.clamped, su, sv)
+    gu, lo_u, hi_u = _sweep(su, u.clamped, cs)
+    gv, lo_v, hi_v = _sweep(sv, u.clamped, cs)
     # Beyond the extreme breakpoints both profiles are single lines: equal
     # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.
     if hi_u != hi_v or lo_u != lo_v:
         return INF
-    return max(Fraction(0), *(abs(a - b) for a, b in zip(gu, gv)))
+    return Fraction(max(abs(a - b) for a, b in zip(gu, gv)), scale)
 
 
 def subset(u: Staircase, v: Staircase) -> bool:
@@ -241,9 +313,10 @@ def subset(u: Staircase, v: Staircase) -> bool:
         return True
     if u.is_full() and not u.clamped:
         return False
-    cs = _merged_breaks(u, v)
-    gu, lo_u, hi_u = _sweep(u, cs)
-    gv, lo_v, hi_v = _sweep(v, cs)
+    _, su, sv = _common_scale(u, v)
+    cs = _merged_breaks(u.clamped, su, sv)
+    gu, lo_u, hi_u = _sweep(su, u.clamped, cs)
+    gv, lo_v, hi_v = _sweep(sv, u.clamped, cs)
     # g_u - g_v must stay >= 0 out in both tails as well
     if hi_u < hi_v or lo_u > lo_v:
         return False
@@ -285,7 +358,15 @@ def profile(u: Staircase) -> StepProfile:
     if u.is_full() and not u.clamped:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
-    cs = _merged_breaks(u)
-    vals, lo, hi = _sweep(u, cs)
-    inner = [(v1 - v0) / (c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])]
-    return StepProfile(tuple(cs), tuple(vals), (lo, *inner, hi))
+    scale = 2 * u._ints[0]
+    gens = _at_scale(u, scale)
+    cs = _merged_breaks(u.clamped, gens)
+    vals, lo, hi = _sweep(gens, u.clamped, cs)
+    inner = [
+        Fraction(v1 - v0, c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])
+    ]
+    return StepProfile(
+        tuple(Fraction(c, scale) for c in cs),
+        tuple(Fraction(v, scale) for v in vals),
+        (Fraction(lo, 2), *inner, Fraction(hi, 2)),
+    )

@@ -251,6 +251,29 @@ def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
         assert all(k <= strips2 for k in built[grades:])
 
 
+def test_sublevel_staircase_builds_only_its_grade(monkeypatch):
+    """One grade asked, one staircase built, from at most (distinct births
+    + 1) generators, at every grade of a 40-bar barcode and beyond it; it
+    equals that grade of the all-grades sweep."""
+    built = []
+
+    def counting_staircase(gens, ambient):
+        gens = list(gens)
+        built.append(len(gens))
+        return staircase(gens, ambient)
+
+    rng = random.Random(79)
+    bars = barcode((b, b + rand_fraction(rng, lo=0, hi=6)) for b in
+                   (rand_fraction(rng) for _ in range(40)))
+    expected = persistence._sublevels(bars, 42)  # every grade, one sweep
+    monkeypatch.setattr(persistence, "staircase", counting_staircase)
+    strips = len({p for p, _ in bars}) + 1
+    for n in range(42):
+        built.clear()
+        assert sublevel_staircase(bars, n) == expected[n]
+        assert len(built) == 1 and built[0] <= strips
+
+
 def test_erosion_is_extended_pseudometric():
     rng = random.Random(67)
     for _ in range(25):

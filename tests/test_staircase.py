@@ -1,6 +1,7 @@
 """Staircase engine: examples, profile shape, flow laws, oracle agreement."""
 
 from fractions import Fraction
+from math import lcm
 import random
 import time
 
@@ -24,7 +25,14 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.staircase import Staircase, _g, _merged_breaks, _sweep
+from stairdist.staircase import (
+    Staircase,
+    _at_scale,
+    _common_scale,
+    _g,
+    _merged_breaks,
+    _sweep,
+)
 from conftest import rand_fraction, rand_staircase, rand_staircase_pair
 
 F = Fraction
@@ -178,7 +186,8 @@ def test_hausdorff_matches_candidate_scan_oracle():
 
 def find_violating_line(u, v):
     """A flow line on which u pokes out of v (g_u < g_v), or None."""
-    cs = _merged_breaks(u, v)
+    scale, su, sv = _common_scale(u, v)
+    cs = [F(c, scale) for c in _merged_breaks(u.clamped, su, sv)]
     for c in cs:
         if _g(u, c) < _g(v, c):
             return c
@@ -343,19 +352,27 @@ def test_normalize_matches_naive_dominance_filter(ambient):
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
 def test_sweep_matches_rescanning_reference(ambient):
-    """The one-pass walk equals _g at every breakpoint, between breakpoints
-    and in both tails."""
+    """The one-pass integer walk equals _g, through the scale, at every
+    breakpoint, between breakpoints and in both tails.  On the scale 4 L
+    every breakpoint is a multiple of 4, so the midpoints stay even."""
     rng = random.Random(43)
     for _ in range(150):
         u = staircase(rand_gen_list(rng, rng.randint(1, 20)), ambient)
         if u.is_full() and ambient == "plane":
             continue
-        cs = _merged_breaks(u, staircase(rand_gen_list(rng, 4), ambient))
-        pts = sorted({*cs, *((a + b) / 2 for a, b in zip(cs, cs[1:])), cs[0] - 3, cs[-1] + 3})
-        vals, lo, hi = _sweep(u, pts)
-        assert vals == [_g(u, c) for c in pts]
-        assert lo == _g(u, pts[0]) - _g(u, pts[0] - 1)
-        assert hi == _g(u, pts[-1] + 1) - _g(u, pts[-1])
+        w = staircase(rand_gen_list(rng, 4), ambient)
+        scale = 4 * lcm(u._ints[0], w._ints[0])
+        su = _at_scale(u, scale)
+        cs = _merged_breaks(u.clamped, su, _at_scale(w, scale))
+        assert all(c % 4 == 0 for c in cs)
+        mids = ((a + b) // 2 for a, b in zip(cs, cs[1:]))
+        pts = sorted({*cs, *mids, cs[0] - 3 * scale, cs[-1] + 3 * scale})
+        vals, lo, hi = _sweep(su, u.clamped, pts)
+        assert all(type(x) is int for x in (*vals, lo, hi))
+        real = [F(c, scale) for c in pts]
+        assert [F(x, scale) for x in vals] == [_g(u, c) for c in real]
+        assert F(lo, 2) == _g(u, real[0]) - _g(u, real[0] - 1)
+        assert F(hi, 2) == _g(u, real[-1] + 1) - _g(u, real[-1])
 
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
@@ -386,7 +403,11 @@ def test_merged_breaks_are_linear_in_generators(ambient):
     for _ in range(200):
         u = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
         v = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
-        assert len(_merged_breaks(u, v)) <= 4 * (len(u.gens) + len(v.gens)) + 1
+        scale, su, sv = _common_scale(u, v)
+        cs = _merged_breaks(u.clamped, su, sv)
+        assert len(cs) <= 4 * (len(u.gens) + len(v.gens)) + 1
+        assert all(type(c) is int and c % 2 == 0 for c in cs)
+        assert {F(c, scale) for c in cs} <= pairwise_breaks(u) | pairwise_breaks(v) | {F(0)}
 
 
 def test_hausdorff_growth_band():
