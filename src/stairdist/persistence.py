@@ -24,7 +24,7 @@ from .rat import INF, NEG_INF, RatX, is_finite, rat
 from .staircase import INT, Staircase, hausdorff, staircase
 
 Bar = tuple[Fraction, RatX]
-Barcode = tuple[Bar, ...]
+Barcode = tuple[Bar, ...]  # as built by barcode(); the distances accept raw pairs
 
 
 def barcode(bars) -> Barcode:
@@ -60,8 +60,10 @@ def _sublevels(bars: Barcode, grades: int, first: int = 0) -> list[Staircase]:
     that, since the rank only drops as a decreases.  Each grade gets at
     most (distinct births + 1) generators: O(B (grades - first)) for the
     sweep, O(B^2) element moves for the sorted inserts, and one O(B log B)
-    normalization per grade collected.
+    normalization per grade collected.  ``bars`` may be raw (birth, death)
+    pairs: they are read through ``barcode`` first.
     """
+    bars = barcode(bars)
     deaths = sorted({d for _, d in bars if is_finite(d)})
     by_birth = iter(sorted(bars, key=itemgetter(0)))
     nxt = next(by_birth, None)
@@ -99,7 +101,8 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:
     """max over grades n of the Hausdorff distance between the n-th
     sublevel staircases; beyond the larger bar count both are full.  Each
-    barcode is swept once for all its grades."""
+    barcode is swept once for all its grades; raw (birth, death) pairs are
+    read through ``barcode``."""
     grades = max(len(b1), len(b2))
     best: RatX = Fraction(0)
     for u, v in zip(_sublevels(b1, grades), _sublevels(b2, grades)):
@@ -224,8 +227,10 @@ def bottleneck_distance(b1: Barcode, b2: Barcode) -> RatX:
 
     The optimum lies in the finite set of pairwise matching costs and
     half-lengths; binary search that set with matching feasibility.  The
-    costs are computed once and shared by every feasibility test.
+    costs are computed once and shared by every feasibility test.  Raw
+    (birth, death) pairs are read through ``barcode`` first.
     """
+    b1, b2 = barcode(b1), barcode(b2)
     costs = [[_match_cost(p, q) for q in b2] for p in b1]
     dels1 = [_deletion_cost(p) for p in b1]
     dels2 = [_deletion_cost(q) for q in b2]

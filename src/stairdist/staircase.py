@@ -29,10 +29,10 @@ and k_v generators, ``hausdorff`` and ``subset`` cost
 O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
 normalizing k generators (a sort by l and one sweep) costs O(k log k).
 
-The walk runs on Python ints.  Each staircase caches its generators
-scaled by L, the lcm of its finite denominators; a call on u and v puts
-both on the common scale S = 2 lcm(L_u, L_v), where every coordinate and
-every breakpoint is an even int, so the clamp c/2 is the exact c // 2.
+The walk runs on Python ints.  A call on u and v takes L_u and L_v, the
+lcm of each side's finite denominators, and puts both generator lists on
+the common scale S = 2 lcm(L_u, L_v), where every coordinate and every
+breakpoint is an even int, so the clamp c/2 is the exact c // 2.
 Fractions appear only at the boundary: ``hausdorff`` returns the largest
 scaled gap over S, and ``profile`` converts each breakpoint, value and
 slope.  The O(k log k) counts above are integer operations on ints of
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import itemgetter
 
@@ -95,22 +94,6 @@ class Staircase:
     @property
     def clamped(self) -> bool:
         return self.ambient == INT
-
-    @cached_property
-    def _ints(self) -> tuple[int, tuple[_IntGen, ...]]:
-        """(L, the generators times L): L is the lcm of the finite
-        denominators, so every finite coordinate becomes an int.  The only
-        floats are the infinities, and testing for a float is cheaper than
-        comparing a Fraction with one."""
-        gens = self.gens
-        scale = lcm(*(x.denominator for g in gens for x in g if not isinstance(x, float)))
-        return scale, tuple(
-            (
-                l if isinstance(l, float) else l.numerator * (scale // l.denominator),
-                r if isinstance(r, float) else r.numerator * (scale // r.denominator),
-            )
-            for l, r in gens
-        )
 
     def is_empty(self) -> bool:
         return not self.gens
@@ -192,13 +175,21 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
+def _lcm(u: Staircase) -> int:
+    """L, the lcm of u's finite denominators."""
+    return lcm(*(x.denominator for g in u.gens for x in g if not isinstance(x, float)))
+
+
 def _at_scale(u: Staircase, scale: int) -> tuple[_IntGen, ...]:
     """u's generators times ``scale``, a multiple of u's L: ints, with the
-    infinities kept."""
-    own, gens = u._ints
-    m = scale // own
+    infinities kept.  The only floats are the infinities, and testing for
+    a float is cheaper than comparing a Fraction with one."""
     return tuple(
-        (l if l == INF else l * m, r if r == NEG_INF else r * m) for l, r in gens
+        (
+            l if isinstance(l, float) else l.numerator * (scale // l.denominator),
+            r if isinstance(r, float) else r.numerator * (scale // r.denominator),
+        )
+        for l, r in u.gens
     )
 
 
@@ -206,7 +197,7 @@ def _common_scale(
     u: Staircase, v: Staircase
 ) -> tuple[int, tuple[_IntGen, ...], tuple[_IntGen, ...]]:
     """S = 2 lcm(L_u, L_v) and both generator lists on it."""
-    scale = 2 * lcm(u._ints[0], v._ints[0])
+    scale = 2 * lcm(_lcm(u), _lcm(v))
     return scale, _at_scale(u, scale), _at_scale(v, scale)
 
 
@@ -358,7 +349,7 @@ def profile(u: Staircase) -> StepProfile:
     if u.is_full() and not u.clamped:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
-    scale = 2 * u._ints[0]
+    scale = 2 * _lcm(u)
     gens = _at_scale(u, scale)
     cs = _merged_breaks(u.clamped, gens)
     vals, lo, hi = _sweep(gens, u.clamped, cs)

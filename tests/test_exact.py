@@ -29,6 +29,7 @@ from stairdist import (
     profile,
     single_linkage,
     staircase,
+    sublevel_staircase,
     subset,
     tripod_distance_int,
     tripod_distance_r,
@@ -90,6 +91,21 @@ def test_int_coordinates_give_the_fraction_answers():
     g1, g2 = GroundSet(("a",)), GroundSet(("b",))
     f, g = RFiltration(g1, {frozenset("a"): 0}), RFiltration(g2, {frozenset("b"): 3})
     assert same(tripod_distance_r(f, g), F(3))
+
+
+def test_distances_read_raw_int_bars():
+    """Raw, unsorted int tuples give the answers of their canonical
+    barcodes: infinite deaths stay infinite, finite ints stay finite."""
+    assert same(bottleneck_distance(((0, 1),), ()), F(1, 2))
+    assert same(erosion_distance(((0, 4),), ((0, 2),)), F(2))
+    raw1, raw2 = ((3, 5), (0, INF), (1, 2), (0, 4)), ((2, 3), (0, 6), (1, INF))
+    b1, b2 = barcode(raw1), barcode(raw2)
+    assert same(bottleneck_distance(raw1, raw2), bottleneck_distance(b1, b2))
+    assert same(erosion_distance(raw1, raw2), erosion_distance(b1, b2))
+    for n in range(len(raw1) + 1):
+        assert sublevel_staircase(raw1, n) == sublevel_staircase(b1, n)
+    with pytest.raises(ValueError):
+        bottleneck_distance(((0, 0.5),), ())
 
 
 def test_inexact_floats_are_refused():

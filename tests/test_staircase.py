@@ -30,6 +30,7 @@ from stairdist.staircase import (
     _at_scale,
     _common_scale,
     _g,
+    _lcm,
     _merged_breaks,
     _sweep,
 )
@@ -361,7 +362,7 @@ def test_sweep_matches_rescanning_reference(ambient):
         if u.is_full() and ambient == "plane":
             continue
         w = staircase(rand_gen_list(rng, 4), ambient)
-        scale = 4 * lcm(u._ints[0], w._ints[0])
+        scale = 4 * lcm(_lcm(u), _lcm(w))
         su = _at_scale(u, scale)
         cs = _merged_breaks(u.clamped, su, _at_scale(w, scale))
         assert all(c % 4 == 0 for c in cs)
