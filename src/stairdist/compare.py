@@ -82,9 +82,9 @@ def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]
     chosen = [0] * len(xs)  # N(a) for every a in x, as a bitmask over y
 
     def pairs():
-        return tuple(
+        return tuple([
             p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
-        )
+        ])
 
     def options(i: int, stars: int, leaves: int) -> list[int]:
         # the choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the

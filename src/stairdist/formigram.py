@@ -155,7 +155,7 @@ def pullback_formigram(f: Formigram, phi: Surjection) -> Formigram:
     """Pointwise pullback along a surjection onto f's ground set."""
     if phi.target != f.ground:
         raise GroundSetMismatch("surjection target must equal the formigram ground")
-    return Formigram(phi.source, f.crit, tuple(pullback(v, phi) for v in f.values))
+    return Formigram(phi.source, f.crit, tuple([pullback(v, phi) for v in f.values]))
 
 
 class CosheafTable:
@@ -376,4 +376,4 @@ def ultrametric(f: Formigram) -> Ultrametric:
                     break
             else:
                 raise NotADendrogram(f"{x} and {y} never merge")
-    return Ultrametric(f.ground, tuple(tuple(row) for row in entries))
+    return Ultrametric(f.ground, tuple([tuple(row) for row in entries]))

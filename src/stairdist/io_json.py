@@ -62,7 +62,7 @@ def subpartition_from_json(obj, ground: GroundSet | None = None) -> SubPartition
         raise ValidationError("subpartition needs a ground set")
     if not isinstance(blocks, list):
         raise ValidationError("blocks must be a list of lists")
-    return SubPartition(ground, tuple(tuple(_names(b, "each block")) for b in blocks))
+    return SubPartition(ground, tuple([tuple(_names(b, "each block")) for b in blocks]))
 
 
 def subpartition_to_json(p: SubPartition, with_ground: bool = True):
@@ -111,10 +111,10 @@ def profile_to_json(u: Staircase):
 
 def formigram_from_json(obj) -> Formigram:
     ground = ground_from_json(_require(obj, "ground", list))
-    crit = tuple(_rat(t, allow_infinite=False) for t in _require(obj, "crit", list))
-    values = tuple(
+    crit = tuple([_rat(t, allow_infinite=False) for t in _require(obj, "crit", list)])
+    values = tuple([
         subpartition_from_json(v, ground) for v in _require(obj, "values", list)
-    )
+    ])
     return Formigram(ground, crit, values)
 
 
@@ -142,12 +142,12 @@ def ultrametric_to_json(u: Ultrametric):
 
 def grid_from_json(obj) -> GridClustering:
     ground = ground_from_json(_require(obj, "ground", list))
-    x_cuts = tuple(_rat(c, allow_infinite=False) for c in _require(obj, "x_cuts", list))
-    y_cuts = tuple(_rat(c, allow_infinite=False) for c in _require(obj, "y_cuts", list))
+    x_cuts = tuple([_rat(c, allow_infinite=False) for c in _require(obj, "x_cuts", list)])
+    y_cuts = tuple([_rat(c, allow_infinite=False) for c in _require(obj, "y_cuts", list)])
     rows = _rows(obj, "cells")
-    cells = tuple(
-        tuple(subpartition_from_json(v, ground) for v in row) for row in rows
-    )
+    cells = tuple([
+        tuple([subpartition_from_json(v, ground) for v in row]) for row in rows
+    ])
     return GridClustering(ground, x_cuts, y_cuts, cells)
 
 

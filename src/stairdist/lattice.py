@@ -97,7 +97,7 @@ class SubPartition:
 
     @classmethod
     def singletons(cls, ground: GroundSet) -> "SubPartition":
-        return cls(ground, tuple((x,) for x in ground))
+        return cls(ground, tuple([(x,) for x in ground]))
 
     @classmethod
     def one_block(cls, ground: GroundSet) -> "SubPartition":
@@ -112,7 +112,7 @@ class SubPartition:
         comps: dict[int, list[str]] = {}
         for i in members:
             comps.setdefault(find(parent, i), []).append(ground.elements[i])
-        return cls(ground, tuple(tuple(c) for c in comps.values()))
+        return cls(ground, tuple([tuple(c) for c in comps.values()]))
 
     @cached_property
     def block_index(self) -> Mapping[str, int]:
@@ -308,7 +308,7 @@ def pullback(p: SubPartition, phi: Surjection) -> SubPartition:
         raise GroundSetMismatch("surjection target must equal the subpartition ground")
     blocks = []
     for blk in p.blocks:
-        pre = tuple(z for x in blk for z in phi.fibers[x])
+        pre = tuple([z for x in blk for z in phi.fibers[x]])
         blocks.append(pre)
     return SubPartition(phi.source, tuple(blocks))
 
@@ -327,7 +327,7 @@ def enumerate_subpartitions(
 
     def rec(i: int, blocks: list[list[str]]):
         if i == len(ground):
-            out.append(SubPartition(ground, tuple(tuple(b) for b in blocks)))
+            out.append(SubPartition(ground, tuple([tuple(b) for b in blocks])))
             return
         x = ground.elements[i]
         rec(i + 1, blocks)  # absent

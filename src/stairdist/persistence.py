@@ -7,14 +7,16 @@ erosion distance is the largest Hausdorff distance between matching
 sublevel staircases.  All grades of a barcode come from one sweep over the
 strips between consecutive births, each strip giving one generator per
 grade.  Degree-0 persistence of a line-indexed filtration is computed by
-the elder rule, and the bottleneck distance by bipartite matching
-feasibility over the finite candidate set.
+the elder rule.  The bottleneck distance is the smallest integer eps, on
+a common scale of the coordinates, at which two covering searches on the
+B1 x B2 threshold graph succeed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
@@ -153,17 +155,6 @@ def h0_barcode(f: RFiltration) -> Barcode:
     return barcode(bars)
 
 
-def _match_cost(p: Bar, q: Bar) -> RatX:
-    if is_finite(p[1]) != is_finite(q[1]):
-        return INF
-    dd = Fraction(0) if not is_finite(p[1]) else abs(p[1] - q[1])
-    return max(abs(p[0] - q[0]), dd)
-
-
-def _deletion_cost(p: Bar) -> RatX:
-    return (p[1] - p[0]) / 2 if is_finite(p[1]) else INF
-
-
 def _perfect_matching_exists(adj: list[list[int]], nright: int) -> bool:
     """Kuhn's augmenting paths; adj maps each left node to allowed rights.
 
@@ -198,51 +189,89 @@ def _perfect_matching_exists(adj: list[list[int]], nright: int) -> bool:
     return True
 
 
-def _bottleneck_feasible(
-    costs: list[list[RatX]], dels1: list[RatX], dels2: list[RatX], eps: RatX
-) -> bool:
-    """Partial matching with per-pair cost <= eps and all unmatched bars
-    deletable at cost <= eps, via the standard diagonal-augmented perfect
-    matching.  costs[i][j] is the cost of matching bar i of the first
-    barcode to bar j of the second; dels1 and dels2 are deletion costs."""
-    n1, n2 = len(dels1), len(dels2)
-    # left: bars of b1 then diagonal slots for b2; right: bars of b2 then
-    # diagonal slots for b1
-    adj: list[list[int]] = []
-    for i, row_costs in enumerate(costs):
-        row = [j for j, c in enumerate(row_costs) if c <= eps]
-        if dels1[i] <= eps:
-            row.append(n2 + i)
-        adj.append(row)
-    for j, d in enumerate(dels2):
-        row = list(range(n2, n2 + n1))  # diagonal-to-diagonal is free
-        if d <= eps:
-            row.insert(0, j)
-        adj.append(row)
-    return _perfect_matching_exists(adj, n1 + n2)
+def _on_common_scale(b1: Barcode, b2: Barcode):
+    """S = 2 lcm of every finite denominator of b1 and b2, and each barcode
+    on it as (essential births, (finite births, finite deaths)), all ints
+    and ascending by birth, as ``barcode`` sorts them.  At S every pair cost
+    and every half-length (d - b) S / 2 is an int."""
+    scale = 2 * lcm(*[x.denominator for bar in b1 + b2 for x in bar if is_finite(x)])
+
+    def on_scale(bars):
+        ess, births, deaths = [], [], []
+        for b, d in bars:
+            b = b.numerator * (scale // b.denominator)
+            if is_finite(d):
+                births.append(b)
+                deaths.append(d.numerator * (scale // d.denominator))
+            else:
+                ess.append(b)
+        return ess, (births, deaths)
+
+    return scale, on_scale(b1), on_scale(b2)
+
+
+def _essential_cost(e1: list[int], e2: list[int]) -> int | float:
+    """Bars with infinite deaths match only each other, and on a line the
+    sorted matching is optimal: max |b_i - b'_i| over the sorted births,
+    or INF when the counts differ."""
+    if len(e1) != len(e2):
+        return INF
+    return max((abs(p - q) for p, q in zip(e1, e2)), default=0)
+
+
+def _covers(need, other, eps: int) -> bool:
+    """Whether one matching of threshold edges covers every bar of
+    ``need`` that cannot be deleted at eps (length > 2 eps).  Both sides are
+    (births, deaths) ascending by birth, so the partners of a bar within eps
+    in birth form one window of ``other``, found by bisection and then
+    filtered by death."""
+    births, deaths = other
+    adj = [
+        [
+            j
+            for j in range(bisect_left(births, b - eps), bisect_right(births, b + eps))
+            if abs(deaths[j] - d) <= eps
+        ]
+        for b, d in zip(*need)
+        if d - b > 2 * eps
+    ]
+    return _perfect_matching_exists(adj, len(births))
+
+
+def _finite_feasible(f1, f2, eps: int) -> bool:
+    """A partial matching of the finite bars with every pair within eps and
+    every unmatched bar deletable at eps.  By Mendelsohn-Dulmage such a
+    matching exists iff one matching covers the non-deletable bars of f1
+    and another covers those of f2: the two combine into one."""
+    return _covers(f1, f2, eps) and _covers(f2, f1, eps)
 
 
 def bottleneck_distance(b1: Barcode, b2: Barcode) -> RatX:
     """Exact bottleneck distance.
 
-    The optimum lies in the finite set of pairwise matching costs and
-    half-lengths; binary search that set with matching feasibility.  The
-    costs are computed once and shared by every feasibility test.  Raw
-    (birth, death) pairs are read through ``barcode`` first.
+    Essential bars give the lower end of the search (``_essential_cost``).
+    The finite bars are put on the integer scale S of
+    ``_on_common_scale``, where every pair cost and every half-length is an
+    int, so feasibility can only change at an int and the smallest feasible
+    int eps is the exact answer eps / S.  Binary search runs between the
+    essential part and the largest half-length D, where deleting every
+    finite bar is feasible; each step is two covering searches
+    (``_finite_feasible``) on the B1 x B2 threshold graph, with no diagonal
+    nodes.  With n bars a side this is O(n^2 log(S D)) threshold filtering
+    plus the Kuhn searches, at most O(n^3) each.  Raw (birth, death) pairs
+    are read through ``barcode`` first.
     """
     b1, b2 = barcode(b1), barcode(b2)
-    costs = [[_match_cost(p, q) for q in b2] for p in b1]
-    dels1 = [_deletion_cost(p) for p in b1]
-    dels2 = [_deletion_cost(q) for q in b2]
-    cands: set[RatX] = {Fraction(0)}
-    cands.update(c for row in costs for c in row if is_finite(c))
-    cands.update(c for c in dels1 + dels2 if is_finite(c))
-    ordered = sorted(cands)
-    lo, hi = 0, len(ordered)  # first feasible index, if any
+    scale, (e1, f1), (e2, f2) = _on_common_scale(b1, b2)
+    lo = _essential_cost(e1, e2)
+    if lo == INF:
+        return INF
+    longest = max((d - b for f in (f1, f2) for b, d in zip(*f)), default=0)
+    hi = max(lo, longest // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _bottleneck_feasible(costs, dels1, dels2, ordered[mid]):
+        if _finite_feasible(f1, f2, mid):
             hi = mid
         else:
             lo = mid + 1
-    return ordered[lo] if lo < len(ordered) else INF
+    return Fraction(lo, scale)

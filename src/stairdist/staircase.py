@@ -72,7 +72,7 @@ class Staircase:
             # a Fraction or an infinity on its own side passes; anything else
             # (an int, an empty region, an inexact float) goes to _exact_gen
             if not (is_finite(l) or l == INF) or not (is_finite(r) or r == NEG_INF):
-                gens = tuple(map(_exact_gen, gens))
+                gens = tuple([_exact_gen(g) for g in gens])
                 break
         # (l, r) contains (l', r') iff l >= l' and r <= r'.  Scanning by l
         # descending meets every strict dominator of a generator before it,
@@ -113,7 +113,7 @@ def _exact_gen(g) -> Gen:
 
 def staircase(gens, ambient: str = INT) -> Staircase:
     """Normalize a generator list (any iterable of (l, r) pairs)."""
-    return Staircase(ambient, tuple((l, r) for l, r in gens))
+    return Staircase(ambient, tuple([(l, r) for l, r in gens]))
 
 
 def full(ambient: str = INT) -> Staircase:
@@ -150,10 +150,10 @@ def thicken(u: Staircase, eps: Fraction) -> Staircase:
         return u
     return Staircase(
         u.ambient,
-        tuple(
+        tuple([
             (l if l == INF else l + eps, r if r == NEG_INF else r - eps)
             for l, r in u.gens
-        ),
+        ]),
     )
 
 
@@ -177,20 +177,20 @@ def _g(u: Staircase, c: Fraction) -> RatX:
 
 def _lcm(u: Staircase) -> int:
     """L, the lcm of u's finite denominators."""
-    return lcm(*(x.denominator for g in u.gens for x in g if not isinstance(x, float)))
+    return lcm(*[x.denominator for g in u.gens for x in g if not isinstance(x, float)])
 
 
 def _at_scale(u: Staircase, scale: int) -> tuple[_IntGen, ...]:
     """u's generators times ``scale``, a multiple of u's L: ints, with the
     infinities kept.  The only floats are the infinities, and testing for
     a float is cheaper than comparing a Fraction with one."""
-    return tuple(
+    return tuple([
         (
             l if isinstance(l, float) else l.numerator * (scale // l.denominator),
             r if isinstance(r, float) else r.numerator * (scale // r.denominator),
         )
         for l, r in u.gens
-    )
+    ])
 
 
 def _common_scale(
@@ -218,7 +218,7 @@ def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
 def _merged_breaks(clamped: bool, *gens: tuple[_IntGen, ...]) -> list[int]:
     """Sorted union of the candidate kinks of scaled generator lists ([0]
     when none)."""
-    cs = sorted(set().union(*(_breaks(g, clamped) for g in gens)))
+    cs = sorted(set().union(*[_breaks(g, clamped) for g in gens]))
     return cs if cs else [0]
 
 
@@ -357,7 +357,7 @@ def profile(u: Staircase) -> StepProfile:
         Fraction(v1 - v0, c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])
     ]
     return StepProfile(
-        tuple(Fraction(c, scale) for c in cs),
-        tuple(Fraction(v, scale) for v in vals),
+        tuple([Fraction(c, scale) for c in cs]),
+        tuple([Fraction(v, scale) for v in vals]),
         (Fraction(lo, 2), *inner, Fraction(hi, 2)),
     )

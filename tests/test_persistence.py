@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 
@@ -25,7 +26,8 @@ from stairdist import (
 import stairdist.persistence as persistence
 from stairdist.oracle import oracle_hausdorff
 from stairdist.staircase import INT
-from stairdist.persistence import _deletion_cost, _match_cost, _perfect_matching_exists
+from stairdist.persistence import _perfect_matching_exists
+from stairdist.rat import is_finite
 from conftest import rand_barcode, rand_fraction, rand_r_filtration, ground
 
 F = Fraction
@@ -85,6 +87,51 @@ def oracle_erosion_direct(b1, b2):
     coords = [p for p, _ in b1 + b2] + [q for _, q in b1 + b2 if q != INF]
     cands = candidate_epsilons(coords)
     return first_admissible(cands, lambda e: rank_interleaved(b1, b2, e))
+
+
+def _match_cost(p, q):
+    if is_finite(p[1]) != is_finite(q[1]):
+        return INF
+    dd = F(0) if not is_finite(p[1]) else abs(p[1] - q[1])
+    return max(abs(p[0] - q[0]), dd)
+
+
+def _deletion_cost(p):
+    return (p[1] - p[0]) / 2 if is_finite(p[1]) else INF
+
+
+def _bottleneck_feasible(costs, dels1, dels2, eps):
+    """Partial matching with per-pair cost <= eps and all unmatched bars
+    deletable at cost <= eps, via the standard diagonal-augmented perfect
+    matching.  costs[i][j] is the cost of matching bar i of the first
+    barcode to bar j of the second; dels1 and dels2 are deletion costs."""
+    n1, n2 = len(dels1), len(dels2)
+    # left: bars of b1 then diagonal slots for b2; right: bars of b2 then
+    # diagonal slots for b1
+    adj = []
+    for i, row_costs in enumerate(costs):
+        row = [j for j, c in enumerate(row_costs) if c <= eps]
+        if dels1[i] <= eps:
+            row.append(n2 + i)
+        adj.append(row)
+    for j, d in enumerate(dels2):
+        row = list(range(n2, n2 + n1))  # diagonal-to-diagonal is free
+        if d <= eps:
+            row.insert(0, j)
+        adj.append(row)
+    return _perfect_matching_exists(adj, n1 + n2)
+
+
+def diagonal_candidates(b1, b2):
+    """The finite candidate set: 0, every finite pair cost and every finite
+    half-length, ascending, with the referee's costs and deletion costs."""
+    costs = [[_match_cost(p, q) for q in b2] for p in b1]
+    dels1 = [_deletion_cost(p) for p in b1]
+    dels2 = [_deletion_cost(q) for q in b2]
+    cands = {F(0)}
+    cands.update(c for row in costs for c in row if is_finite(c))
+    cands.update(c for c in dels1 + dels2 if is_finite(c))
+    return sorted(cands), costs, dels1, dels2
 
 
 def oracle_bottleneck(b1, b2):
@@ -385,6 +432,123 @@ def test_bottleneck_matches_brute_force():
             seen_inf += 1
         assert d == oracle_bottleneck(b1, b2)
     assert seen_inf > 0
+
+
+def rand_mixed_barcode(rng, max_bars):
+    """Bars with denominators 1-4 mixed, zero-length bars, tied births and
+    deaths, and infinite deaths."""
+    bars = []
+    for _ in range(rng.randint(0, max_bars)):
+        p = F(rng.randint(-8, 8), rng.randint(1, 4))
+        r = rng.random()
+        if r < 0.2:
+            bars.append((p, INF))
+        elif r < 0.3:
+            bars.append((p, p))
+        else:
+            bars.append((p, p + F(rng.randint(1, 12), rng.randint(1, 4))))
+    if bars and rng.random() < 0.3:
+        bars.append(rng.choice(bars))  # an exact tie
+    return barcode(bars)
+
+
+def test_reduced_feasibility_matches_diagonal_referee():
+    """At every candidate eps of the finite candidate set, the essential
+    check plus the two covering searches on B1 x B2 decide feasibility as
+    the diagonal-augmented perfect matching does; the distance is the first
+    feasible candidate, or INF when none is."""
+    rng = random.Random(97)
+    seen_inf = seen_mixed = 0
+    for _ in range(300):
+        b1, b2 = rand_mixed_barcode(rng, 6), rand_mixed_barcode(rng, 6)
+        cands, costs, dels1, dels2 = diagonal_candidates(b1, b2)
+        scale, (e1, f1), (e2, f2) = persistence._on_common_scale(b1, b2)
+        ess = persistence._essential_cost(e1, e2)
+        first = INF
+        for eps in cands:
+            scaled = eps * scale
+            assert scaled.denominator == 1
+            reduced = ess <= scaled and persistence._finite_feasible(f1, f2, int(scaled))
+            assert reduced == _bottleneck_feasible(costs, dels1, dels2, eps), (b1, b2, eps)
+            if reduced and first == INF:
+                first = eps
+        d = bottleneck_distance(b1, b2)
+        assert d == first and type(d) is type(first)
+        seen_inf += d == INF
+        seen_mixed += len({x.denominator for bar in b1 + b2 for x in bar if is_finite(x)}) > 2
+    assert seen_inf > 10 and seen_mixed > 100
+
+
+def test_bottleneck_essential_bars():
+    """Infinite bars match in sorted order of birth; unequal infinite
+    counts are INF; int and raw-pair inputs answer as their Fraction
+    forms."""
+    rng = random.Random(101)
+    for _ in range(100):
+        k = rng.randint(0, 6)
+        births1 = [rand_fraction(rng) for _ in range(k)]
+        births2 = [rand_fraction(rng) for _ in range(k)]
+        ess1 = [(b, INF) for b in births1]
+        ess2 = [(b, INF) for b in births2]
+        want = max(
+            (abs(p - q) for p, q in zip(sorted(births1), sorted(births2))), default=F(0)
+        )
+        d = bottleneck_distance(ess1, ess2)  # raw and unsorted
+        assert d == want and type(d) is F
+        assert bottleneck_distance(barcode(ess1), barcode(ess2)) == want
+        assert bottleneck_distance(ess1 + [(F(0), INF)], ess2) == INF
+        assert bottleneck_distance(ess1, ess2 + [(F(0), INF)]) == INF
+
+    for _ in range(100):
+        raw1 = [(p, rng.choice((INF, p + rng.randint(0, 6))))
+                for p in (rng.randint(-5, 5) for _ in range(rng.randint(0, 5)))]
+        raw2 = [(p, rng.choice((INF, p + rng.randint(0, 6))))
+                for p in (rng.randint(-5, 5) for _ in range(rng.randint(0, 5)))]
+        frac1 = [(F(p), d if d == INF else F(d)) for p, d in raw1]
+        frac2 = [(F(p), d if d == INF else F(d)) for p, d in raw2]
+        d = bottleneck_distance(raw1, raw2)
+        assert d == bottleneck_distance(barcode(frac1), barcode(frac2))
+        assert type(d) is type(bottleneck_distance(barcode(frac1), barcode(frac2)))
+
+
+def shifted_chain(rng, nbars, shift):
+    """Bars of length 7 at spacing 2, jittered by eighths and moved right by
+    ``shift``: every bar's cheapest partner in the other chain is its
+    neighbour's, so augmenting paths run the whole chain."""
+    starts = (2 * i + shift + F(rng.randint(0, 3), 8) for i in range(nbars))
+    return barcode((b, b + 7) for b in starts)
+
+
+def test_bottleneck_large_shifted_chains():
+    """1500 bars a side return an exact answer, with no Python limit hit,
+    in under 30 s."""
+    rng = random.Random(1500)
+    b1, b2 = shifted_chain(rng, 1500, F(0)), shifted_chain(rng, 1500, F(1))
+    t0 = time.perf_counter()
+    d = bottleneck_distance(b1, b2)
+    elapsed = time.perf_counter() - t0
+    assert type(d) is F and 0 < d <= F(7, 2)
+    assert elapsed < 30, f"1500-bar bottleneck took {elapsed:.1f}s"
+
+
+def test_bottleneck_growth_band():
+    """Bottleneck cost on shifted chains grows no faster than c * n^2 (4x
+    band): 400 bars must stay within 4 * (400 / 50)^2 times 50 bars."""
+    rng = random.Random(1717)
+
+    def batch_time(n):
+        pairs = [(shifted_chain(rng, n, F(0)), shifted_chain(rng, n, F(1))) for _ in range(3)]
+        best = INF
+        for _ in range(3):
+            t0 = time.perf_counter()
+            for b1, b2 in pairs:
+                bottleneck_distance(b1, b2)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = batch_time(50), batch_time(400)
+    band = 4 * (400 / 50) ** 2 * small
+    assert large <= band, f"400 bars took {large:.4f}s, band allows {band:.4f}s"
 
 
 def test_matching_survives_long_augmenting_paths():
