@@ -30,12 +30,18 @@ EXIT_MISMATCH = 3
 EXIT_GUARD = 4
 
 
+def _refuse_float(text: str):
+    raise ValidationError(f"number {text} is not exact; write it as a string \"p/q\"")
+
+
 def _load(path: str):
+    """The JSON document at path; a float literal (1e309 would read as inf)
+    is refused."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_float=_refuse_float)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_refuse_float)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:

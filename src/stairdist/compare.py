@@ -234,8 +234,7 @@ def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
     gens = []
     for r, row in enumerate(f.cells):
         for c, val in enumerate(row):
-            hit = x in val if x == y else val.same_block(x, y)
-            if hit:
+            if val.same_block(x, y):
                 corner = (
                     f.x_cuts[c - 1] if c >= 1 else NEG_INF,
                     f.y_cuts[r - 1] if r >= 1 else NEG_INF,

@@ -27,8 +27,8 @@ from .errors import (
     NotADendrogram,
     ValidationError,
 )
-from .lattice import GroundSet, SubPartition, Surjection, find, pullback
-from .rat import INF, NEG_INF, RatX
+from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
+from .rat import INF, NEG_INF, RatX, is_finite, rat
 from .staircase import INT, Staircase, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
@@ -123,14 +123,6 @@ def pointwise_refines(f: Formigram, g: Formigram) -> bool:
     return all(f.evaluate(t).refines(g.evaluate(t)) for t in _sample_points(f, g))
 
 
-def _join_run(f: Formigram, i: int, j: int) -> SubPartition:
-    """Join of the run of pieces i..j."""
-    acc = f.values[i]
-    for k in range(i + 1, j + 1):
-        acc = acc.join(f.values[k])
-    return acc
-
-
 def smooth(f: Formigram, eps: Fraction) -> Formigram:
     """Flow the formigram: t -> join of f over [t - eps, t + eps].
 
@@ -147,7 +139,8 @@ def smooth(f: Formigram, eps: Fraction) -> Formigram:
         mid = (c + cand[k + 1]) / 2 if k + 1 < len(cand) else c + 1
         for t in (c, mid):
             # join over the closed window [t - eps, t + eps]
-            values.append(_join_run(f, f._piece_of(t - eps), f._piece_of(t + eps)))
+            i, j = f._piece_of(t - eps), f._piece_of(t + eps)
+            values.append(join_all(f.ground, f.values[i:j + 1]))
     return normalized(Formigram(f.ground, tuple(cand), tuple(values)))
 
 
@@ -192,7 +185,7 @@ def evaluate_cosheaf(f: Formigram, interval: tuple[Fraction, Fraction]) -> SubPa
         raise EmptyInterval(f"({a}, {b}) is not a nonempty open interval")
     # a critical point at either end lies outside the open interval
     i, j = f._piece_of(a), f._piece_of(b)
-    return _join_run(f, i + i % 2, j - j % 2)
+    return join_all(f.ground, f.values[i + i % 2:j - j % 2 + 1])
 
 
 def _reach_left(f: Formigram, i: int) -> RatX:
@@ -227,19 +220,13 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     p = f.num_pieces
     out: dict[PairKey, Staircase] = {}
     for key in all_pair_keys(f.ground):
-        x, y = (min(key), max(key))
-        if x == y:
-            def merged(cell, x=x):
-                return x in cell
-        else:
-            def merged(cell, x=x, y=y):
-                return cell.same_block(x, y)
+        x, y = (min(key), max(key))  # a singleton key: same_block(x, x) is x in cell
         gens = []
         j = 0
         for i in range(p):
             if j < i:
                 j = i
-            while j < p and not merged(table.cell(i, j)):
+            while j < p and not table.cell(i, j).same_block(x, y):
                 j += 1
             if j == p:
                 break
@@ -317,10 +304,15 @@ class Ultrametric:
         return out
 
 
-def _check_metric(ground: GroundSet, d: list[list[Fraction]]):
+def _check_metric(ground: GroundSet, d) -> list[list[Fraction]]:
+    """d with its entries read through ``rat``, if it is a finite metric on
+    ground; an inexact float raises ValueError, anything else InvalidMetric."""
     n = len(ground)
     if len(d) != n or any(len(row) != n for row in d):
         raise InvalidMetric(f"need a {n}x{n} matrix")
+    d = [[rat(x) for x in row] for row in d]
+    if not all(is_finite(x) for row in d for x in row):
+        raise InvalidMetric("not a finite metric: an entry is infinite")
     for i in range(n):
         if d[i][i] != 0:
             raise InvalidMetric("diagonal must be zero")
@@ -329,6 +321,7 @@ def _check_metric(ground: GroundSet, d: list[list[Fraction]]):
                 raise InvalidMetric("matrix must be symmetric")
             if d[i][j] <= 0:
                 raise InvalidMetric("off-diagonal distances must be positive")
+    return d
 
 
 def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
@@ -338,7 +331,7 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
     Kruskal: the edges are sorted once and united in order; after the last
     edge of each distinct weight the partition is emitted if that weight
     merged anything.  O(n^2 log n)."""
-    _check_metric(ground, d)
+    d = _check_metric(ground, d)
     n = len(ground)
     edges = sorted((d[i][j], i, j) for i in range(n) for j in range(i + 1, n))
     parent = list(range(n))

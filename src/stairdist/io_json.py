@@ -14,6 +14,7 @@ from .errors import ValidationError
 from .filtration import IntFiltration, RFiltration, Simplex
 from .formigram import Formigram, Ultrametric
 from .lattice import GroundSet, SubPartition
+from .persistence import barcode
 from .rat import fmt_rat, parse_rat
 from .staircase import INT, PLANE, Staircase, profile
 
@@ -202,16 +203,12 @@ def int_filtration_to_json(f: IntFiltration):
 
 
 def barcode_from_json(obj):
-    from .persistence import barcode
-
     bars = _require(obj, "bars", list)
     out = []
     for bar in bars:
         if not isinstance(bar, list) or len(bar) != 2:
             raise ValidationError("each bar must be a [birth, death] pair")
-        b = _rat(bar[0], allow_infinite=False)
-        d = _rat(bar[1])
-        out.append((b, d))
+        out.append((_rat(bar[0]), _rat(bar[1])))
     return barcode(out)
 
 

@@ -159,6 +159,8 @@ class SubPartition:
         O(n) edges rather than the O(n^2) of the complete block graphs.
         """
         _check_same_ground(self, other)
+        if not self.blocks:  # the unit of join, where join_all starts
+            return other
         idx = self.ground.index
         parent = list(range(len(idx)))
         members = set()

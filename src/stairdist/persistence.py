@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
 
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
 from .lattice import find
-from .rat import INF, NEG_INF, RatX, is_finite, rat
+from .rat import INF, NEG_INF, RatX, common_scale, is_finite, on_scale, rat
 from .staircase import INT, Staircase, hausdorff, staircase
 
 Bar = tuple[Fraction, RatX]
@@ -30,10 +28,13 @@ Barcode = tuple[Bar, ...]  # as built by barcode(); the distances accept raw pai
 
 
 def barcode(bars) -> Barcode:
-    """Canonical (sorted) barcode from an iterable of (birth, death)."""
+    """Canonical (sorted) barcode from an iterable of (birth, death): every
+    birth finite and at most its death."""
     out = []
     for b, d in bars:
         b, d = rat(b), rat(d)
+        if not is_finite(b):
+            raise ValidationError(f"bar [{b}, {d}] has an infinite birth")
         if not b <= d:
             raise ValidationError(f"bar [{b}, {d}] has birth after death")
         out.append((b, d))
@@ -67,7 +68,7 @@ def _sublevels(bars: Barcode, grades: int, first: int = 0) -> list[Staircase]:
     """
     bars = barcode(bars)
     deaths = sorted({d for _, d in bars if is_finite(d)})
-    by_birth = iter(sorted(bars, key=itemgetter(0)))
+    by_birth = iter(bars)  # barcode() sorts them by birth
     nxt = next(by_birth, None)
     live: list[RatX] = []  # deaths of the bars born at or before alo, ascending
     gens: list[list] = [[] for _ in range(first, grades)]
@@ -194,20 +195,19 @@ def _on_common_scale(b1: Barcode, b2: Barcode):
     on it as (essential births, (finite births, finite deaths)), all ints
     and ascending by birth, as ``barcode`` sorts them.  At S every pair cost
     and every half-length (d - b) S / 2 is an int."""
-    scale = 2 * lcm(*[x.denominator for bar in b1 + b2 for x in bar if is_finite(x)])
+    scale = common_scale(b1, b2)
 
-    def on_scale(bars):
+    def split(bars):
         ess, births, deaths = [], [], []
-        for b, d in bars:
-            b = b.numerator * (scale // b.denominator)
-            if is_finite(d):
-                births.append(b)
-                deaths.append(d.numerator * (scale // d.denominator))
-            else:
+        for b, d in on_scale(bars, scale):
+            if d == INF:
                 ess.append(b)
+            else:
+                births.append(b)
+                deaths.append(d)
         return ess, (births, deaths)
 
-    return scale, on_scale(b1), on_scale(b2)
+    return scale, split(b1), split(b2)
 
 
 def _essential_cost(e1: list[int], e2: list[int]) -> int | float:

@@ -1,12 +1,18 @@
-"""Exact extended-rational scalars.
+"""Exact extended-rational scalars, and the integer scale the kernels run on.
 
 All finite coordinates, times and distances in this library are
 `fractions.Fraction` values; the only non-Fraction scalars ever produced are
 the two IEEE infinities, used as order sentinels (`INF`, `NEG_INF`).  Mixed
 comparisons Fraction-vs-infinity are exact, and arithmetic never combines two
-infinities, so no precision is ever lost.  Staircases, barcodes and
+infinities, so no precision is ever lost.  Staircases, barcodes, metrics and
 line-indexed filtrations read their coordinates through `rat`, so an int
-becomes a Fraction and an inexact float is refused.
+becomes a Fraction and an inexact float is refused; `parse_rat` reads text
+as well.
+
+The exact kernels (the staircase profile walk, the bottleneck search) run
+on ints: `common_scale` gives S = 2 lcm of the finite denominators of some
+lists of pairs, and `on_scale` puts a list on S, where every finite
+coordinate is an even int.
 """
 
 from fractions import Fraction
@@ -18,6 +24,8 @@ NEG_INF = -math.inf
 # A "Rat" is a Fraction; a "RatX" additionally admits INF / NEG_INF.
 Rat = Fraction
 RatX = Fraction | float
+
+_INFINITIES = {"inf": INF, "+inf": INF, "-inf": NEG_INF}
 
 
 def is_finite(x: RatX) -> bool:
@@ -38,33 +46,42 @@ def rat(x) -> RatX:
 
 
 def parse_rat(text, allow_infinite: bool = True) -> RatX:
-    """Parse "p/q", "p", an int, or "inf"/"-inf" into a RatX; anything else,
-    a zero denominator included, raises ValueError."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        if text == INF or text == NEG_INF:
-            if not allow_infinite:
-                raise ValueError("infinite value not allowed here")
-            return text
-        raise ValueError(f"refusing inexact float {text!r}; pass a string 'p/q'")
+    """Parse "p/q", "p" or "inf"/"-inf", or read any other value through
+    ``rat``; a zero denominator, an infinity where ``allow_infinite`` is
+    off, and anything ``rat`` refuses raise ValueError."""
     if isinstance(text, str):
-        s = text.strip()
-        if s in ("inf", "+inf"):
-            if not allow_infinite:
-                raise ValueError("infinite value not allowed here")
-            return INF
-        if s == "-inf":
-            if not allow_infinite:
-                raise ValueError("infinite value not allowed here")
-            return NEG_INF
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    raise ValueError(f"cannot parse rational from {text!r}")
+        x = _INFINITIES.get(text.strip())
+        if x is None:
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
+    else:
+        x = rat(text)
+    if not allow_infinite and not is_finite(x):
+        raise ValueError("infinite value not allowed here")
+    return x
+
+
+def common_scale(*pair_lists) -> int:
+    """S = 2 lcm of every finite denominator in the given lists of pairs."""
+    return 2 * math.lcm(*[
+        x.denominator for pairs in pair_lists for p in pairs for x in p
+        if not isinstance(x, float)
+    ])
+
+
+def on_scale(pairs, scale: int) -> tuple[tuple[int | float, int | float], ...]:
+    """The pairs times ``scale``, a multiple of their denominators: ints,
+    with the infinities kept.  The only floats are the infinities, and
+    testing for a float is cheaper than comparing a Fraction with one."""
+    return tuple([
+        (
+            a if isinstance(a, float) else a.numerator * (scale // a.denominator),
+            b if isinstance(b, float) else b.numerator * (scale // b.denominator),
+        )
+        for a, b in pairs
+    ])
 
 
 def fmt_rat(x: RatX) -> str:

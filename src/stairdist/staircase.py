@@ -31,8 +31,9 @@ normalizing k generators (a sort by l and one sweep) costs O(k log k).
 
 The walk runs on Python ints.  A call on u and v takes L_u and L_v, the
 lcm of each side's finite denominators, and puts both generator lists on
-the common scale S = 2 lcm(L_u, L_v), where every coordinate and every
-breakpoint is an even int, so the clamp c/2 is the exact c // 2.
+the common scale S = 2 lcm(L_u, L_v) of ``rat.common_scale`` and
+``rat.on_scale``, where every coordinate and every breakpoint is an even
+int, so the clamp c/2 is the exact c // 2.
 Fractions appear only at the boundary: ``hausdorff`` returns the largest
 scaled gap over S, and ``profile`` converts each breakpoint, value and
 slope.  The O(k log k) counts above are integer operations on ints of
@@ -43,11 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient
-from .rat import INF, NEG_INF, RatX, is_finite, rat
+from .rat import INF, NEG_INF, RatX, common_scale, is_finite, on_scale, rat
 
 INT, PLANE = "int", "plane"
 
@@ -175,30 +175,12 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
-def _lcm(u: Staircase) -> int:
-    """L, the lcm of u's finite denominators."""
-    return lcm(*[x.denominator for g in u.gens for x in g if not isinstance(x, float)])
-
-
-def _at_scale(u: Staircase, scale: int) -> tuple[_IntGen, ...]:
-    """u's generators times ``scale``, a multiple of u's L: ints, with the
-    infinities kept.  The only floats are the infinities, and testing for
-    a float is cheaper than comparing a Fraction with one."""
-    return tuple([
-        (
-            l if isinstance(l, float) else l.numerator * (scale // l.denominator),
-            r if isinstance(r, float) else r.numerator * (scale // r.denominator),
-        )
-        for l, r in u.gens
-    ])
-
-
 def _common_scale(
     u: Staircase, v: Staircase
 ) -> tuple[int, tuple[_IntGen, ...], tuple[_IntGen, ...]]:
     """S = 2 lcm(L_u, L_v) and both generator lists on it."""
-    scale = 2 * lcm(_lcm(u), _lcm(v))
-    return scale, _at_scale(u, scale), _at_scale(v, scale)
+    scale = common_scale(u.gens, v.gens)
+    return scale, on_scale(u.gens, scale), on_scale(v.gens, scale)
 
 
 def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
@@ -349,8 +331,8 @@ def profile(u: Staircase) -> StepProfile:
     if u.is_full() and not u.clamped:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
-    scale = 2 * _lcm(u)
-    gens = _at_scale(u, scale)
+    scale = common_scale(u.gens)
+    gens = on_scale(u.gens, scale)
     cs = _merged_breaks(u.clamped, gens)
     vals, lo, hi = _sweep(gens, u.clamped, cs)
     inner = [

@@ -237,8 +237,14 @@ def test_exit_codes(tmp_path, capsys):
     loop = write(tmp_path, "loop.json", LOOP_THETA)
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"  # 1e309 overflows a float to inf
+    huge.write_text('{"bars": [["0", 1e309]]}')
+    essential = write(tmp_path, "essential.json", {"bars": [["0", "inf"]]})
+    unborn = write(tmp_path, "unborn.json", {"bars": [["-inf", "1"]]})
     for argv in [
         ("formigram", "smooth", loop, "--epsilon", "1/0"),
+        ("bottleneck", str(huge), essential),
+        ("bottleneck", unborn, essential),
         ("formigram", "validate", str(tmp_path)),  # a directory
         ("formigram", "validate", str(deep)),
     ]:

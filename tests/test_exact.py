@@ -14,6 +14,7 @@ from stairdist import (
     NEG_INF,
     GroundSet,
     IntFiltration,
+    InvalidMetric,
     RFiltration,
     barcode,
     bottleneck_distance,
@@ -88,6 +89,12 @@ def test_int_coordinates_give_the_fraction_answers():
     assert same(erosion_distance(barcode([(0, 4)]), barcode([(0, 2)])), F(2))
     assert barcode([(0, INF)]) == barcode([(F(0), INF)])
 
+    xy = GroundSet(("x", "y"))
+    u1, u2 = (ultrametric(single_linkage(xy, [[0, t], [t, 0]])) for t in (1, 2))
+    assert u1.entries == ((F(0), F(1)), (F(1), F(0)))
+    assert all(type(x) is Fraction for row in u1.entries for x in row)
+    assert same(gromov_hausdorff_ultrametrics(u1, u2), F(1, 2))
+
     g1, g2 = GroundSet(("a",)), GroundSet(("b",))
     f, g = RFiltration(g1, {frozenset("a"): 0}), RFiltration(g2, {frozenset("b"): 3})
     assert same(tripod_distance_r(f, g), F(3))
@@ -117,6 +124,11 @@ def test_inexact_floats_are_refused():
         barcode([(F(0), 0.5)])
     with pytest.raises(ValueError):
         RFiltration(GroundSet(("a",)), {frozenset("a"): 0.25})
+    xy = GroundSet(("x", "y"))
+    with pytest.raises(ValueError):
+        single_linkage(xy, [[0, 0.5], [0.5, 0]])
+    with pytest.raises(InvalidMetric, match="not a finite metric"):
+        single_linkage(xy, [[0, INF], [INF, 0]])
 
 
 # --- no engine returns a float other than +-inf -----------------------------------

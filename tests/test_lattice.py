@@ -106,7 +106,7 @@ def test_refines_is_partial_order():
 def test_join_examples():
     p = sp(XYZ, ("x", "y"))
     assert p.join(p) == p
-    assert p.join(SubPartition.empty(XYZ)) == p
+    assert p.join(SubPartition.empty(XYZ)) == p == SubPartition.empty(XYZ).join(p)
     expected = brute_least_upper_bound(p, sp(XYZ, ("y", "z")))
     assert p.join(sp(XYZ, ("y", "z"))) == expected == sp(XYZ, ("x", "y", "z"))
 

@@ -574,3 +574,11 @@ def test_barcode_validation():
     with pytest.raises(ValidationError):
         barcode([(F(2), F(1))])
     assert barcode([(F(1), F(1))]) == ((F(1), F(1)),)  # zero-length is fine
+    # an infinite birth is refused, also where a distance reads raw pairs
+    for bars in ([(-INF, F(1))], [(-INF, INF)], [(INF, INF)]):
+        with pytest.raises(ValidationError):
+            barcode(bars)
+    with pytest.raises(ValidationError):
+        bottleneck_distance(((-INF, 1),), ((0, 1),))
+    with pytest.raises(ValidationError):
+        erosion_distance(((-INF, 1),), ((0, 1),))

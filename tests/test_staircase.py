@@ -1,7 +1,6 @@
 """Staircase engine: examples, profile shape, flow laws, oracle agreement."""
 
 from fractions import Fraction
-from math import lcm
 import random
 import time
 
@@ -25,12 +24,11 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
+from stairdist.rat import common_scale, on_scale
 from stairdist.staircase import (
     Staircase,
-    _at_scale,
     _common_scale,
     _g,
-    _lcm,
     _merged_breaks,
     _sweep,
 )
@@ -362,9 +360,9 @@ def test_sweep_matches_rescanning_reference(ambient):
         if u.is_full() and ambient == "plane":
             continue
         w = staircase(rand_gen_list(rng, 4), ambient)
-        scale = 4 * lcm(_lcm(u), _lcm(w))
-        su = _at_scale(u, scale)
-        cs = _merged_breaks(u.clamped, su, _at_scale(w, scale))
+        scale = 2 * common_scale(u.gens, w.gens)
+        su = on_scale(u.gens, scale)
+        cs = _merged_breaks(u.clamped, su, on_scale(w.gens, scale))
         assert all(c % 4 == 0 for c in cs)
         mids = ((a + b) // 2 for a, b in zip(cs, cs[1:]))
         pts = sorted({*cs, *mids, cs[0] - 3 * scale, cs[-1] + 3 * scale})
