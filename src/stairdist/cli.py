@@ -4,6 +4,11 @@ Reads JSON inputs (``-`` for stdin), dispatches to the library, writes one
 JSON document (or a text rendering with ``--format text``) to stdout.
 Diagnostics go to stderr.  Exit codes: 0 success, 2 parse/validation
 failure, 3 ground-set/ambient mismatch, 4 size guard exceeded.
+
+One table, ``OPS``, maps each (command, op) to its runner, the number of
+input files it reads and the options it reads; the parser is built from
+it, and an op given another number of files or an option it does not
+read is refused.
 """
 
 from __future__ import annotations
@@ -80,21 +85,41 @@ def _guard(args, default=compare.CORRESPONDENCE_GUARD):
     return args.max_size if args.max_size is not None else default
 
 
-def _run_lattice(args):
+# --- runners: each takes the parsed arguments and returns the JSON document ---
+
+
+def _one(read, fn):
+    """The op fn on the one input, as read by `read`."""
+    return lambda args: fn(read(_load(args.a)))
+
+
+def _two(read, fn, guarded=False):
+    """The op fn on the two inputs, with the size guard as a third argument
+    if the op runs a guarded search."""
+
+    def run(args):
+        a, b = read(_load(args.a)), read(_load(args.b))
+        return fn(a, b, _guard(args)) if guarded else fn(a, b)
+
+    return run
+
+
+def _distance(read, dist, guarded=False):
+    return _two(read, lambda *ab: io_json.distance_to_json(dist(*ab)), guarded)
+
+
+def _parts(a):
+    return {
+        "ground": list(a.ground.elements),
+        "parts": [
+            io_json.subpartition_to_json(p, with_ground=False)
+            for p in lattice.irreducible_parts(a)
+        ],
+    }
+
+
+def _min_reps(args):
     a = io_json.subpartition_from_json(_load(args.a))
-    if args.op in ("join", "meet", "refines"):
-        b = io_json.subpartition_from_json(_load(args.b))
-        if args.op == "join":
-            return io_json.subpartition_to_json(a.join(b))
-        if args.op == "meet":
-            return io_json.subpartition_to_json(a.meet(b))
-        return {"refines": a.refines(b)}
-    if args.op == "parts":
-        parts = lattice.irreducible_parts(a)
-        return {
-            "ground": list(a.ground.elements),
-            "parts": [io_json.subpartition_to_json(p, with_ground=False) for p in parts],
-        }
     reps = lattice.minimal_join_representations(a, guard=_guard(args, lattice.MIN_REPS_GUARD))
     canon = sorted(
         sorted(io_json.subpartition_to_json(p, with_ground=False) for p in rep)
@@ -103,68 +128,84 @@ def _run_lattice(args):
     return {"ground": list(a.ground.elements), "representations": canon}
 
 
-def _run_formigram(args):
+def _validate(f):
+    problem = formigram.validate(f)
+    if problem is not None:
+        raise ValidationError(problem)
+    return {"ok": True}
+
+
+def _smooth(args):
     a = io_json.formigram_from_json(_load(args.a))
-    if args.op == "validate":
-        problem = formigram.validate(a)
-        if problem is not None:
-            raise ValidationError(problem)
-        return {"ok": True}
-    if args.op == "smooth":
-        if args.epsilon is None:
-            raise ValidationError("smooth requires --epsilon")
-        eps = parse_rat(args.epsilon, allow_infinite=False)
-        return io_json.formigram_to_json(formigram.smooth(a, eps))
-    if args.op == "code":
-        code = formigram.cosheaf_code(a)
-        return {
-            "ground": list(a.ground.elements),
-            "code": [
-                {
-                    "pair": sorted(key),
-                    "staircase": io_json.staircase_to_json(code[key]),
-                }
-                for key in sorted(code, key=lambda k: sorted(k))
-            ],
-        }
-    b = io_json.formigram_from_json(_load(args.b))
-    if args.op == "df":
-        return io_json.distance_to_json(formigram.interleaving_distance(a, b))
-    return io_json.distance_to_json(
-        compare.gromov_hausdorff_formigrams(a, b, guard=_guard(args))
-    )
+    if args.epsilon is None:
+        raise ValidationError("smooth requires --epsilon")
+    eps = parse_rat(args.epsilon, allow_infinite=False)
+    return io_json.formigram_to_json(formigram.smooth(a, eps))
 
 
-def _run_dendro(args):
-    if args.op == "slhc":
-        ground, d = io_json.metric_from_json(_load(args.a))
-        return io_json.formigram_to_json(formigram.single_linkage(ground, d))
-    a = io_json.formigram_from_json(_load(args.a))
-    if args.op == "ultrametric":
-        return io_json.ultrametric_to_json(formigram.ultrametric(a))
-    b = io_json.formigram_from_json(_load(args.b))
-    return io_json.distance_to_json(
-        compare.gromov_hausdorff_formigrams(a, b, guard=_guard(args))
-    )
+def _code(f):
+    code = formigram.cosheaf_code(f)
+    return {
+        "ground": list(f.ground.elements),
+        "code": [
+            {"pair": sorted(key), "staircase": io_json.staircase_to_json(code[key])}
+            for key in sorted(code, key=lambda k: sorted(k))
+        ],
+    }
 
 
-def _run_tripod(args):
-    guard = _guard(args)
-    if args.indexing == "r":
-        a = io_json.r_filtration_from_json(_load(args.a))
-        b = io_json.r_filtration_from_json(_load(args.b))
-        return io_json.distance_to_json(filtration.tripod_distance_r(a, b, guard))
-    a = io_json.int_filtration_from_json(_load(args.a))
-    b = io_json.int_filtration_from_json(_load(args.b))
-    return io_json.distance_to_json(filtration.tripod_distance_int(a, b, guard))
+_SUB = io_json.subpartition_from_json
+_FORMIGRAM = io_json.formigram_from_json
+_GH = _distance(_FORMIGRAM, compare.gromov_hausdorff_formigrams, guarded=True)
+_MAX = ("--max-size",)
 
+_HELP = {
+    "lattice": "subpartition lattice operations",
+    "formigram": "formigram operations and distances",
+    "dendro": "dendrogram pipelines",
+    "erosion": "erosion distance between barcodes",
+    "bottleneck": "bottleneck distance between barcodes",
+    "h0": "degree-0 barcode of a filtration",
+    "tripod": "tripod distance between filtrations",
+    "clustering": "plane-indexed clustering distances",
+    "staircase": "staircase geometry",
+}
 
-def _run_staircase(args):
-    a = io_json.staircase_from_json(_load(args.a))
-    if args.op == "profile":
-        return io_json.profile_to_json(a)
-    b = io_json.staircase_from_json(_load(args.b))
-    return io_json.distance_to_json(staircase_hausdorff(a, b))
+# (command, op) -> (runner, input files, options read).  The op of tripod is
+# its --indexing; erosion, bottleneck and h0 have none.
+OPS = {
+    ("lattice", "join"): (_two(_SUB, lambda a, b: io_json.subpartition_to_json(a.join(b))), 2, ()),
+    ("lattice", "meet"): (_two(_SUB, lambda a, b: io_json.subpartition_to_json(a.meet(b))), 2, ()),
+    ("lattice", "refines"): (_two(_SUB, lambda a, b: {"refines": a.refines(b)}), 2, ()),
+    ("lattice", "parts"): (_one(_SUB, _parts), 1, ()),
+    ("lattice", "min-reps"): (_min_reps, 1, _MAX),
+    ("formigram", "validate"): (_one(_FORMIGRAM, _validate), 1, ()),
+    ("formigram", "smooth"): (_smooth, 1, ("--epsilon",)),
+    ("formigram", "code"): (_one(_FORMIGRAM, _code), 1, ()),
+    ("formigram", "df"): (_distance(_FORMIGRAM, formigram.interleaving_distance), 2, ()),
+    ("formigram", "dgh"): (_GH, 2, _MAX),
+    ("dendro", "slhc"): (_one(io_json.metric_from_json, lambda m: io_json.formigram_to_json(
+        formigram.single_linkage(*m))), 1, ()),
+    ("dendro", "ultrametric"): (_one(_FORMIGRAM, lambda f: io_json.ultrametric_to_json(
+        formigram.ultrametric(f))), 1, ()),
+    ("dendro", "gh"): (_GH, 2, _MAX),
+    ("erosion", None): (
+        _distance(io_json.barcode_from_json, persistence.erosion_distance), 2, ()),
+    ("bottleneck", None): (
+        _distance(io_json.barcode_from_json, persistence.bottleneck_distance), 2, ()),
+    ("h0", None): (_one(io_json.r_filtration_from_json, lambda f: io_json.barcode_to_json(
+        persistence.h0_barcode(f))), 1, ()),
+    ("tripod", "r"): (_distance(
+        io_json.r_filtration_from_json, filtration.tripod_distance_r, guarded=True), 2, _MAX),
+    ("tripod", "int"): (_distance(
+        io_json.int_filtration_from_json, filtration.tripod_distance_int, guarded=True), 2, _MAX),
+    ("clustering", "di"): (
+        _distance(io_json.grid_from_json, compare.grid_interleaving_distance), 2, ()),
+    ("staircase", "hausdorff"): (
+        _distance(io_json.staircase_from_json, staircase_hausdorff), 2, ()),
+    ("staircase", "profile"): (_one(io_json.staircase_from_json, io_json.profile_to_json), 1, ()),
+}
+_OPTIONS = {"--epsilon": None, "--max-size": int}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,108 +216,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lattice", help="subpartition lattice operations")
-    p.add_argument("op", choices=("join", "meet", "refines", "parts", "min-reps"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(run=_run_lattice, two_inputs=("join", "meet", "refines"))
-
-    p = sub.add_parser("formigram", help="formigram operations and distances")
-    p.add_argument("op", choices=("validate", "smooth", "code", "df", "dgh"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.add_argument("--epsilon", default=None)
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(run=_run_formigram, two_inputs=("df", "dgh"))
-
-    p = sub.add_parser("dendro", help="dendrogram pipelines")
-    p.add_argument("op", choices=("slhc", "ultrametric", "gh"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(run=_run_dendro, two_inputs=("gh",))
-
-    p = sub.add_parser("erosion", help="erosion distance between barcodes")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(
-        run=lambda a: io_json.distance_to_json(
-            persistence.erosion_distance(
-                io_json.barcode_from_json(_load(a.a)),
-                io_json.barcode_from_json(_load(a.b)),
-            )
-        )
-    )
-
-    p = sub.add_parser("bottleneck", help="bottleneck distance between barcodes")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(
-        run=lambda a: io_json.distance_to_json(
-            persistence.bottleneck_distance(
-                io_json.barcode_from_json(_load(a.a)),
-                io_json.barcode_from_json(_load(a.b)),
-            )
-        )
-    )
-
-    p = sub.add_parser("h0", help="degree-0 barcode of a filtration")
-    p.add_argument("a")
-    p.set_defaults(
-        run=lambda a: io_json.barcode_to_json(
-            persistence.h0_barcode(io_json.r_filtration_from_json(_load(a.a)))
-        )
-    )
-
-    p = sub.add_parser("tripod", help="tripod distance between filtrations")
-    p.add_argument("--indexing", choices=("r", "int"), required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--max-size", type=int, default=None)
-    p.set_defaults(run=_run_tripod)
-
-    p = sub.add_parser("clustering", help="plane-indexed clustering distances")
-    p.add_argument("op", choices=("di",))
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(
-        run=lambda a: io_json.distance_to_json(
-            compare.grid_interleaving_distance(
-                io_json.grid_from_json(_load(a.a)), io_json.grid_from_json(_load(a.b))
-            )
-        )
-    )
-
-    p = sub.add_parser("staircase", help="staircase geometry")
-    p.add_argument("op", choices=("hausdorff", "profile"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.set_defaults(run=_run_staircase, two_inputs=("hausdorff",))
-
+    for command, text in _HELP.items():
+        entries = {op: spec for (c, op), spec in OPS.items() if c == command}
+        p = sub.add_parser(command, help=text)
+        if command == "tripod":
+            p.add_argument("--indexing", dest="op", choices=tuple(entries), required=True)
+        elif None not in entries:
+            p.add_argument("op", choices=tuple(entries))
+        p.add_argument("a")
+        files = {n for _, n, _ in entries.values()}
+        if 2 in files:
+            p.add_argument("b", nargs="?" if 1 in files else None)
+        for option, kind in _OPTIONS.items():
+            if any(option in read for _, _, read in entries.values()):
+                p.add_argument(option, type=kind, default=None)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    two = getattr(args, "two_inputs", ())
+    op = getattr(args, "op", None)
+    run, files, read = OPS[args.command, op]
     try:
-        if getattr(args, "op", None) in two and args.b is None:
-            raise ValidationError(f"{args.op} needs two input files")
-        doc = args.run(args)
-    except (ValidationError, ValueError) as e:
+        given = 1 if getattr(args, "b", None) is None else 2
+        if given != files:
+            raise ValidationError(
+                f"{op} takes {('one input file', 'two input files')[files - 1]}, got {given}"
+            )
+        for option in _OPTIONS:
+            if getattr(args, option[2:].replace("-", "_"), None) is not None and option not in read:
+                raise ValidationError(f"{op} does not take {option}")
+        doc = run(args)
+    except (StairdistError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except (GroundSetMismatch, AmbientMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except SizeGuardExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GUARD
-    except StairdistError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        if isinstance(e, (GroundSetMismatch, AmbientMismatch)):
+            return EXIT_MISMATCH
+        return EXIT_GUARD if isinstance(e, SizeGuardExceeded) else EXIT_INVALID
     _emit(doc, args.format)
     return EXIT_OK
 

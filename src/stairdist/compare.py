@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
-from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
+from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code, finite_rats
 from .lattice import GroundSet, SubPartition
 from .rat import NEG_INF, INF, RatX
 from .staircase import PLANE, Staircase, hausdorff, plane_generator
@@ -200,7 +200,9 @@ class GridClustering:
     cells: tuple[tuple[SubPartition, ...], ...]
 
     def __post_init__(self):
-        for cuts in (self.x_cuts, self.y_cuts):
+        for name in ("x_cuts", "y_cuts"):
+            cuts = finite_rats(getattr(self, name), "cuts")
+            object.__setattr__(self, name, cuts)
             if any(not a < b for a, b in zip(cuts, cuts[1:])):
                 raise ValidationError("cuts must be strictly increasing")
         nrow, ncol = len(self.y_cuts) + 1, len(self.x_cuts) + 1

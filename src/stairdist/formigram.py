@@ -34,6 +34,15 @@ from .staircase import INT, Staircase, hausdorff
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
 
 
+def finite_rats(ts, what: str) -> tuple[Fraction, ...]:
+    """ts read through `rat` into a tuple; an infinite one raises
+    ValidationError, naming `what`."""
+    ts = tuple([rat(t) for t in ts])
+    if not all(map(is_finite, ts)):
+        raise ValidationError(f"{what} must be finite")
+    return ts
+
+
 @dataclass(frozen=True)
 class Formigram:
     ground: GroundSet
@@ -41,8 +50,10 @@ class Formigram:
     values: tuple[SubPartition, ...]
 
     def __post_init__(self):
-        m = len(self.crit)
-        if any(not t1 < t2 for t1, t2 in zip(self.crit, self.crit[1:])):
+        crit = finite_rats(self.crit, "critical points")
+        object.__setattr__(self, "crit", crit)
+        m = len(crit)
+        if any(not t1 < t2 for t1, t2 in zip(crit, crit[1:])):
             raise ValidationError("critical points must be strictly increasing")
         if len(self.values) != 2 * m + 1:
             raise ValidationError(

@@ -112,7 +112,7 @@ def profile_to_json(u: Staircase):
 
 def formigram_from_json(obj) -> Formigram:
     ground = ground_from_json(_require(obj, "ground", list))
-    crit = tuple([_rat(t, allow_infinite=False) for t in _require(obj, "crit", list)])
+    crit = tuple([_rat(t) for t in _require(obj, "crit", list)])
     values = tuple([
         subpartition_from_json(v, ground) for v in _require(obj, "values", list)
     ])
@@ -143,8 +143,8 @@ def ultrametric_to_json(u: Ultrametric):
 
 def grid_from_json(obj) -> GridClustering:
     ground = ground_from_json(_require(obj, "ground", list))
-    x_cuts = tuple([_rat(c, allow_infinite=False) for c in _require(obj, "x_cuts", list)])
-    y_cuts = tuple([_rat(c, allow_infinite=False) for c in _require(obj, "y_cuts", list)])
+    x_cuts = tuple([_rat(c) for c in _require(obj, "x_cuts", list)])
+    y_cuts = tuple([_rat(c) for c in _require(obj, "y_cuts", list)])
     rows = _rows(obj, "cells")
     cells = tuple([
         tuple([subpartition_from_json(v, ground) for v in row]) for row in rows
@@ -164,13 +164,25 @@ def grid_to_json(g: GridClustering):
     }
 
 
-def r_filtration_from_json(obj) -> RFiltration:
+def _simplices(obj, key, kind, read):
+    """The vertex set and {simplex: read(entry[key])} of a filtration
+    document; a simplex naming a vertex twice, or listed twice, is refused."""
     ground = ground_from_json(_require(obj, "vertices", list))
-    births = {}
+    values = {}
     for entry in _require(obj, "simplices", list):
-        s = Simplex(_names(_require(entry, "verts"), "simplex vertices"))
-        births[s] = _rat(_require(entry, "birth"), allow_infinite=False)
-    return RFiltration(ground, births)
+        verts = _names(_require(entry, "verts"), "simplex vertices")
+        s = Simplex(verts)
+        if len(s) != len(verts):
+            raise ValidationError(f"simplex {verts} names a vertex twice")
+        if s in values:
+            raise ValidationError(f"simplex {sorted(s)} is listed twice")
+        values[s] = read(_require(entry, key, kind))
+    return ground, values
+
+
+def r_filtration_from_json(obj) -> RFiltration:
+    return RFiltration(*_simplices(
+        obj, "birth", None, lambda b: _rat(b, allow_infinite=False)))
 
 
 def r_filtration_to_json(f: RFiltration):
@@ -184,12 +196,7 @@ def r_filtration_to_json(f: RFiltration):
 
 
 def int_filtration_from_json(obj) -> IntFiltration:
-    ground = ground_from_json(_require(obj, "vertices", list))
-    supports = {}
-    for entry in _require(obj, "simplices", list):
-        s = Simplex(_names(_require(entry, "verts"), "simplex vertices"))
-        supports[s] = staircase_from_json(_require(entry, "support", dict))
-    return IntFiltration(ground, supports)
+    return IntFiltration(*_simplices(obj, "support", dict, staircase_from_json))
 
 
 def int_filtration_to_json(f: IntFiltration):

@@ -4,10 +4,10 @@ All finite coordinates, times and distances in this library are
 `fractions.Fraction` values; the only non-Fraction scalars ever produced are
 the two IEEE infinities, used as order sentinels (`INF`, `NEG_INF`).  Mixed
 comparisons Fraction-vs-infinity are exact, and arithmetic never combines two
-infinities, so no precision is ever lost.  Staircases, barcodes, metrics and
-line-indexed filtrations read their coordinates through `rat`, so an int
-becomes a Fraction and an inexact float is refused; `parse_rat` reads text
-as well.
+infinities, so no precision is ever lost.  Staircases, barcodes, metrics,
+line-indexed filtrations, critical points and grid cuts read their
+coordinates through `rat`, so an int becomes a Fraction and an inexact
+float or a bool is refused; `parse_rat` reads text as well.
 
 The exact kernels (the staircase profile walk, the bottleneck search) run
 on ints: `common_scale` gives S = 2 lcm of the finite denominators of some
@@ -34,11 +34,11 @@ def is_finite(x: RatX) -> bool:
 
 def rat(x) -> RatX:
     """A coordinate as a RatX: an int becomes a Fraction, a Fraction or an
-    infinity passes through, anything else (an inexact float included)
-    raises ValueError."""
+    infinity passes through, anything else (an inexact float or a bool
+    included) raises ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, float) and (x == INF or x == NEG_INF):
         return x

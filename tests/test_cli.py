@@ -2,8 +2,13 @@
 
 import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
 
 from stairdist import cli, io_json
+from stairdist.errors import ValidationError
 from stairdist.formigram import Formigram
 
 F = Fraction
@@ -241,15 +246,70 @@ def test_exit_codes(tmp_path, capsys):
     huge.write_text('{"bars": [["0", 1e309]]}')
     essential = write(tmp_path, "essential.json", {"bars": [["0", "inf"]]})
     unborn = write(tmp_path, "unborn.json", {"bars": [["-inf", "1"]]})
+    flags = write(tmp_path, "flags.json", {"bars": [[False, True]]})  # not 0 and 1
+    unit = write(tmp_path, "unit.json", {"bars": [["0", "1"]]})
+    flag_crit = write(tmp_path, "flag_crit.json", dict(LOOP_THETA_PRIME, crit=[True, "3/2"]))
+    stair = write(tmp_path, "stair.json", {"ambient": "int", "generators": [["0", "0"]]})
+    point = write(tmp_path, "point.json", {"points": ["a"], "d": [["0"]]})
     for argv in [
         ("formigram", "smooth", loop, "--epsilon", "1/0"),
         ("bottleneck", str(huge), essential),
         ("bottleneck", unborn, essential),
+        ("bottleneck", flags, unit),
+        ("formigram", "validate", flag_crit),
         ("formigram", "validate", str(tmp_path)),  # a directory
         ("formigram", "validate", str(deep)),
+        # an option or a second file the op would not read
+        ("formigram", "validate", loop, "--epsilon", "zz"),
+        ("formigram", "df", loop, loop, "--max-size", "3"),
+        ("formigram", "smooth", loop, loop, "--epsilon", "1/2"),
+        ("lattice", "parts", good, "--max-size", "3"),
+        ("lattice", "parts", good, good),
+        ("staircase", "profile", stair, stair),
+        ("dendro", "slhc", point, point),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("simplices", [
+    [{"verts": ["a"], "birth": "0"}, {"verts": ["a", "a"], "birth": "7"}],
+    [{"verts": ["a"], "birth": "0"}, {"verts": ["a"], "birth": "7"}],
+])
+def test_filtration_simplices_are_read_once(tmp_path, capsys, simplices):
+    """A simplex naming a vertex twice would collapse onto a smaller one,
+    and a simplex listed twice would keep its last birth; both are refused
+    by both filtration readers."""
+    doc = {"vertices": ["a"], "simplices": simplices}
+    with pytest.raises(ValidationError, match="twice"):
+        io_json.r_filtration_from_json(doc)
+    point = {"ambient": "int", "generators": [["inf", "0"]]}
+    supports = [{"verts": e["verts"], "support": point} for e in simplices]
+    with pytest.raises(ValidationError, match="twice"):
+        io_json.int_filtration_from_json({"vertices": ["a"], "simplices": supports})
+    code, out, err = run(capsys, "h0", write(tmp_path, "f.json", doc))
+    assert code == 2 and out == "" and err.startswith("error:") and "twice" in err
+
+
+def test_readme_usage_matches_the_parser():
+    """Every `stairdist ...` line of README's CLI block parses, with the
+    number of files and the options its op reads, and the lines together
+    name every (command, op) of the table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    seen = set()
+    for line in block.splitlines():
+        words = line.replace("[--max-size N]", "--max-size 8").split()
+        assert words[0] == "stairdist", line
+        for argv in product(*(w.split("|") for w in words[1:])):
+            args = cli.build_parser().parse_args(argv)
+            op = getattr(args, "op", None)
+            _, files, reads = cli.OPS[args.command, op]
+            assert 1 + (getattr(args, "b", None) is not None) == files, line
+            options = {w for w in argv if w.startswith("--")} - {"--indexing"}
+            assert options <= set(reads), line
+            seen.add((args.command, op))
+    assert seen == set(cli.OPS)
 
 
 def test_guard_override_warns(tmp_path, capsys):

@@ -12,10 +12,14 @@ import pytest
 from stairdist import (
     INF,
     NEG_INF,
+    Formigram,
+    GridClustering,
     GroundSet,
     IntFiltration,
     InvalidMetric,
     RFiltration,
+    SubPartition,
+    ValidationError,
     barcode,
     bottleneck_distance,
     empty,
@@ -27,8 +31,10 @@ from stairdist import (
     hausdorff,
     interleaving_distance,
     one_point_tripod,
+    pointwise_refines,
     profile,
     single_linkage,
+    smooth,
     staircase,
     sublevel_staircase,
     subset,
@@ -36,7 +42,7 @@ from stairdist import (
     tripod_distance_r,
     ultrametric,
 )
-from stairdist.oracle import oracle_hausdorff
+from stairdist.oracle import oracle_formigram_distance, oracle_grid_distance, oracle_hausdorff
 from stairdist.rat import rat
 from stairdist.staircase import Staircase, _common_scale, _g, _merged_breaks
 from conftest import (
@@ -115,7 +121,41 @@ def test_distances_read_raw_int_bars():
         bottleneck_distance(((0, 0.5),), ())
 
 
+def test_wide_int_crits_and_cuts_are_read_exactly():
+    """Int critical points and grid cuts are read as Fractions, so the
+    midpoint of two ints above 2**53 is exact rather than a float that
+    rounds onto one of them; an infinite one is refused."""
+    t = 2**60
+    xy = GroundSet(("x", "y"))
+    S, M = SubPartition(xy, (("x",), ("y",))), SubPartition(xy, (("x", "y"),))
+    answers = []
+    for lo, hi in ((t, t + 1), (F(t), F(t + 1))):
+        f, g = Formigram(xy, (lo, hi), (S, M, S, M, S)), Formigram(xy, (lo, hi), (S, M, M, M, S))
+        assert all(type(c) is Fraction for c in f.crit)
+        a = GridClustering(xy, (lo, hi), (), ((S, M, M),))
+        b = GridClustering(xy, (lo, hi), (), ((S, S, M),))
+        assert all(type(c) is Fraction for c in a.x_cuts)
+        answers.append((
+            pointwise_refines(g, f), pointwise_refines(f, g),
+            oracle_formigram_distance(f, g), interleaving_distance(f, g), smooth(f, 1),
+            oracle_grid_distance(a, b), grid_interleaving_distance(a, b),
+        ))
+    assert same(answers[0], answers[1])
+    assert answers[0][:4] == (False, True, F(1, 2), F(1, 2))
+    assert answers[0][5:] == (F(1), F(1))
+    for crit in ((INF,), (0, NEG_INF)):
+        with pytest.raises(ValidationError, match="finite"):
+            Formigram(xy, crit, (S,) * (2 * len(crit) + 1))
+    with pytest.raises(ValidationError, match="finite"):
+        GridClustering(xy, (), (INF,), ((S,), (S,)))
+    with pytest.raises(ValueError):
+        Formigram(xy, (0.5,), (S, S, S))
+
+
 def test_inexact_floats_are_refused():
+    for flag in (True, False):
+        with pytest.raises(ValueError):
+            rat(flag)
     with pytest.raises(ValueError):
         staircase([(0.5, F(1))])
     with pytest.raises(ValueError):
