@@ -6,9 +6,8 @@ Diagnostics go to stderr.  Exit codes: 0 success, 2 parse/validation
 failure, 3 ground-set/ambient mismatch, 4 size guard exceeded.
 
 One table, ``OPS``, maps each (command, op) to its runner, the number of
-input files it reads and the options it reads; the parser is built from
-it, and an op given another number of files or an option it does not
-read is refused.
+input files it reads and the options it reads; the parser is built from it,
+and any other number of files or an option the op does not read is refused.
 """
 
 from __future__ import annotations
@@ -17,17 +16,11 @@ import argparse
 import json
 import sys
 
-from . import compare, filtration, formigram, lattice, persistence
-from .staircase import hausdorff as staircase_hausdorff
-from .errors import (
-    AmbientMismatch,
-    GroundSetMismatch,
-    SizeGuardExceeded,
-    StairdistError,
-    ValidationError,
-)
-from . import io_json
+from . import compare, filtration, formigram, io_json, lattice, persistence
+from .errors import AmbientMismatch, GroundSetMismatch, SizeGuardExceeded
+from .errors import StairdistError, ValidationError
 from .rat import parse_rat
+from .staircase import hausdorff as staircase_hausdorff
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -40,8 +33,7 @@ def _refuse_float(text: str):
 
 
 def _load(path: str):
-    """The JSON document at path; a float literal (1e309 would read as inf)
-    is refused."""
+    """The JSON document at path, refusing float literals (1e309 would read as inf)."""
     try:
         if path == "-":
             return json.load(sys.stdin, parse_float=_refuse_float)
@@ -88,24 +80,36 @@ def _guard(args, default=compare.CORRESPONDENCE_GUARD):
 # --- runners: each takes the parsed arguments and returns the JSON document ---
 
 
-def _one(read, fn):
-    """The op fn on the one input, as read by `read`."""
-    return lambda args: fn(read(_load(args.a)))
+def _read(kind: str, path: str):
+    """The input at path, read by io_json's `<kind>_from_json`."""
+    return getattr(io_json, f"{kind}_from_json")(_load(path))
 
 
-def _two(read, fn, guarded=False):
-    """The op fn on the two inputs, with the size guard as a third argument
-    if the op runs a guarded search."""
+def _lookup(name: str):
+    """The function `module.attr` (or `attr` of this module), looked up when a
+    runner runs rather than at import, so that a name rebound later is followed."""
+    owner, _, attr = name.rpartition(".")
+    return getattr(globals()[owner], attr) if owner else globals()[attr]
+
+
+def _one(kind, fn):
+    """The op fn on the one input, read as `kind`."""
+    return lambda args: fn(_read(kind, args.a))
+
+
+def _two(kind, fn, guarded=False):
+    """The op fn on the two inputs, read as `kind`, the size guard third if guarded."""
 
     def run(args):
-        a, b = read(_load(args.a)), read(_load(args.b))
+        a, b = _read(kind, args.a), _read(kind, args.b)
         return fn(a, b, _guard(args)) if guarded else fn(a, b)
 
     return run
 
 
-def _distance(read, dist, guarded=False):
-    return _two(read, lambda *ab: io_json.distance_to_json(dist(*ab)), guarded)
+def _distance(kind, dist, guarded=False):
+    """The distance named `dist` between the two inputs, read as `kind`."""
+    return _two(kind, lambda *ab: io_json.distance_to_json(_lookup(dist)(*ab)), guarded)
 
 
 def _parts(a):
@@ -119,7 +123,7 @@ def _parts(a):
 
 
 def _min_reps(args):
-    a = io_json.subpartition_from_json(_load(args.a))
+    a = _read("subpartition", args.a)
     reps = lattice.minimal_join_representations(a, guard=_guard(args, lattice.MIN_REPS_GUARD))
     canon = sorted(
         sorted(io_json.subpartition_to_json(p, with_ground=False) for p in rep)
@@ -136,7 +140,7 @@ def _validate(f):
 
 
 def _smooth(args):
-    a = io_json.formigram_from_json(_load(args.a))
+    a = _read("formigram", args.a)
     if args.epsilon is None:
         raise ValidationError("smooth requires --epsilon")
     eps = parse_rat(args.epsilon, allow_infinite=False)
@@ -154,9 +158,8 @@ def _code(f):
     }
 
 
-_SUB = io_json.subpartition_from_json
-_FORMIGRAM = io_json.formigram_from_json
-_GH = _distance(_FORMIGRAM, compare.gromov_hausdorff_formigrams, guarded=True)
+_SUB = "subpartition"
+_GH = _distance("formigram", "compare.gromov_hausdorff_formigrams", guarded=True)
 _MAX = ("--max-size",)
 
 _HELP = {
@@ -179,31 +182,26 @@ OPS = {
     ("lattice", "refines"): (_two(_SUB, lambda a, b: {"refines": a.refines(b)}), 2, ()),
     ("lattice", "parts"): (_one(_SUB, _parts), 1, ()),
     ("lattice", "min-reps"): (_min_reps, 1, _MAX),
-    ("formigram", "validate"): (_one(_FORMIGRAM, _validate), 1, ()),
+    ("formigram", "validate"): (_one("formigram", _validate), 1, ()),
     ("formigram", "smooth"): (_smooth, 1, ("--epsilon",)),
-    ("formigram", "code"): (_one(_FORMIGRAM, _code), 1, ()),
-    ("formigram", "df"): (_distance(_FORMIGRAM, formigram.interleaving_distance), 2, ()),
+    ("formigram", "code"): (_one("formigram", _code), 1, ()),
+    ("formigram", "df"): (_distance("formigram", "formigram.interleaving_distance"), 2, ()),
     ("formigram", "dgh"): (_GH, 2, _MAX),
-    ("dendro", "slhc"): (_one(io_json.metric_from_json, lambda m: io_json.formigram_to_json(
+    ("dendro", "slhc"): (_one("metric", lambda m: io_json.formigram_to_json(
         formigram.single_linkage(*m))), 1, ()),
-    ("dendro", "ultrametric"): (_one(_FORMIGRAM, lambda f: io_json.ultrametric_to_json(
+    ("dendro", "ultrametric"): (_one("formigram", lambda f: io_json.ultrametric_to_json(
         formigram.ultrametric(f))), 1, ()),
     ("dendro", "gh"): (_GH, 2, _MAX),
-    ("erosion", None): (
-        _distance(io_json.barcode_from_json, persistence.erosion_distance), 2, ()),
-    ("bottleneck", None): (
-        _distance(io_json.barcode_from_json, persistence.bottleneck_distance), 2, ()),
-    ("h0", None): (_one(io_json.r_filtration_from_json, lambda f: io_json.barcode_to_json(
+    ("erosion", None): (_distance("barcode", "persistence.erosion_distance"), 2, ()),
+    ("bottleneck", None): (_distance("barcode", "persistence.bottleneck_distance"), 2, ()),
+    ("h0", None): (_one("r_filtration", lambda f: io_json.barcode_to_json(
         persistence.h0_barcode(f))), 1, ()),
-    ("tripod", "r"): (_distance(
-        io_json.r_filtration_from_json, filtration.tripod_distance_r, guarded=True), 2, _MAX),
-    ("tripod", "int"): (_distance(
-        io_json.int_filtration_from_json, filtration.tripod_distance_int, guarded=True), 2, _MAX),
-    ("clustering", "di"): (
-        _distance(io_json.grid_from_json, compare.grid_interleaving_distance), 2, ()),
-    ("staircase", "hausdorff"): (
-        _distance(io_json.staircase_from_json, staircase_hausdorff), 2, ()),
-    ("staircase", "profile"): (_one(io_json.staircase_from_json, io_json.profile_to_json), 1, ()),
+    ("tripod", "r"): (_distance("r_filtration", "filtration.tripod_distance_r", True), 2, _MAX),
+    ("tripod", "int"): (
+        _distance("int_filtration", "filtration.tripod_distance_int", True), 2, _MAX),
+    ("clustering", "di"): (_distance("grid", "compare.grid_interleaving_distance"), 2, ()),
+    ("staircase", "hausdorff"): (_distance("staircase", "staircase_hausdorff"), 2, ()),
+    ("staircase", "profile"): (_one("staircase", lambda s: io_json.profile_to_json(s)), 1, ()),
 }
 _OPTIONS = {"--epsilon": None, "--max-size": int}
 

@@ -23,9 +23,9 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
-from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code, finite_rats
+from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
 from .lattice import GroundSet, SubPartition
-from .rat import NEG_INF, INF, RatX
+from .rat import NEG_INF, INF, RatX, increasing_rats
 from .staircase import PLANE, Staircase, hausdorff, plane_generator
 
 CORRESPONDENCE_GUARD = 12
@@ -201,10 +201,7 @@ class GridClustering:
 
     def __post_init__(self):
         for name in ("x_cuts", "y_cuts"):
-            cuts = finite_rats(getattr(self, name), "cuts")
-            object.__setattr__(self, name, cuts)
-            if any(not a < b for a, b in zip(cuts, cuts[1:])):
-                raise ValidationError("cuts must be strictly increasing")
+            object.__setattr__(self, name, increasing_rats(getattr(self, name), "cuts"))
         nrow, ncol = len(self.y_cuts) + 1, len(self.x_cuts) + 1
         if len(self.cells) != nrow or any(len(r) != ncol for r in self.cells):
             raise ValidationError(f"need {nrow} rows x {ncol} cols of cells")

@@ -28,19 +28,10 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
-from .rat import INF, NEG_INF, RatX, is_finite, rat
+from .rat import INF, NEG_INF, RatX, increasing_rats, is_finite, rat
 from .staircase import INT, Staircase, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
-
-
-def finite_rats(ts, what: str) -> tuple[Fraction, ...]:
-    """ts read through `rat` into a tuple; an infinite one raises
-    ValidationError, naming `what`."""
-    ts = tuple([rat(t) for t in ts])
-    if not all(map(is_finite, ts)):
-        raise ValidationError(f"{what} must be finite")
-    return ts
 
 
 @dataclass(frozen=True)
@@ -50,11 +41,8 @@ class Formigram:
     values: tuple[SubPartition, ...]
 
     def __post_init__(self):
-        crit = finite_rats(self.crit, "critical points")
-        object.__setattr__(self, "crit", crit)
-        m = len(crit)
-        if any(not t1 < t2 for t1, t2 in zip(crit, crit[1:])):
-            raise ValidationError("critical points must be strictly increasing")
+        object.__setattr__(self, "crit", increasing_rats(self.crit, "critical points"))
+        m = len(self.crit)
         if len(self.values) != 2 * m + 1:
             raise ValidationError(
                 f"need {2 * m + 1} values for {m} critical points, got {len(self.values)}"

@@ -7,7 +7,8 @@ comparisons Fraction-vs-infinity are exact, and arithmetic never combines two
 infinities, so no precision is ever lost.  Staircases, barcodes, metrics,
 line-indexed filtrations, critical points and grid cuts read their
 coordinates through `rat`, so an int becomes a Fraction and an inexact
-float or a bool is refused; `parse_rat` reads text as well.
+float or a bool is refused; `parse_rat` reads text as well, and
+`increasing_rats` reads the finite increasing times of critical points and cuts.
 
 The exact kernels (the staircase profile walk, the bottleneck search) run
 on ints: `common_scale` gives S = 2 lcm of the finite denominators of some
@@ -17,6 +18,8 @@ coordinate is an even int.
 
 from fractions import Fraction
 import math
+
+from .errors import ValidationError
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -43,6 +46,17 @@ def rat(x) -> RatX:
     if isinstance(x, float) and (x == INF or x == NEG_INF):
         return x
     raise ValueError(f"not an exact coordinate: {x!r}; pass an int, a Fraction or +-inf")
+
+
+def increasing_rats(ts, what: str) -> tuple[Fraction, ...]:
+    """ts read through `rat` into a tuple, each finite and less than the next;
+    otherwise ValidationError, naming `what`."""
+    ts = tuple([rat(t) for t in ts])
+    if not all(map(is_finite, ts)):
+        raise ValidationError(f"{what} must be finite")
+    if any(not a < b for a, b in zip(ts, ts[1:])):
+        raise ValidationError(f"{what} must be strictly increasing")
+    return ts
 
 
 def parse_rat(text, allow_infinite: bool = True) -> RatX:

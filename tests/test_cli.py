@@ -312,6 +312,44 @@ def test_readme_usage_matches_the_parser():
     assert seen == set(cli.OPS)
 
 
+def test_traced_cli_records_readers_and_engines(tmp_path, capsys):
+    """The CLI looks its readers and engines up when it runs, so the span
+    tracer, which rebinds module-level names after import, sees every call."""
+    from perfbench.tracing import Tracer
+
+    bars = write(tmp_path, "bars.json", {"bars": [["0", "2"]]})
+    stair = write(tmp_path, "s.json", {"ambient": "int", "generators": [["inf", "-inf"]]})
+    loop = write(tmp_path, "loop.json", LOOP_THETA)
+    argvs = [
+        ("bottleneck", bars, bars),
+        ("erosion", bars, bars),
+        ("staircase", "hausdorff", stair, stair),
+        ("staircase", "profile", stair),
+        ("formigram", "dgh", loop, loop),
+        ("dendro", "gh", loop, loop),
+    ]
+    tracer = Tracer()
+    tracer.install()
+    seen = []  # the counts each argv adds
+    try:
+        for argv in argvs:
+            before = dict(tracer.counts)
+            assert tracer.call("call.cli", cli.main, list(argv)) == 0
+            seen.append({k: v - before.get(k, 0) for k, v in tracer.counts.items()})
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for argv, counts in zip(argvs, seen):
+        assert counts["cli.main.calls"] == 1, argv
+        assert counts["io_json.emit.calls"] == 1, argv
+    # barcodes and staircases are read by one reader call per file
+    assert [c["io_json.parse.calls"] for c in seen[:4]] == [2, 2, 2, 1]
+    assert seen[0]["persistence.bottleneck.calls"] == 1
+    assert seen[1]["persistence.erosion.calls"] == 1
+    assert seen[2]["staircase.hausdorff.calls"] == 1
+    assert [c["compare.gromov_hausdorff.calls"] for c in seen[4:]] == [1, 1]
+
+
 def test_guard_override_warns(tmp_path, capsys):
     big = {"ground": list("abcdefg"), "blocks": [list("abcdefg")]}
     f = write(tmp_path, "big.json", big)
