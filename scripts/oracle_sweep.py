@@ -3,12 +3,14 @@
 
 Covers staircase Hausdorff, formigram interleaving, grid-clustering
 interleaving, erosion and bottleneck distances, single-linkage merge
-times, and the correspondence searches
-(Gromov-Hausdorff between formigrams, line- and interval-indexed tripod
-distances at |X|*|Y| <= 8), on freshly sampled instances, and reports
-per-family counts (including how many infinite values were hit).
-Disagreements abort with the offending instance printed for replay, and so
-does a fast answer that is not a Fraction or +-inf.
+times, the correspondence searches (Gromov-Hausdorff between formigrams,
+line- and interval-indexed tripod distances at |X|*|Y| <= 8) and the
+cosheaf code (the join over a random open interval rebuilt from the merge
+staircases, against the join of the pieces), on freshly sampled
+instances, and reports per-family counts (including how many infinite
+values were hit).  Disagreements abort with the offending instance printed
+for replay, and so does a fast answer that is not a Fraction or +-inf (or,
+for the cosheaf code, a SubPartition).
 """
 
 import argparse
@@ -24,9 +26,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from stairdist import (
     INF,
+    GroundSet,
     RFiltration,
+    SubPartition,
     bottleneck_distance,
+    cosheaf_code,
     erosion_distance,
+    evaluate_cosheaf,
     grid_interleaving_distance,
     gromov_hausdorff_formigrams,
     hausdorff,
@@ -41,6 +47,7 @@ from stairdist.oracle import (
     oracle_formigram_distance,
     oracle_grid_distance,
     oracle_hausdorff,
+    reconstruct,
 )
 from conftest import (
     ground,
@@ -109,15 +116,31 @@ def brute_merge_times(g, d):
     return tuple(tuple(brute_merge_time(d, i, j) for j in range(n)) for i in range(n))
 
 
+def code_instance(r):
+    """A formigram over 1 to 8 elements and an open interval whose ends
+    avoid its critical points (the staircases are closed, the interval
+    open)."""
+    f = rand_formigram(r, GroundSet(tuple("abcdefgh"[: r.randint(1, 8)])), 5)
+    ends = [t for t in (Fraction(k, 7) for k in range(-49, 50)) if t not in f.crit]
+    return f, tuple(sorted(r.sample(ends, 2)))
+
+
+def code_join(f, interval):
+    return reconstruct(cosheaf_code(f), f.ground, interval)
+
+
 def metric_instance(r):
     g = ground(r.randint(1, 6))
     return g, rand_metric(r, g)
 
 
 def is_exact(x) -> bool:
-    """A Fraction or +-inf, or a tuple of them (the merge-time matrices)."""
+    """A Fraction or +-inf, a tuple of them (the merge-time matrices), or
+    a SubPartition (the cosheaf code's joins, which hold no numbers)."""
     if isinstance(x, tuple):
         return all(map(is_exact, x))
+    if isinstance(x, SubPartition):
+        return True
     return type(x) is Fraction or (type(x) is float and math.isinf(x))
 
 
@@ -219,6 +242,14 @@ def main():
         metric_instance,
         slhc_merge_times,
         brute_merge_times,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "code",
+        code_instance,
+        code_join,
+        evaluate_cosheaf,
         rng,
         args.iterations,
     )

@@ -225,20 +225,29 @@ class GridClustering:
 
 def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
     """Plane staircase of cells whose value merges the pair (or contains
-    the element, for singleton keys)."""
+    the element, for singleton keys).
+
+    Cells are order-preserving, so the merging cells of row r are the
+    suffix of the row from some column c_r, and c_r does not increase with
+    r.  One walk moves c leftward row by row and offers the corner of
+    cell (r, c_r) only where c_r drops: exactly the minimal corners.
+    O(rows + cols) `same_block` calls."""
     for v in key:
         if v not in f.ground:
             raise GroundSetMismatch(f"{v!r} not in the clustering ground set")
     x, y = (min(key), max(key))
     gens = []
+    c = len(f.x_cuts) + 1
     for r, row in enumerate(f.cells):
-        for c, val in enumerate(row):
-            if val.same_block(x, y):
-                corner = (
-                    f.x_cuts[c - 1] if c >= 1 else NEG_INF,
-                    f.y_cuts[r - 1] if r >= 1 else NEG_INF,
-                )
-                gens.append(plane_generator(corner))
+        start = c
+        while c > 0 and row[c - 1].same_block(x, y):
+            c -= 1
+        if c < start:
+            corner = (
+                f.x_cuts[c - 1] if c >= 1 else NEG_INF,
+                f.y_cuts[r - 1] if r >= 1 else NEG_INF,
+            )
+            gens.append(plane_generator(corner))
     return Staircase(PLANE, tuple(gens))
 
 

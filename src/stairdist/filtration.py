@@ -51,9 +51,11 @@ class RFiltration:
 
     def __post_init__(self):
         _check_simplices(self.ground, self.births)
-        object.__setattr__(
-            self, "births", {Simplex(s): rat(b) for s, b in self.births.items()}
-        )
+        births = {Simplex(s): rat(b) for s, b in self.births.items()}
+        for s, b in births.items():
+            if not is_finite(b):
+                raise ValidationError(f"simplex {sorted(s)} has an infinite birth {b}")
+        object.__setattr__(self, "births", births)
 
     def simplices(self) -> list[Simplex]:
         return sorted(self.births, key=lambda s: (len(s), sorted(s)))

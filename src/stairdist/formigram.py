@@ -8,7 +8,13 @@ structure only, `validate` reports maximality violations.
 
 The interleaving distance is computed by decomposing a formigram into its
 pair/singleton merge staircases (the cosheaf code) and taking the largest
-staircase Hausdorff distance.
+staircase Hausdorff distance.  The code is built in one pass: from each
+start piece one union-find grows to the right and records the first piece
+that merges each pair (or shows each element), which gives every
+staircase's generators already sorted; for n elements and m critical
+points that is O(m n (m + n)).  `CosheafTable`, the O(m^2) table of joins
+of consecutive runs of pieces, stays as a public reference object and is
+not used by the code.
 """
 
 from __future__ import annotations
@@ -187,22 +193,6 @@ def evaluate_cosheaf(f: Formigram, interval: tuple[Fraction, Fraction]) -> SubPa
     return join_all(f.ground, f.values[i + i % 2:j - j % 2 + 1])
 
 
-def _reach_left(f: Formigram, i: int) -> RatX:
-    """Largest a-coordinate (closed) of intervals whose first piece is <= i."""
-    if i % 2 == 1:
-        return f.crit[(i - 1) // 2]
-    k = i // 2
-    return f.crit[k] if k < len(f.crit) else INF
-
-
-def _reach_right(f: Formigram, j: int) -> RatX:
-    """Smallest b-coordinate (closed) of intervals whose last piece is >= j."""
-    if j % 2 == 1:
-        return f.crit[(j - 1) // 2]
-    k = j // 2
-    return f.crit[k - 1] if k >= 1 else NEG_INF
-
-
 def all_pair_keys(ground: GroundSet) -> list[PairKey]:
     return [frozenset(p) for p in combinations_with_replacement(ground.elements, 2)]
 
@@ -211,26 +201,80 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     """Merge staircase per unordered pair (singletons included).
 
     The staircase of {x, x'} is the closed set of intervals I on which x and
-    x' share a block of the induced join; its generators come from the
-    minimal runs of pieces that merge the pair, found with a monotone
-    two-pointer sweep over the run-join table.
+    x' share a block of the induced join (on which x is present, for a
+    singleton key).  A run of pieces i..j that first merges the pair gives
+    the generator (t_{i // 2}, t_{(j - 1) // 2}), where index m reads INF
+    and index -1 reads NEG_INF.
+
+    For each start piece i one union-find over the ground indices grows
+    across pieces i, i + 1, ...: when two components merge at piece j,
+    every pair across them is noted with (i // 2, (j - 1) // 2), and an
+    element's singleton key is noted where the element first appears.  A
+    pair's first merging piece does not decrease with i, so each key's
+    index pairs arrive sorted in both coordinates, and dropping an entry
+    whose left or right index equals its neighbour's leaves the antichain.
+    Keys with equal index lists share one (frozen) Staircase.  For n
+    elements and m critical points this is O(m n (m + n)): O(m) starts,
+    each reading O(m n) block members and noting O(n^2) pairs.
     """
-    table = CosheafTable(f)
-    p = f.num_pieces
+    elements = f.ground.elements
+    index = f.ground.index
+    n = len(elements)
+    pieces = [[[index[x] for x in blk] for blk in v.blocks] for v in f.values]
+    # runs[a][b] and runs[b][a] are one list: the pair's (left, right) indices
+    runs: list[list[list]] = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            runs[a][b] = runs[b][a] = []
+
+    def note(run, left, right):
+        if run and run[-1][1] == right:
+            run[-1] = (left, right)
+        elif not run or run[-1][0] != left:
+            run.append((left, right))
+
+    for i in range(len(pieces)):
+        left = i // 2
+        parent = list(range(n))
+        members = [[a] for a in range(n)]
+        present: set[int] = set()
+        unions = 0
+        for j in range(i, len(pieces)):
+            right = (j - 1) // 2
+            for blk in pieces[j]:
+                for a in blk:
+                    if a not in present:
+                        present.add(a)
+                        note(runs[a][a], left, right)
+                r0 = find(parent, blk[0])
+                for a in blk[1:]:
+                    ra = find(parent, a)
+                    if ra == r0:
+                        continue
+                    for x in members[ra]:
+                        row = runs[x]
+                        for y in members[r0]:
+                            note(row[y], left, right)
+                    if len(members[ra]) > len(members[r0]):
+                        ra, r0 = r0, ra
+                    parent[ra] = r0
+                    members[r0] += members[ra]
+                    unions += 1
+            if unions == n - 1 and len(present) == n:
+                break  # one block of everything: no later piece adds a run
+    lefts = (*f.crit, INF)
+    rights = (*f.crit, NEG_INF)  # rights[-1] is NEG_INF
+    shared: dict[tuple, Staircase] = {}
     out: dict[PairKey, Staircase] = {}
-    for key in all_pair_keys(f.ground):
-        x, y = (min(key), max(key))  # a singleton key: same_block(x, x) is x in cell
-        gens = []
-        j = 0
-        for i in range(p):
-            if j < i:
-                j = i
-            while j < p and not table.cell(i, j).same_block(x, y):
-                j += 1
-            if j == p:
-                break
-            gens.append((_reach_left(f, i), _reach_right(f, j)))
-        out[key] = Staircase(INT, tuple(gens))
+    for a in range(n):  # the order of all_pair_keys
+        for b in range(a, n):
+            run = tuple(runs[a][b])
+            u = shared.get(run)
+            if u is None:
+                u = shared[run] = Staircase(
+                    INT, tuple([(lefts[l], rights[r]) for l, r in run])
+                )
+            out[frozenset((elements[a], elements[b]))] = u
     return out
 
 

@@ -27,10 +27,19 @@ from stairdist import (
     ultrametric,
 )
 from stairdist.compare import _minimal_covers
+from stairdist.rat import NEG_INF
+from stairdist.staircase import PLANE, plane_generator, staircase
 from stairdist.filtration import RFiltration, to_int_indexed, tripod_distance_int, tripod_distance_r
-from stairdist.formigram import Ultrametric
+from stairdist.formigram import Ultrametric, all_pair_keys
 from stairdist.oracle import grid_interleaved, oracle_grid_distance
-from conftest import ground, rand_formigram, rand_grid_pair, rand_merged_tail_formigram, rand_metric
+from conftest import (
+    ground,
+    rand_formigram,
+    rand_grid,
+    rand_grid_pair,
+    rand_merged_tail_formigram,
+    rand_metric,
+)
 
 F = Fraction
 
@@ -230,6 +239,49 @@ def test_grid_upper_set_examples():
     assert grid_upper_set(never, fs("x", "y")).is_empty()
     with pytest.raises(GroundSetMismatch):
         grid_upper_set(f, fs("zz"))
+
+
+def referee_grid_upper_set(f, key):
+    """The all-cells scan: every merging cell offers its corner, and
+    normalization keeps the minimal ones."""
+    x, y = (min(key), max(key))
+    gens = []
+    for r, row in enumerate(f.cells):
+        for c, val in enumerate(row):
+            if val.same_block(x, y):
+                corner = (
+                    f.x_cuts[c - 1] if c >= 1 else NEG_INF,
+                    f.y_cuts[r - 1] if r >= 1 else NEG_INF,
+                )
+                gens.append(plane_generator(corner))
+    return staircase(gens, PLANE)
+
+
+def rand_edged_grid(rng, g):
+    """A random order-preserving grid whose lowest rows and leftmost
+    columns may be empty and whose highest rows and rightmost columns may
+    be one block (each edge band 0 to 2 wide)."""
+    f = rand_grid(rng, g)
+    cells = [list(row) for row in f.cells]
+    nrow, ncol = len(cells), len(cells[0])
+    nothing, one = SubPartition.empty(g), SubPartition.one_block(g)
+    low, left, high, right = (rng.randint(0, 2) for _ in range(4))
+    for r in range(nrow):
+        for c in range(ncol):
+            if r < low or c < left:
+                cells[r][c] = nothing
+            if r >= nrow - high or c >= ncol - right:
+                cells[r][c] = one
+    return GridClustering(g, f.x_cuts, f.y_cuts, tuple(tuple(row) for row in cells))
+
+
+def test_grid_upper_set_matches_all_cells_scan():
+    rng = random.Random(163)
+    for _ in range(200):
+        g = ground(rng.randint(1, 4))
+        f = rand_edged_grid(rng, g)
+        for key in all_pair_keys(g):
+            assert grid_upper_set(f, key).gens == referee_grid_upper_set(f, key).gens, (f, key)
 
 
 def test_grid_distance_examples():

@@ -16,6 +16,7 @@ from stairdist import (
     NotOnePoint,
     RFiltration,
     Surjection,
+    ValidationError,
     birth,
     bottleneck_distance,
     full,
@@ -92,6 +93,13 @@ def test_validate_examples():
 
     missing_face = RFiltration(g2, {fs("a"): F(0), fs("a", "b"): F(1)})
     assert "absent" in validate_filtration(missing_face)
+
+
+def test_r_filtration_refuses_infinite_births():
+    g = GroundSet(("a", "b"))
+    for b in (INF, NEG_INF):
+        with pytest.raises(ValidationError, match=r"\['a'\]"):
+            RFiltration(g, {fs("a"): b, fs("b"): F(0)})
 
 
 def test_vietoris_rips_is_valid():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,10 +33,10 @@ from stairdist import (
     ultrametric,
     validate,
 )
-from stairdist.formigram import CosheafTable
+from stairdist.formigram import CosheafTable, all_pair_keys
 from stairdist.lattice import find
 from stairdist.oracle import reconstruct
-from conftest import ground, rand_formigram, rand_formigram_pair, rand_metric
+from conftest import ground, rand_formigram, rand_formigram_pair, rand_metric, rand_subpartition
 
 F = Fraction
 DELTA = F(3, 2)
@@ -199,6 +200,100 @@ def test_evaluate_cosheaf_with_precomputed_table():
             i, j = f._piece_of(a), f._piece_of(b)
             i, j = i + i % 2, j - j % 2
             assert table.cell(i, j) == evaluate_cosheaf(f, (a, b))
+
+
+def _reach_left(f, i):
+    """Largest a-coordinate (closed) of intervals whose first piece is <= i."""
+    if i % 2 == 1:
+        return f.crit[(i - 1) // 2]
+    k = i // 2
+    return f.crit[k] if k < len(f.crit) else INF
+
+
+def _reach_right(f, j):
+    """Smallest b-coordinate (closed) of intervals whose last piece is >= j."""
+    if j % 2 == 1:
+        return f.crit[(j - 1) // 2]
+    k = j // 2
+    return f.crit[k - 1] if k >= 1 else NEG_INF
+
+
+def referee_cosheaf_code(f):
+    """The run-join-table sweep: for each key, a monotone two-pointer walk
+    over the table cells finds the first run i..j from each start piece i
+    that merges the pair."""
+    table = CosheafTable(f)
+    p = f.num_pieces
+    out = {}
+    for key in all_pair_keys(f.ground):
+        x, y = (min(key), max(key))  # a singleton key: same_block(x, x) is x in cell
+        gens = []
+        j = 0
+        for i in range(p):
+            if j < i:
+                j = i
+            while j < p and not table.cell(i, j).same_block(x, y):
+                j += 1
+            if j == p:
+                break
+            gens.append((_reach_left(f, i), _reach_right(f, j)))
+        out[key] = staircase(gens)
+    return out
+
+
+def test_cosheaf_code_matches_table_sweep():
+    rng = random.Random(229)
+    seen = {"constant": 0, "empty outer": 0, "absent element": 0}
+    for _ in range(150):
+        g = ground(rng.randint(1, 5))
+        f = rand_formigram(rng, g, max_crit=rng.choice((0, 2, 5)))
+        if rng.random() < 0.3:  # an empty unbounded piece
+            values = list(f.values)
+            values[rng.choice((0, -1))] = SubPartition.empty(g)
+            f = Formigram(g, f.crit, tuple(values))
+        code, expected = cosheaf_code(f), referee_cosheaf_code(f)
+        assert list(code) == list(expected)
+        for key in code:
+            assert code[key].gens == expected[key].gens, (f, key)
+        seen["constant"] += not f.crit
+        seen["empty outer"] += not (f.values[0].blocks and f.values[-1].blocks)
+        seen["absent element"] += any(code[fs(x)].is_empty() for x in g)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_cosheaf_code_growth_band():
+    """Cosheaf code cost grows no faster than c * n m (n + m) (4x band) for
+    n elements and m critical points: the unit is the build at (10, 10);
+    (10, 40) and (40, 10) must stay within 4 * unit * n m (n + m), 40x the
+    base at both.  Growth cubic in n or in m would be 64x and fail."""
+    rng = random.Random(1414)
+
+    def bench_formigram(n, m):
+        g = GroundSet(tuple(f"v{i}" for i in range(n)))
+        crit = tuple(F(i) for i in range(m))
+        intervals = [rand_subpartition(rng, g) for _ in range(m + 1)]
+        values = [intervals[0]]
+        for k in range(m):
+            values.append(intervals[k].join(intervals[k + 1]))
+            values.append(intervals[k + 1])
+        return Formigram(g, crit, tuple(values))
+
+    def build_time(n, m):
+        f = bench_formigram(n, m)
+        best = INF
+        for _ in range(3):
+            t0 = time.perf_counter()
+            cosheaf_code(f)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    unit = build_time(10, 10) / (10 * 10 * 20)
+    for n, m in ((10, 40), (40, 10)):
+        t = build_time(n, m)
+        band = 4 * unit * n * m * (n + m)
+        assert t <= band, (
+            f"cosheaf code at (n={n}, m={m}) took {t:.4f}s, band allows {band:.4f}s"
+        )
 
 
 def test_cosheaf_code_constant_full():
