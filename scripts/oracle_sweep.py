@@ -4,9 +4,11 @@
 Covers staircase Hausdorff, formigram interleaving, grid-clustering
 interleaving, erosion and bottleneck distances, single-linkage merge
 times, the correspondence searches (Gromov-Hausdorff between formigrams,
-line- and interval-indexed tripod distances at |X|*|Y| <= 8) and the
+line- and interval-indexed tripod distances at |X|*|Y| <= 8), the
 cosheaf code (the join over a random open interval rebuilt from the merge
-staircases, against the join of the pieces), on freshly sampled
+staircases, against the join of the pieces) and the merge times of
+dendrograms built directly (`um`: idle critical points and several merges
+at one time included, against the `same_block` scan), on freshly sampled
 instances, and reports per-family counts (including how many infinite
 values were hit).  Disagreements abort with the offending instance printed
 for replay, and so does a fast answer that is not a Fraction or +-inf (or,
@@ -52,6 +54,7 @@ from stairdist.oracle import (
 from conftest import (
     ground,
     rand_barcode,
+    rand_dendrogram,
     rand_formigram,
     rand_formigram_pair,
     rand_fraction,
@@ -64,7 +67,7 @@ from conftest import (
 )
 from test_compare import oracle_gh_via_pullbacks
 from test_filtration import oracle_tripod_int, oracle_tripod_r
-from test_formigram import brute_merge_time
+from test_formigram import brute_merge_time, ultrametric_scan
 from test_persistence import oracle_bottleneck, oracle_erosion_direct
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
@@ -114,6 +117,15 @@ def slhc_merge_times(g, d):
 def brute_merge_times(g, d):
     n = len(g)
     return tuple(tuple(brute_merge_time(d, i, j) for j in range(n)) for i in range(n))
+
+
+def dendrogram_instance(r):
+    dens = r.choice(((1, 2, 3), (3, 7, 11, 13)))
+    return (rand_dendrogram(r, ground(r.randint(1, 6)), dens=dens),)
+
+
+def dendrogram_merge_times(f):
+    return ultrametric(f).entries
 
 
 def code_instance(r):
@@ -250,6 +262,14 @@ def main():
         code_instance,
         code_join,
         evaluate_cosheaf,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "um",
+        dendrogram_instance,
+        dendrogram_merge_times,
+        ultrametric_scan,
         rng,
         args.iterations,
     )

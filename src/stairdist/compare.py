@@ -25,7 +25,7 @@ from typing import Iterator
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
 from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
 from .lattice import GroundSet, SubPartition
-from .rat import NEG_INF, INF, RatX, increasing_rats
+from .rat import NEG_INF, INF, RatX, common_scale, increasing_rats, rows_on_scale
 from .staircase import PLANE, Staircase, hausdorff, plane_generator
 
 CORRESPONDENCE_GUARD = 12
@@ -179,12 +179,17 @@ def gromov_hausdorff_ultrametrics(
     ux: Ultrametric, uy: Ultrametric, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
     """Half the smallest correspondence distortion between two ultrametric
-    (or plain metric) matrices."""
+    (or plain metric) matrices.  Both matrices are put on one integer scale
+    S, so the search compares int costs; the answer is the best over 2 S."""
+    scale = common_scale(ux.entries, uy.entries)
+    ex, ey = rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale)
+    ix, iy = ux.ground.index, uy.ground.index
 
     def cost(kx, ky):
-        return abs(ux(min(kx), max(kx)) - uy(min(ky), max(ky)))
+        return abs(ex[ix[min(kx)]][ix[max(kx)]] - ey[iy[min(ky)]][iy[max(ky)]])
 
-    return min_max_over_correspondences(ux.ground, uy.ground, _key_pairs, cost, guard) / 2
+    best = min_max_over_correspondences(ux.ground, uy.ground, _key_pairs, cost, guard)
+    return Fraction(best, 2 * scale)
 
 
 @dataclass(frozen=True)

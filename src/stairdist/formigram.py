@@ -15,6 +15,11 @@ staircase's generators already sorted; for n elements and m critical
 points that is O(m n (m + n)).  `CosheafTable`, the O(m^2) table of joins
 of consecutive runs of pieces, stays as a public reference object and is
 not used by the code.
+
+Dendrograms run on one integer scale: `single_linkage` sorts and groups
+int edges, and `ultrametric` reads every merge time from one union-find
+walk over the point values; `Fraction` appears only in the critical points
+and the ultrametric entries.
 """
 
 from __future__ import annotations
@@ -34,7 +39,16 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
-from .rat import INF, NEG_INF, RatX, increasing_rats, is_finite, rat
+from .rat import (
+    INF,
+    NEG_INF,
+    RatX,
+    common_scale,
+    increasing_rats,
+    is_finite,
+    rat,
+    rows_on_scale,
+)
 from .staircase import INT, Staircase, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
@@ -328,10 +342,22 @@ def is_dendrogram(f: Formigram) -> str | None:
 @dataclass(frozen=True)
 class Ultrametric:
     """Symmetric matrix over a ground set satisfying the ultra-triangle
-    inequality (checked by `violations`, not the constructor)."""
+    inequality (checked by `violations`, not the constructor).  The entries
+    are read through ``rat``: an int becomes a Fraction, an inexact float
+    raises ValueError, and an infinite entry or a matrix that is not
+    n x n over the ground set raises ValidationError."""
 
     ground: GroundSet
     entries: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.ground)
+        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+            raise ValidationError(f"need a {n}x{n} matrix of entries")
+        entries = tuple([tuple([rat(x) for x in row]) for row in self.entries])
+        if not all(is_finite(x) for row in entries for x in row):
+            raise ValidationError("ultrametric entries must be finite")
+        object.__setattr__(self, "entries", entries)
 
     def __call__(self, x: str, y: str) -> Fraction:
         i, j = self.ground.index[x], self.ground.index[y]
@@ -347,15 +373,18 @@ class Ultrametric:
         return out
 
 
-def _check_metric(ground: GroundSet, d) -> list[list[Fraction]]:
-    """d with its entries read through ``rat``, if it is a finite metric on
-    ground; an inexact float raises ValueError, anything else InvalidMetric."""
+def _check_metric(ground: GroundSet, d) -> tuple[list[list[int]], int]:
+    """d on one integer scale S, as (S * d, S), if it is a finite metric on
+    ground.  The entries are read through ``rat``: an inexact float raises
+    ValueError, anything else that is not a finite metric InvalidMetric."""
     n = len(ground)
     if len(d) != n or any(len(row) != n for row in d):
         raise InvalidMetric(f"need a {n}x{n} matrix")
     d = [[rat(x) for x in row] for row in d]
     if not all(is_finite(x) for row in d for x in row):
         raise InvalidMetric("not a finite metric: an entry is infinite")
+    scale = common_scale(d)
+    d = rows_on_scale(d, scale)
     for i in range(n):
         if d[i][i] != 0:
             raise InvalidMetric("diagonal must be zero")
@@ -364,19 +393,20 @@ def _check_metric(ground: GroundSet, d) -> list[list[Fraction]]:
                 raise InvalidMetric("matrix must be symmetric")
             if d[i][j] <= 0:
                 raise InvalidMetric("off-diagonal distances must be positive")
-    return d
+    return d, scale
 
 
 def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
     """Single-linkage dendrogram: at scale t, blocks are the components of
     the 'distance <= t' graph (transitive closure of the threshold relation).
 
-    Kruskal: the edges are sorted once and united in order; after the last
-    edge of each distinct weight the partition is emitted if that weight
-    merged anything.  O(n^2 log n)."""
-    d = _check_metric(ground, d)
+    Kruskal on one integer scale S: the (S * distance, i, j) edges are
+    sorted once as ints and united in order; after the last edge of each
+    distinct weight the partition is emitted, with the weight over S as its
+    critical point, if that weight merged anything.  O(n^2 log n)."""
+    d, scale = _check_metric(ground, d)
     n = len(ground)
-    edges = sorted((d[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+    edges = sorted([(d[i][j], i, j) for i in range(n) for j in range(i + 1, n)])
     parent = list(range(n))
     crit: list[Fraction] = [Fraction(0)]
     start = SubPartition.singletons(ground)
@@ -390,26 +420,41 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
                 changed = True
         if changed:
             part = SubPartition.from_forest(ground, parent, range(n))
-            crit.append(t)
+            crit.append(Fraction(t, scale))
             values.append(part)
             values.append(part)
     return Formigram(ground, tuple(crit), tuple(values))
 
 
 def ultrametric(f: Formigram) -> Ultrametric:
-    """Merge-time matrix u(x, x') = min{t : x, x' share a block of f(t)}."""
+    """Merge-time matrix u(x, x') = min{t : x, x' share a block of f(t)}.
+
+    A dendrogram's point values only coarsen, so one union-find over the
+    ground indices walks them in order: when two components first share a
+    block of the value at critical point k, every pair across them merges
+    at t_k.  For n elements and m critical points that is O(m n) `find`
+    calls and O(n^2) entries written."""
     problem = is_dendrogram(f)
     if problem is not None:
         raise NotADendrogram(problem)
-    n = len(f.ground)
+    index = f.ground.index
+    n = len(index)
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = f.ground.elements[i], f.ground.elements[j]
-            for k, t in enumerate(f.crit):
-                if f.values[2 * k + 1].same_block(x, y):
-                    entries[i][j] = entries[j][i] = t
-                    break
-            else:
-                raise NotADendrogram(f"{x} and {y} never merge")
+    parent = list(range(n))
+    members = [[a] for a in range(n)]
+    for k, t in enumerate(f.crit):
+        for blk in f.values[2 * k + 1].blocks:
+            r0 = find(parent, index[blk[0]])
+            for x in blk[1:]:
+                ra = find(parent, index[x])
+                if ra == r0:
+                    continue
+                for a in members[ra]:
+                    row = entries[a]
+                    for b in members[r0]:
+                        row[b] = entries[b][a] = t
+                if len(members[ra]) > len(members[r0]):
+                    ra, r0 = r0, ra
+                parent[ra] = r0
+                members[r0] += members[ra]
     return Ultrametric(f.ground, tuple([tuple(row) for row in entries]))

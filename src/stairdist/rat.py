@@ -10,10 +10,11 @@ coordinates through `rat`, so an int becomes a Fraction and an inexact
 float or a bool is refused; `parse_rat` reads text as well, and
 `increasing_rats` reads the finite increasing times of critical points and cuts.
 
-The exact kernels (the staircase profile walk, the bottleneck search) run
-on ints: `common_scale` gives S = 2 lcm of the finite denominators of some
-lists of pairs, and `on_scale` puts a list on S, where every finite
-coordinate is an even int.
+The exact kernels (the staircase profile walk, the bottleneck search, single
+linkage and the Gromov-Hausdorff search between ultrametrics) run on ints:
+`common_scale` gives S = 2 lcm of the finite denominators of some lists of
+pairs (or of matrix rows), and `on_scale` puts a list of pairs on S, where
+every finite coordinate is an even int (`rows_on_scale` a finite matrix).
 """
 
 from fractions import Fraction
@@ -78,7 +79,8 @@ def parse_rat(text, allow_infinite: bool = True) -> RatX:
 
 
 def common_scale(*pair_lists) -> int:
-    """S = 2 lcm of every finite denominator in the given lists of pairs."""
+    """S = 2 lcm of every finite denominator in the given lists of pairs
+    (or of rows: a matrix is a list of rows)."""
     return 2 * math.lcm(*[
         x.denominator for pairs in pair_lists for p in pairs for x in p
         if not isinstance(x, float)
@@ -96,6 +98,12 @@ def on_scale(pairs, scale: int) -> tuple[tuple[int | float, int | float], ...]:
         )
         for a, b in pairs
     ])
+
+
+def rows_on_scale(rows, scale: int) -> list[list[int]]:
+    """The rows of finite Fractions times ``scale``, a multiple of their
+    denominators: a matrix of ints."""
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 def fmt_rat(x: RatX) -> str:

@@ -110,6 +110,36 @@ def rand_metric(rng: random.Random, g: GroundSet) -> list[list[Fraction]]:
     return d
 
 
+def rand_dendrogram(
+    rng: random.Random, g: GroundSet, max_crit=6, dens=(1, 2, 3)
+) -> Formigram:
+    """A dendrogram built directly, not through single linkage: a partition
+    at 0, then coarsenings at increasing times.  A critical point may be
+    idle (nothing merges), and one may merge several blocks at once, in
+    one or two groups (ties); a last one joins whatever is still apart."""
+    blocks = [[x] for x in g]
+    t = Fraction(0)
+    crit, values = [], [SubPartition.empty(g)]
+    for k in range(rng.randint(1, max_crit)):
+        if k:
+            den = rng.choice(dens)
+            t += Fraction(rng.randint(1, 2 * den), den)
+        if rng.random() < 0.6:
+            for _ in range(rng.randint(1, 2)):
+                if len(blocks) > 1:
+                    chosen = set(rng.sample(range(len(blocks)), rng.randint(2, min(3, len(blocks)))))
+                    merged = [x for i in chosen for x in blocks[i]]
+                    blocks = [b for i, b in enumerate(blocks) if i not in chosen] + [merged]
+        part = SubPartition(g, tuple([tuple(b) for b in blocks]))
+        crit.append(t)
+        values += [part, part]
+    if len(blocks) > 1:
+        one = SubPartition.one_block(g)
+        crit.append(t + 1)
+        values += [one, one]
+    return Formigram(g, tuple(crit), tuple(values))
+
+
 def rand_staircase(rng: random.Random, ambient="int", max_gens=5) -> Staircase:
     gens = []
     for _ in range(rng.randint(0, max_gens)):

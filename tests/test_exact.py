@@ -19,6 +19,7 @@ from stairdist import (
     InvalidMetric,
     RFiltration,
     SubPartition,
+    Ultrametric,
     ValidationError,
     barcode,
     bottleneck_distance,
@@ -169,6 +170,35 @@ def test_inexact_floats_are_refused():
         single_linkage(xy, [[0, 0.5], [0.5, 0]])
     with pytest.raises(InvalidMetric, match="not a finite metric"):
         single_linkage(xy, [[0, INF], [INF, 0]])
+
+
+XY = GroundSet(("x", "y"))
+
+
+def test_ultrametric_reads_int_entries_as_fractions():
+    """GH between int-entry ultrametrics is a Fraction, not the float of an
+    int halved, and a half entry is not turned into a float either."""
+    one, two = Ultrametric(XY, ((0, 1), (1, 0))), Ultrametric(XY, ((0, 2), (2, 0)))
+    assert all(type(x) is Fraction for row in one.entries for x in row)
+    assert same(gromov_hausdorff_ultrametrics(one, two), F(1, 2))
+    half = Ultrametric(XY, ((0, F(1, 2)), (F(1, 2), 0)))
+    assert same(gromov_hausdorff_ultrametrics(half, two), F(3, 4))
+
+
+def test_ultrametric_refuses_an_inexact_float():
+    with pytest.raises(ValueError):
+        Ultrametric(XY, ((0, 0.5), (0.5, 0)))
+
+
+def test_ultrametric_refuses_an_infinite_entry():
+    with pytest.raises(ValidationError, match="finite"):
+        Ultrametric(XY, ((0, INF), (INF, 0)))
+
+
+@pytest.mark.parametrize("rows", [((0, 1),), ((0, 1), (1,)), ((0, 1, 2), (1, 0, 2))])
+def test_ultrametric_refuses_a_matrix_of_the_wrong_shape(rows):
+    with pytest.raises(ValidationError, match="2x2"):
+        Ultrametric(XY, rows)
 
 
 # --- no engine returns a float other than +-inf -----------------------------------

@@ -36,7 +36,15 @@ from stairdist import (
 from stairdist.formigram import CosheafTable, all_pair_keys
 from stairdist.lattice import find
 from stairdist.oracle import reconstruct
-from conftest import ground, rand_formigram, rand_formigram_pair, rand_metric, rand_subpartition
+from conftest import (
+    ground,
+    rand_dendrogram,
+    rand_formigram,
+    rand_formigram_pair,
+    rand_fraction,
+    rand_metric,
+    rand_subpartition,
+)
 
 F = Fraction
 DELTA = F(3, 2)
@@ -502,6 +510,100 @@ def test_invalid_metrics():
 def test_ultrametric_requires_dendrogram():
     with pytest.raises(NotADendrogram):
         ultrametric(THETA_PRIME)
+
+
+def ultrametric_scan(f):
+    """Reference merge times: for every pair, scan the critical points in
+    order for the first point value in which the pair shares a block."""
+    n = len(f.ground)
+    entries = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = f.ground.elements[i], f.ground.elements[j]
+            for k, t in enumerate(f.crit):
+                if f.values[2 * k + 1].same_block(x, y):
+                    entries[i][j] = entries[j][i] = t
+                    break
+            else:
+                raise AssertionError(f"{x} and {y} never merge")
+    return tuple([tuple(row) for row in entries])
+
+
+def has_idle_crit(f):
+    return any(f.values[2 * k] == f.values[2 * k + 1] for k in range(1, len(f.crit)))
+
+
+def test_ultrametric_matches_same_block_scan():
+    """The one-union-find walk against the scan, entry by entry, on tied
+    metrics, on metrics with pairwise coprime denominators and on
+    dendrograms built directly, with idle critical points."""
+    rng = random.Random(59)
+    seen = {"tied": 0, "coprime": 0, "built": 0, "idle": 0}
+    for _ in range(150):
+        g = ground(rng.randint(1, 6))
+        n = len(g)
+        kind = rng.choice(("tied", "coprime", "built"))
+        if kind == "built":
+            f = rand_dendrogram(rng, g, dens=rng.choice(((1, 2), (3, 7, 11, 13))))
+        else:
+            d = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i][j] = d[j][i] = (
+                        F(rng.randint(1, 3), rng.choice((1, 2))) if kind == "tied"
+                        else rand_fraction(rng, lo=1, hi=4, dens=(3, 7, 11, 13))
+                    )
+            f = single_linkage(g, d)
+        u = ultrametric(f)
+        assert u.entries == ultrametric_scan(f), f
+        assert all(type(x) is Fraction for row in u.entries for x in row)
+        seen[kind] += 1
+        seen["idle"] += has_idle_crit(f)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_ultrametric_idle_critical_points():
+    g = GroundSet(("a", "b", "c"))
+    apart = SubPartition.singletons(g)
+    ab = SubPartition(g, (("a", "b"), ("c",)))
+    one = SubPartition.one_block(g)
+    values = (SubPartition.empty(g), apart, apart, apart, apart, ab, ab, ab, ab, one, one)
+    f = Formigram(g, (F(0), F(1, 3), F(3, 7), F(5, 11), F(1)), values)
+    u = ultrametric(f)
+    assert u.entries == ultrametric_scan(f)
+    assert u("a", "b") == F(3, 7) and u("a", "c") == u("b", "c") == F(1)
+
+
+def test_ultrametric_growth_band(monkeypatch):
+    """The walk makes no `same_block` call and one `find` per block member
+    of each point value: at most 2 (m n + n^2) calls for n elements and m
+    critical points, at n = 8, 16 and 32.  A scan of every pair against
+    every critical point would make n^2 m / 2 queries and leave the band
+    at n = 32."""
+    from stairdist import formigram
+
+    def refuse(*_):
+        raise AssertionError("ultrametric called same_block")
+
+    calls = 0
+
+    def counting_find(parent, x):
+        nonlocal calls
+        calls += 1
+        return find(parent, x)
+
+    rng = random.Random(61)
+    cases = []
+    for n in (8, 16, 32):
+        f = rand_dendrogram(rng, GroundSet(tuple(f"v{i}" for i in range(n))), max_crit=2 * n)
+        cases.append((n, f, ultrametric_scan(f)))
+    monkeypatch.setattr(SubPartition, "same_block", refuse)
+    monkeypatch.setattr(formigram, "find", counting_find)
+    for n, f, expected in cases:
+        m = len(f.crit)
+        calls = 0
+        assert ultrametric(f).entries == expected
+        assert calls <= 2 * (m * n + n * n), (n, m, calls)
 
 
 def test_dendrogram_distance_is_ultrametric_sup_difference():
