@@ -8,9 +8,12 @@ line- and interval-indexed tripod distances at |X|*|Y| <= 8), the
 cosheaf code (the join over a random open interval rebuilt from the merge
 staircases, against the join of the pieces) and the merge times of
 dendrograms built directly (`um`: idle critical points and several merges
-at one time included, against the `same_block` scan), on freshly sampled
-instances, and reports per-family counts (including how many infinite
-values were hit).  Disagreements abort with the offending instance printed
+at one time included, against the `same_block` scan) and, last, the
+pruned correspondence search (`search`: both Gromov-Hausdorff distances
+and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
+oracles, against the unpruned search over every minimal cover), on
+freshly sampled instances, and reports per-family counts (including how
+many infinite values were hit).  Disagreements abort with the offending instance printed
 for replay, and so does a fast answer that is not a Fraction or +-inf (or,
 for the cosheaf code, a SubPartition).
 """
@@ -21,7 +24,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -29,7 +31,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from stairdist import (
     INF,
     GroundSet,
-    RFiltration,
     SubPartition,
     bottleneck_distance,
     cosheaf_code,
@@ -37,6 +38,7 @@ from stairdist import (
     evaluate_cosheaf,
     grid_interleaving_distance,
     gromov_hausdorff_formigrams,
+    gromov_hausdorff_ultrametrics,
     hausdorff,
     interleaving_distance,
     single_linkage,
@@ -52,12 +54,12 @@ from stairdist.oracle import (
     reconstruct,
 )
 from conftest import (
+    full_r_filtration,
     ground,
     rand_barcode,
     rand_dendrogram,
     rand_formigram,
     rand_formigram_pair,
-    rand_fraction,
     rand_grid_pair,
     rand_int_filtration,
     rand_merged_tail_formigram,
@@ -65,13 +67,24 @@ from conftest import (
     rand_r_filtration,
     rand_staircase_pair,
 )
-from test_compare import oracle_gh_via_pullbacks
-from test_filtration import oracle_tripod_int, oracle_tripod_r
+from test_compare import (
+    oracle_gh_via_pullbacks,
+    unpruned_gh_formigrams,
+    unpruned_gh_ultrametrics,
+)
+from test_filtration import (
+    oracle_tripod_int,
+    oracle_tripod_r,
+    unpruned_tripod_int,
+    unpruned_tripod_r,
+)
 from test_formigram import brute_merge_time, ultrametric_scan
 from test_persistence import oracle_bottleneck, oracle_erosion_direct
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
 SEARCH_SIZES = [(nx, ny) for nx in range(1, 9) for ny in range(1, 9) if nx * ny <= 8]
+# and of the `search` family, past the brute-force oracles: 9 <= |X| * |Y| <= 12
+LARGE_SEARCH_SIZES = [(3, 3), (2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (6, 2)]
 
 
 def search_pair(make):
@@ -89,17 +102,6 @@ def small_formigram(r, g):
     return make(r, g, max_crit=2)
 
 
-def full_r_filtration(r, g):
-    """Every simplex present, each born no earlier than its faces, so that
-    distances between different vertex counts can be finite."""
-    births = {}
-    for k in range(1, len(g) + 1):
-        for s in map(frozenset, combinations(g.elements, k)):
-            base = max((births[s - {v}] for v in s if k > 1), default=Fraction(0))
-            births[s] = base + abs(rand_fraction(r, lo=0, hi=4))
-    return RFiltration(g, births)
-
-
 def small_r_filtration(r, g):
     return r.choice((rand_r_filtration, full_r_filtration))(r, g)
 
@@ -108,6 +110,27 @@ def small_int_filtration(r, g):
     if r.random() < 0.5:
         return rand_int_filtration(r, g)
     return to_int_indexed(full_r_filtration(r, g))
+
+
+def small_ultrametric(r, g):
+    return ultrametric(single_linkage(g, rand_metric(r, g)))
+
+
+# kind -> (input builder, library search, unpruned twin)
+SEARCHES = {
+    "gh": (small_formigram, gromov_hausdorff_formigrams, unpruned_gh_formigrams),
+    "gh-um": (small_ultrametric, gromov_hausdorff_ultrametrics, unpruned_gh_ultrametrics),
+    "tripod-r": (small_r_filtration, tripod_distance_r, unpruned_tripod_r),
+    "tripod-int": (small_int_filtration, tripod_distance_int, unpruned_tripod_int),
+}
+
+
+def large_search_instance(r):
+    """A kind of search and two inputs over a shape of LARGE_SEARCH_SIZES."""
+    kind = r.choice(sorted(SEARCHES))
+    nx, ny = r.choice(LARGE_SEARCH_SIZES)
+    make = SEARCHES[kind][0]
+    return kind, make(r, ground(nx)), make(r, ground(ny))
 
 
 def slhc_merge_times(g, d):
@@ -270,6 +293,14 @@ def main():
         dendrogram_instance,
         dendrogram_merge_times,
         ultrametric_scan,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "search",
+        large_search_instance,
+        lambda kind, a, b: SEARCHES[kind][1](a, b),
+        lambda kind, a, b: SEARCHES[kind][2](a, b),
         rng,
         args.iterations,
     )

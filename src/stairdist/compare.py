@@ -12,6 +12,15 @@ grows, and every correspondence contains a minimal one, so the search
 visits minimal covers only: relations in which every pair has an end of
 degree one, i.e. disjoint unions of stars.  There are far fewer of them
 than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
+
+The search is a branch and bound over the star walk that builds the
+minimal covers one star at a time: each star adds only the items it
+creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
+item already reaches the best cover so far is dropped with every cover
+below it.  The costs are ints on one scale that the caller picks, or INF,
+so no Fraction is compared inside the search; the callers read each mask's
+cost from small lazy tables, and every distinct pair of staircases costs
+one `hausdorff`.
 """
 
 from __future__ import annotations
@@ -19,13 +28,22 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterator
+from functools import cache
+from typing import Generator, Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
 from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
 from .lattice import GroundSet, SubPartition
-from .rat import NEG_INF, INF, RatX, common_scale, increasing_rats, rows_on_scale
+from .rat import (
+    NEG_INF,
+    INF,
+    RatX,
+    common_scale,
+    from_scale,
+    increasing_rats,
+    rows_on_scale,
+    to_scale,
+)
 from .staircase import PLANE, Staircase, hausdorff, plane_generator
 
 CORRESPONDENCE_GUARD = 12
@@ -75,79 +93,123 @@ def _minimal_covers(
     return _iter_minimal_covers(x, y)
 
 
-def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]:
-    xs, ys = x.elements, y.elements
-    full = (1 << len(ys)) - 1
-    rows = [[(a, b) for b in ys] for a in xs]
-    chosen = [0] * len(xs)  # N(a) for every a in x, as a bitmask over y
+def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
+    """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the high
+    bits of the mask that `enumerate_correspondences` counts up.  stars:
+    elements of an N(a) of size >= 2, which no other N(a) may name; leaves:
+    elements some N(a) = {b} names; full: every element of y."""
+    free = full & ~(stars | leaves)
+    if i == 0:  # the last choice must cover what is left
+        return [free] if free else [1 << k for k in range(full.bit_length()) if leaves >> k & 1]
+    return [
+        c for c in range(1, full + 1)
+        if not c & (stars | leaves if c & (c - 1) else stars)
+    ]
 
-    def pairs():
-        return tuple([
-            p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
-        ])
 
-    def options(i: int, stars: int, leaves: int) -> list[int]:
-        # the choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the
-        # high bits of the mask that `enumerate_correspondences` counts up.
-        # stars: elements of an N(a) of size >= 2, which no other N(a) may
-        # name; leaves: elements some N(a) = {b} names.
-        free = full & ~(stars | leaves)
-        if i == 0:  # the last choice must cover what is left
-            return [free] if free else [1 << k for k in range(len(ys)) if leaves >> k & 1]
-        return [
-            c for c in range(1, full + 1)
-            if not c & (stars | leaves if c & (c - 1) else stars)
-        ]
-
-    if not (xs and ys):
+def _walk_stars(nx: int, ny: int) -> Generator[tuple[int, int], bool | None, None]:
+    """Depth-first over the minimal covers of nx by ny elements: yields
+    every choice (i, c) of N(xs[i]) = c, a bitmask over y, from i = nx - 1
+    down to 0; a choice at i = 0 completes a cover.  Sending a true value
+    back skips the choices below the one just yielded.  The walk keeps an
+    explicit stack of (untried choices, stars, leaves), so nx is not
+    bounded by the recursion limit; stack[d] chooses N(xs[nx - 1 - d])."""
+    if not (nx and ny):
         return
-    # depth-first over xs from the last element down, on an explicit stack
-    # of (untried choices, stars, leaves), so |X| is not bounded by the
-    # recursion limit; stack[d] chooses N(xs[len(xs) - 1 - d])
-    stack = [(iter(options(len(xs) - 1, 0, 0)), 0, 0)]
+    full = (1 << ny) - 1
+    stack = [(iter(_options(nx - 1, 0, 0, full)), 0, 0)]
     while stack:
         untried, stars, leaves = stack[-1]
-        i = len(xs) - len(stack)
+        i = nx - len(stack)
         c = next(untried, None)
         if c is None:
             stack.pop()
             continue
-        chosen[i] = c
-        if i == 0:
-            yield pairs()
+        skip = yield i, c
+        if i == 0 or skip:
             continue
         if c & (c - 1):
             stars |= c
         else:
             leaves |= c
-        stack.append((iter(options(i - 1, stars, leaves)), stars, leaves))
+        stack.append((iter(_options(i - 1, stars, leaves, full)), stars, leaves))
+
+
+def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]:
+    xs, ys = x.elements, y.elements
+    rows = [[(a, b) for b in ys] for a in xs]
+    chosen = [0] * len(xs)  # N(a) for every a in x, as a bitmask over y
+    for i, c in _walk_stars(len(xs), len(ys)):
+        chosen[i] = c
+        if i == 0:
+            yield tuple([
+                p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
+            ])
+
+
+Item = tuple[int, int]  # (x-mask, y-mask): bit k stands for elements[k]
 
 
 def min_max_over_correspondences(
-    x: GroundSet, y: GroundSet, items, cost, guard: int
-) -> RatX:
-    """min over correspondences R of the max of `cost` over `items(R)`.
+    x: GroundSet, y: GroundSet, grow, cost, guard: int
+) -> int | float:
+    """min over correspondences R of the max of `cost` over the items of R,
+    by branch and bound over the star walk of the minimal covers.
 
-    `items` maps a correspondence to hashable (left, right) items, and must
-    be monotone: a sub-relation yields a subset of the items.  The minimum
-    is then attained on a minimal cover, so only minimal covers are visited
-    (`_minimal_covers`; far fewer than the 2^(|X||Y|) relations, e.g. 62
-    at 2 x 6).  `cost` is evaluated once per distinct item over the whole
-    search.  A correspondence is abandoned as soon as its worst item
-    reaches the best value so far, and the search stops at 0.
+    Items are (x-mask, y-mask) ints.  `grow(state, i, c)` returns the new
+    state and the items that the choice N(xs[i]) = c adds to the choices
+    for xs[i + 1:], which left `state` (() at the root); the items of a
+    cover are those of its choices.  The objective must be monotone (a
+    sub-relation yields a subset of the items), so the minimum is attained
+    on a minimal cover (`_minimal_covers`; e.g. 62 of the 4095 relations
+    at 2 x 6).  `cost` maps an item to an int on the caller's scale, or to
+    INF, and runs at most once per item.
+
+    The bound reads memoized costs only: a choice is dropped, with every
+    cover below it, as soon as the worst memoized cost among its items
+    (read when the choice is made) reaches the best cover so far.  Unknown
+    costs are computed only at a complete cover, after every cost found
+    since, and the cover is abandoned at the first that reaches the best.
+    The search stops at 0 and returns the best cost; the caller turns it
+    back into a Fraction.
     """
-    memo: dict = {}
-    best: RatX = INF
-    for rel in _minimal_covers(x, y, guard):
-        worst: RatX = Fraction(0)
-        for item in items(rel):
-            c = memo.get(item)
-            if c is None:
-                c = memo[item] = cost(*item)
-            if c > worst:
-                worst = c
-                if worst >= best:
-                    break
+    _check_guard(x, y, guard)
+    memo: dict[Item, int | float] = {}
+    best: int | float = INF
+    nx = len(x)
+    # node[i]: (state, worst known cost, items of unknown cost) after the
+    # choices for xs[i:]; node[nx] is the root
+    node: list = [None] * nx + [((), 0, ())]
+    walk = _walk_stars(nx, len(y))
+    skip = None
+    while True:
+        try:
+            i, c = walk.send(skip)
+        except StopIteration:
+            break
+        state, worst, unknown = node[i + 1]
+        skip = worst >= best
+        if skip:
+            continue
+        state, new = grow(state, i, c)
+        worst, new = _known(memo, worst, new)
+        skip = worst >= best
+        if skip:
+            continue
+        if i:
+            node[i] = state, worst, unknown + new
+            continue
+        # a complete cover: the costs found since its choices were made
+        # first, then the unknown ones until one reaches the best
+        worst, unknown = _known(memo, worst, unknown + new)
+        for item in unknown:
+            if worst >= best:
+                break
+            v = memo.get(item)
+            if v is None:
+                v = memo[item] = cost(*item)
+            if v > worst:
+                worst = v
         if worst < best:
             best = worst
             if best == 0:
@@ -155,24 +217,95 @@ def min_max_over_correspondences(
     return best
 
 
-def _key_pairs(rel: Correspondence) -> Iterator[tuple[frozenset, frozenset]]:
-    """Pair keys ({x1, x2}, {y1, y2}) of every two related pairs."""
-    for (x1, y1), (x2, y2) in combinations_with_replacement(rel, 2):
-        yield frozenset({x1, x2}), frozenset({y1, y2})
+def _known(memo: dict, worst, items) -> tuple[int | float, tuple[Item, ...]]:
+    """worst raised to the memoized costs of items, and the items whose
+    cost is not known yet."""
+    unknown = []
+    for item in items:
+        v = memo.get(item)
+        if v is None:
+            unknown.append(item)
+        elif v > worst:
+            worst = v
+    return worst, tuple(unknown)
+
+
+def _names(elements: tuple[str, ...], mask: int) -> frozenset[str]:
+    return frozenset([e for k, e in enumerate(elements) if mask >> k & 1])
+
+
+def _key_items(
+    pairs: tuple[Item, ...], i: int, c: int
+) -> tuple[tuple[Item, ...], list[Item]]:
+    """`grow` for GH: the choice N(xs[i]) = c relates xs[i] to each b in
+    c, and adds the pair key of each new pair with itself, with the new
+    pairs before it and with every pair so far.  The state is the related
+    pairs, as one-bit masks."""
+    xb = 1 << i
+    items: list[Item] = []
+    while c:
+        b = c & -c
+        c ^= b
+        pairs += ((xb, b),)
+        items += [(xb | px, b | py) for px, py in pairs]
+    return pairs, items
+
+
+def _hausdorff_costs(stair_x, stair_y, scale: int):
+    """cost(mx, my) = `hausdorff(stair_x(mx), stair_y(my))` on the int
+    scale `scale` (a multiple of every generator denominator on both
+    sides), through `to_scale`.  Each mask's staircase is looked up once,
+    and staircases with equal generator lists (all in one ambient) share
+    one index, so each distinct pair of generator lists costs one
+    `hausdorff`."""
+    stairs: list[Staircase] = []
+    index: dict = {}  # generator list -> its position in stairs
+
+    def table(stair):
+        @cache
+        def at(mask):
+            u = stair(mask)
+            k = index.setdefault(u.gens, len(stairs))
+            if k == len(stairs):
+                stairs.append(u)
+            return k
+
+        return at
+
+    at_x, at_y = table(stair_x), table(stair_y)
+
+    @cache
+    def pair(p, q):
+        return to_scale(hausdorff(stairs[p], stairs[q]), scale)
+
+    def cost(mx, my):
+        p, q = at_x(mx), at_y(my)
+        return pair(p, q) if p <= q else pair(q, p)
+
+    return cost
 
 
 def gromov_hausdorff_formigrams(
     fx: Formigram, fy: Formigram, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
     """Half the smallest worst mismatch, over correspondences, between the
-    merge staircases of related pairs."""
+    merge staircases of related pairs.  Every Hausdorff value is a multiple
+    of 1 / S, for S the `common_scale` of every merge staircase of both
+    sides, so the search compares ints and the answer is the best over 2 S."""
     code_x = cosheaf_code(fx)
     code_y = cosheaf_code(fy)
+    scale = common_scale(*[u.gens for code in (code_x, code_y) for u in code.values()])
+    xs, ys = fx.ground.elements, fy.ground.elements
+    cost = _hausdorff_costs(
+        lambda m: code_x[_names(xs, m)], lambda m: code_y[_names(ys, m)], scale
+    )
+    best = min_max_over_correspondences(fx.ground, fy.ground, _key_items, cost, guard)
+    return from_scale(best, 2 * scale)
 
-    def cost(kx, ky):
-        return hausdorff(code_x[kx], code_y[ky])
 
-    return min_max_over_correspondences(fx.ground, fy.ground, _key_pairs, cost, guard) / 2
+def _ends(mask: int) -> tuple[int, int]:
+    """The lowest and the highest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1, mask.bit_length() - 1
 
 
 def gromov_hausdorff_ultrametrics(
@@ -180,16 +313,18 @@ def gromov_hausdorff_ultrametrics(
 ) -> RatX:
     """Half the smallest correspondence distortion between two ultrametric
     (or plain metric) matrices.  Both matrices are put on one integer scale
-    S, so the search compares int costs; the answer is the best over 2 S."""
+    S, so the search compares int costs; the answer is the best over 2 S.
+    A key's cost reads entry (lo, hi) of its two indices, which the
+    symmetric matrices make independent of the element names."""
     scale = common_scale(ux.entries, uy.entries)
     ex, ey = rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale)
-    ix, iy = ux.ground.index, uy.ground.index
 
-    def cost(kx, ky):
-        return abs(ex[ix[min(kx)]][ix[max(kx)]] - ey[iy[min(ky)]][iy[max(ky)]])
+    def cost(mx, my):
+        (i, j), (k, m) = _ends(mx), _ends(my)
+        return abs(ex[i][j] - ey[k][m])
 
-    best = min_max_over_correspondences(ux.ground, uy.ground, _key_pairs, cost, guard)
-    return Fraction(best, 2 * scale)
+    best = min_max_over_correspondences(ux.ground, uy.ground, _key_items, cost, guard)
+    return from_scale(best, 2 * scale)
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,27 @@ are born at +inf); an interval-indexed filtration stores a staircase support
 per simplex.  The tripod distance minimizes, over correspondences between
 the vertex sets, the worst birth/support discrepancy over pulled-back
 simplices.  The pulled-back simplex pairs are the images (A, B) of the
-nonempty sub-relations of the correspondence (the subsets of a tripod apex);
-they are enumerated as such, each once.
+nonempty sub-relations of the correspondence (the subsets of a tripod apex).
+They are grown one star at a time along the search's walk: the images that
+a star at x adds are ({x}, B') and every earlier image joined with it, for
+each nonempty B' within the star, so each image is made once per cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .compare import CORRESPONDENCE_GUARD, min_max_over_correspondences
+from .compare import (
+    CORRESPONDENCE_GUARD,
+    Item,
+    _hausdorff_costs,
+    _names,
+    min_max_over_correspondences,
+)
 from .errors import (
     EmptySimplex,
     GroundSetMismatch,
@@ -25,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, Surjection
-from .rat import INF, RatX, is_finite, rat
+from .rat import INF, RatX, common_scale, from_scale, is_finite, rat, to_scale
 from .staircase import INT, Staircase, empty, hausdorff, staircase, subset
 
 Simplex = frozenset
@@ -165,18 +174,22 @@ def to_int_indexed(f: RFiltration) -> IntFiltration:
     )
 
 
-def _realizable_pairs(pairs) -> Iterator[tuple[frozenset[str], frozenset[str]]]:
-    """The image pairs (pi_X S, pi_Y S) of the nonempty sub-relations S of
-    the correspondence, each once, in order of first appearance.  A
-    minimal cover has at most |X| + |Y| - 1 pairs, so this walks at most
-    2^(|X| + |Y| - 1) subsets."""
-    seen = set()
-    for k in range(1, len(pairs) + 1):
-        for sub in combinations(pairs, k):
-            item = frozenset(x for x, _ in sub), frozenset(y for _, y in sub)
-            if item not in seen:
-                seen.add(item)
-                yield item
+def _image_items(
+    images: tuple[Item, ...], i: int, c: int
+) -> tuple[tuple[Item, ...], list[Item]]:
+    """`grow` for the tripod searches: the images (A, B) of the
+    sub-relations that relate xs[i] to a nonempty B' within c, that is
+    ({xs[i]}, B') and every image so far joined with it, as masks and each
+    once.  No earlier image names xs[i], so none of these is old.  The state
+    is every image so far."""
+    xb = 1 << i
+    subs = []
+    s = c
+    while s:  # every nonempty submask of c
+        subs.append(s)
+        s = (s - 1) & c
+    new = list(dict.fromkeys([(xb | a, b | s) for a, b in ((0, 0), *images) for s in subs]))
+    return images + tuple(new), new
 
 
 def tripod_distance_r(
@@ -185,28 +198,44 @@ def tripod_distance_r(
     """Smallest worst birth discrepancy over correspondences.
 
     Simplices absent from both sides cost nothing; absent versus present is
-    an infinite discrepancy.
+    an infinite discrepancy.  The births of both sides go on one integer
+    scale S, so the search compares ints; the answer is the best over S.
     """
+    scale = common_scale([f.births.values(), g.births.values()])
 
-    def cost(a, b):
-        ba, bb = birth(f, a), birth(g, b)
-        if is_finite(ba) != is_finite(bb):
-            return INF
-        return abs(ba - bb) if is_finite(ba) else Fraction(0)
+    def birth_table(h: RFiltration):
+        elements = h.ground.elements
+        return cache(lambda m: to_scale(h.births.get(_names(elements, m), INF), scale))
 
-    return min_max_over_correspondences(f.ground, g.ground, _realizable_pairs, cost, guard)
+    at_x, at_y = birth_table(f), birth_table(g)
+
+    def cost(mx, my):
+        a, b = at_x(mx), at_y(my)
+        if isinstance(a, float) or isinstance(b, float):
+            return 0 if a == b else INF
+        return abs(a - b)
+
+    best = min_max_over_correspondences(f.ground, g.ground, _image_items, cost, guard)
+    return from_scale(best, scale)
 
 
 def tripod_distance_int(
     f: IntFiltration, g: IntFiltration, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
     """Interval-indexed tripod distance: worst support-staircase Hausdorff
-    distance over realizable image pairs, minimized over correspondences."""
-
-    def cost(a, b):
-        return hausdorff(support(f, a), support(g, b))
-
-    return min_max_over_correspondences(f.ground, g.ground, _realizable_pairs, cost, guard)
+    distance over realizable image pairs, minimized over correspondences.
+    Every Hausdorff value is a multiple of 1 / S, for S the `common_scale`
+    of every support of both sides, so the search compares ints and the
+    answer is the best over S."""
+    scale = common_scale(*[u.gens for h in (f, g) for u in h.supports.values()])
+    xs, ys = f.ground.elements, g.ground.elements
+    cost = _hausdorff_costs(
+        lambda m: f.supports.get(_names(xs, m), _EMPTY),
+        lambda m: g.supports.get(_names(ys, m), _EMPTY),
+        scale,
+    )
+    best = min_max_over_correspondences(f.ground, g.ground, _image_items, cost, guard)
+    return from_scale(best, scale)
 
 
 def one_point_tripod(f: IntFiltration, g: IntFiltration) -> RatX:

@@ -341,10 +341,11 @@ def is_dendrogram(f: Formigram) -> str | None:
 
 @dataclass(frozen=True)
 class Ultrametric:
-    """Symmetric matrix over a ground set satisfying the ultra-triangle
-    inequality (checked by `violations`, not the constructor).  The entries
-    are read through ``rat``: an int becomes a Fraction, an inexact float
-    raises ValueError, and an infinite entry or a matrix that is not
+    """Symmetric matrix with a zero diagonal over a ground set satisfying
+    the ultra-triangle inequality (checked by `violations`, not the
+    constructor).  The entries are read through ``rat``: an int becomes a
+    Fraction, an inexact float raises ValueError, and an infinite entry, a
+    nonzero diagonal entry, an asymmetric matrix or a matrix that is not
     n x n over the ground set raises ValidationError."""
 
     ground: GroundSet
@@ -357,6 +358,11 @@ class Ultrametric:
         entries = tuple([tuple([rat(x) for x in row]) for row in self.entries])
         if not all(is_finite(x) for row in entries for x in row):
             raise ValidationError("ultrametric entries must be finite")
+        for i, row in enumerate(entries):
+            if row[i] != 0:
+                raise ValidationError("ultrametric diagonal must be zero")
+            if any(row[j] != entries[j][i] for j in range(i)):
+                raise ValidationError("ultrametric matrix must be symmetric")
         object.__setattr__(self, "entries", entries)
 
     def __call__(self, x: str, y: str) -> Fraction:
@@ -457,4 +463,9 @@ def ultrametric(f: Formigram) -> Ultrametric:
                     ra, r0 = r0, ra
                 parent[ra] = r0
                 members[r0] += members[ra]
-    return Ultrametric(f.ground, tuple([tuple(row) for row in entries]))
+    # the walk wrote a finite symmetric Fraction matrix with a zero
+    # diagonal, so the result skips the constructor's reading and checks
+    u = object.__new__(Ultrametric)
+    object.__setattr__(u, "ground", f.ground)
+    object.__setattr__(u, "entries", tuple([tuple(row) for row in entries]))
+    return u

@@ -11,10 +11,12 @@ float or a bool is refused; `parse_rat` reads text as well, and
 `increasing_rats` reads the finite increasing times of critical points and cuts.
 
 The exact kernels (the staircase profile walk, the bottleneck search, single
-linkage and the Gromov-Hausdorff search between ultrametrics) run on ints:
+linkage and the Gromov-Hausdorff and tripod searches) run on ints:
 `common_scale` gives S = 2 lcm of the finite denominators of some lists of
 pairs (or of matrix rows), and `on_scale` puts a list of pairs on S, where
-every finite coordinate is an even int (`rows_on_scale` a finite matrix).
+every finite coordinate is an even int (`rows_on_scale` a finite matrix,
+`to_scale` one value, and `from_scale` turns an int on S back into a
+Fraction).
 """
 
 from fractions import Fraction
@@ -98,6 +100,18 @@ def on_scale(pairs, scale: int) -> tuple[tuple[int | float, int | float], ...]:
         )
         for a, b in pairs
     ])
+
+
+def to_scale(x: RatX, scale: int) -> int | float:
+    """One value times ``scale``, a multiple of its denominator: an int, or
+    the infinity itself (``on_scale`` does the same, inline, per pair)."""
+    return x if isinstance(x, float) else x.numerator * (scale // x.denominator)
+
+
+def from_scale(n: int | float, scale: int) -> RatX:
+    """An int on ``scale`` back as a Fraction; an infinity stays the float
+    it is."""
+    return n if isinstance(n, float) else Fraction(n, scale)
 
 
 def rows_on_scale(rows, scale: int) -> list[list[int]]:

@@ -99,8 +99,15 @@ class Staircase:
         return not self.gens
 
     def is_full(self) -> bool:
-        # the full generator dominates every other, so it stands alone
-        return self.gens == _FULL
+        return _is_full(self.gens)
+
+
+def _is_full(gens) -> bool:
+    """gens (normalized, or on an integer scale) is the one full generator
+    (INF, NEG_INF): it dominates every other, so it stands alone, and the
+    only floats a normalized generator holds are those infinities, so two
+    type tests stand in for comparing Fractions with floats."""
+    return len(gens) == 1 and isinstance(gens[0][0], float) and isinstance(gens[0][1], float)
 
 
 def _exact_gen(g) -> Gen:
@@ -219,7 +226,7 @@ def _sweep(
     c // 2 is exact.
     """
     pts = [cs[0] - 2, *cs, cs[-1] + 2]
-    if gens == _FULL:
+    if _is_full(gens):
         # INF + NEG_INF has no corner; the profile is c/2 or -inf
         vals = [c // 2 if clamped else NEG_INF for c in pts]
     else:

@@ -253,6 +253,17 @@ def rand_r_filtration(
     return RFiltration(g, births)
 
 
+def full_r_filtration(rng: random.Random, g: GroundSet) -> RFiltration:
+    """Every simplex present, each born no earlier than its faces, so that
+    distances between different vertex counts can be finite."""
+    births = {}
+    for k in range(1, len(g) + 1):
+        for s in map(frozenset, combinations(g.elements, k)):
+            base = max((births[s - {v}] for v in s if k > 1), default=Fraction(0))
+            births[s] = base + abs(rand_fraction(rng, lo=0, hi=4))
+    return RFiltration(g, births)
+
+
 def union_staircase(u: Staircase, v: Staircase) -> Staircase:
     return Staircase(u.ambient, u.gens + v.gens)
 

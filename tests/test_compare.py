@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 import random
 
 import pytest
@@ -26,17 +27,32 @@ from stairdist import (
     single_linkage,
     ultrametric,
 )
-from stairdist.compare import _minimal_covers
+from stairdist import compare
+from stairdist.compare import (
+    _key_items,
+    _minimal_covers,
+    _names,
+    _walk_stars,
+    min_max_over_correspondences,
+)
 from stairdist.rat import NEG_INF
-from stairdist.staircase import PLANE, plane_generator, staircase
-from stairdist.filtration import RFiltration, to_int_indexed, tripod_distance_int, tripod_distance_r
-from stairdist.formigram import Ultrametric, all_pair_keys
+from stairdist.staircase import PLANE, hausdorff, plane_generator, staircase
+from stairdist.filtration import (
+    RFiltration,
+    _image_items,
+    to_int_indexed,
+    tripod_distance_int,
+    tripod_distance_r,
+)
+from stairdist.formigram import Ultrametric, all_pair_keys, cosheaf_code
 from stairdist.oracle import grid_interleaved, oracle_grid_distance
 from conftest import (
+    full_r_filtration,
     ground,
     rand_formigram,
     rand_grid,
     rand_grid_pair,
+    rand_int_filtration,
     rand_merged_tail_formigram,
     rand_metric,
 )
@@ -62,6 +78,107 @@ def oracle_gh_via_pullbacks(fx, fy, guard=12):
         )
         best = min(best, d)
     return best / 2
+
+
+def _key_pairs(rel):
+    """Pair keys ({x1, x2}, {y1, y2}) of every two related pairs: the GH
+    items of a correspondence, by name."""
+    for (x1, y1), (x2, y2) in combinations_with_replacement(rel, 2):
+        yield frozenset({x1, x2}), frozenset({y1, y2})
+
+
+def unpruned_min_max(x, y, items, cost, guard=12):
+    """The unpruned twin of `min_max_over_correspondences`: every minimal
+    cover in turn, its items by name from `items(rel)`, `cost` once per
+    distinct item.  A cover is abandoned as soon as its worst item reaches
+    the best value so far, and the search stops at 0."""
+    memo = {}
+    best = INF
+    for rel in _minimal_covers(x, y, guard):
+        worst = F(0)
+        for item in items(rel):
+            c = memo.get(item)
+            if c is None:
+                c = memo[item] = cost(*item)
+            if c > worst:
+                worst = c
+                if worst >= best:
+                    break
+        if worst < best:
+            best = worst
+            if best == 0:
+                break
+    return best
+
+
+def gh_cost_formigrams(fx, fy):
+    """The merge-staircase mismatch of a pair of keys, by name."""
+    code_x, code_y = cosheaf_code(fx), cosheaf_code(fy)
+
+    def cost(kx, ky):
+        return hausdorff(code_x[kx], code_y[ky])
+
+    return cost
+
+
+def gh_cost_ultrametrics(ux, uy):
+    """The distortion of a pair of keys, by name."""
+
+    def cost(kx, ky):
+        return abs(ux(min(kx), max(kx)) - uy(min(ky), max(ky)))
+
+    return cost
+
+
+def unpruned_gh_formigrams(fx, fy, guard=12):
+    """GH between formigrams through the unpruned twin, on Fraction costs."""
+    cost = gh_cost_formigrams(fx, fy)
+    return unpruned_min_max(fx.ground, fy.ground, _key_pairs, cost, guard) / 2
+
+
+def unpruned_gh_ultrametrics(ux, uy, guard=12):
+    """GH between ultrametrics through the unpruned twin, on Fraction costs."""
+    cost = gh_cost_ultrametrics(ux, uy)
+    return unpruned_min_max(ux.ground, uy.ground, _key_pairs, cost, guard) / 2
+
+
+def named_grounds(nx, ny):
+    return tuple(GroundSet(tuple(f"{c}{i}" for i in range(n))) for c, n in (("x", nx), ("y", ny)))
+
+
+def grown_items(grow, rows):
+    """The items `grow` adds over the rows N(xs[i]) of a relation (bitmasks
+    over y), from the last row to the first, in order."""
+    state, out = (), []
+    for i in reversed(range(len(rows))):
+        state, new = grow(state, i, rows[i])
+        out += new
+    return out
+
+
+def walk_items(grow, nx, ny):
+    """(rows, items) of every cover the star walk completes, in its order,
+    with the items grown along the walk as the search grows them: each
+    choice extends the state its parent choice left."""
+    node = {nx: ((), [])}
+    rows = [0] * nx
+    for i, c in _walk_stars(nx, ny):
+        state, items = node[i + 1]
+        state, new = grow(state, i, c)
+        node[i] = state, items + new
+        rows[i] = c
+        if i == 0:
+            yield tuple(rows), node[0][1]
+
+
+def rows_of(rel, x, y):
+    return tuple([
+        sum(1 << k for k, b in enumerate(y.elements) if (a, b) in rel) for a in x.elements
+    ])
+
+
+def named(items, x, y):
+    return [(_names(x.elements, mx), _names(y.elements, my)) for mx, my in items]
 
 
 # --- correspondences -------------------------------------------------------------
@@ -143,6 +260,176 @@ def test_minimal_covers_walk_long_ground_sets():
     x, y = GroundSet(tuple(f"x{i:04d}" for i in range(1200))), GroundSet(("y",))
     rels = list(_minimal_covers(x, y, guard=5000))
     assert rels == [tuple((a, "y") for a in x.elements)]
+
+
+def test_key_items_are_the_key_pairs():
+    """The GH items grown row by row are the pair keys of the relation, on
+    every correspondence (minimal or not) up to 2 x 3 and 3 x 2; along the
+    star walk, which completes the minimal covers in their order, each key
+    is grown once."""
+    for nx, ny in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
+        x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
+        for rel in enumerate_correspondences(x, y):
+            items = named(grown_items(_key_items, rows_of(rel, x, y)), x, y)
+            assert set(items) == set(_key_pairs(rel))
+        covers = list(_minimal_covers(x, y))
+        walked = list(walk_items(_key_items, nx, ny))
+        assert [rows for rows, _ in walked] == [rows_of(rel, x, y) for rel in covers]
+        for rel, (_, items) in zip(covers, walked):
+            items = named(items, x, y)
+            assert len(items) == len(set(items))
+            assert set(items) == set(_key_pairs(rel))
+
+
+def test_star_walk_skips_below_a_sent_choice():
+    """A true value sent back drops exactly the covers below that choice."""
+    walk = _walk_stars(3, 4)
+    seen, skip = [], None
+    chosen = [0] * 3
+    while True:
+        try:
+            i, c = walk.send(skip)
+        except StopIteration:
+            break
+        chosen[i] = c
+        skip = i == 2 and c == 0b0011
+        if i == 0:
+            seen.append(tuple(chosen))
+    covers = [rows for rows, _ in walk_items(_key_items, 3, 4)]
+    assert seen == [rows for rows in covers if rows[2] != 0b0011]
+    assert len(seen) < len(covers)
+
+
+def search_instances(rng, nx, ny):
+    """One random pair of each searched kind over nx and ny elements, with
+    the items and the Fraction cost by name that the unpruned twin reads,
+    and the library's `grow`: (kind, x, y, items, cost, grow)."""
+    from test_filtration import _realizable_pairs, tripod_cost_int, tripod_cost_r
+
+    gx, gy = named_grounds(nx, ny)
+    make = rand_formigram if rng.random() < 0.5 else rand_merged_tail_formigram
+    fx, fy = make(rng, gx, max_crit=2), make(rng, gy, max_crit=2)
+    yield "gh_formigrams", gx, gy, _key_pairs, gh_cost_formigrams(fx, fy), _key_items
+    ux, uy = (ultrametric(single_linkage(g, rand_metric(rng, g))) for g in (gx, gy))
+    yield "gh_ultrametrics", gx, gy, _key_pairs, gh_cost_ultrametrics(ux, uy), _key_items
+    rx, ry = full_r_filtration(rng, gx), full_r_filtration(rng, gy)
+    yield "tripod_r", gx, gy, _realizable_pairs, tripod_cost_r(rx, ry), _image_items
+    if rng.random() < 0.5:
+        ix, iy = (to_int_indexed(full_r_filtration(rng, g)) for g in (gx, gy))
+    else:
+        ix, iy = (rand_int_filtration(rng, g, pinned=True) for g in (gx, gy))
+    yield "tripod_int", gx, gy, _realizable_pairs, tripod_cost_int(ix, iy), _image_items
+
+
+def counted(cost):
+    calls = []
+
+    def wrapped(*item):
+        calls.append(item)
+        return cost(*item)
+
+    return wrapped, calls
+
+
+def test_pruned_search_agrees_with_the_unpruned_twin():
+    """Every shape up to the default guard with at most 6 elements a side:
+    the branch and bound and the unpruned search give the same value."""
+    rng = random.Random(167)
+    for nx in range(1, 7):
+        for ny in range(1, min(6, 12 // nx) + 1):
+            for kind, x, y, items, cost, grow in search_instances(rng, nx, ny):
+                xs, ys = x.elements, y.elements
+                got = min_max_over_correspondences(
+                    x, y, grow, lambda mx, my: cost(_names(xs, mx), _names(ys, my)), 12
+                )
+                assert got == unpruned_min_max(x, y, items, cost), (kind, nx, ny)
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
+def test_pruned_search_costs_no_more_than_the_unpruned_twin(nx, ny):
+    """Count band, not time, at 48 and 62 covers: over a seeded batch of
+    each search, the branch and bound calls `cost` no more often than the
+    unpruned twin over the same covers, and gives the same values."""
+    assert compare.CORRESPONDENCE_GUARD == 12
+    rng = random.Random(nx * 100 + ny)
+    total = Counter()
+    for _ in range(6):
+        for kind, x, y, items, cost, grow in search_instances(rng, nx, ny):
+            xs, ys = x.elements, y.elements
+            new_cost, new_calls = counted(
+                lambda mx, my: cost(_names(xs, mx), _names(ys, my))
+            )
+            twin_cost, twin_calls = counted(cost)
+            got = min_max_over_correspondences(x, y, grow, new_cost, 12)
+            assert got == unpruned_min_max(x, y, items, twin_cost)
+            total[kind, "new"] += len(new_calls)
+            total[kind, "twin"] += len(twin_calls)
+    # per batch: on one instance the items of a cover are tried in another
+    # order than the twin's, which can cost a call or two more there
+    assert all(total[k, "new"] <= total[k, "twin"] for k, _ in total), total
+
+
+def test_int_cost_searches_compare_no_fraction(monkeypatch):
+    """The line-indexed tripod distance and GH between ultrametrics read
+    each Fraction onto the integer scale once: the search compares ints
+    only, and the answers still match the twins'."""
+    from test_filtration import unpruned_tripod_r
+
+    rng = random.Random(173)
+    gx, gy = named_grounds(3, 4)
+    pairs = []
+    for _ in range(4):
+        pairs.append((tripod_distance_r, unpruned_tripod_r,
+                      full_r_filtration(rng, gx), full_r_filtration(rng, gy)))
+        pairs.append((gromov_hausdorff_ultrametrics, unpruned_gh_ultrametrics,
+                      ultrametric(single_linkage(gx, rand_metric(rng, gx))),
+                      ultrametric(single_linkage(gy, rand_metric(rng, gy)))))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction comparison")
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [search(a, b) for search, _, a, b in pairs]
+    monkeypatch.undo()
+    assert got == [twin(a, b) for _, twin, a, b in pairs]
+    assert all(type(d) is Fraction for d in got)
+
+
+def hausdorff_pairs(monkeypatch, module):
+    """Record the generator lists of every `hausdorff` call made through
+    `module`."""
+    calls = []
+
+    def recording(u, v):
+        calls.append(frozenset((u.gens, v.gens)))
+        return hausdorff(u, v)
+
+    monkeypatch.setattr(module, "hausdorff", recording)
+    return calls
+
+
+@pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
+def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
+    """GH between formigrams and the interval tripod distance run
+    `hausdorff` at most once per distinct (unordered) pair of generator
+    lists, and agree with their unpruned twins."""
+    from test_filtration import unpruned_tripod_int
+
+    calls = hausdorff_pairs(monkeypatch, compare)
+    rng = random.Random(nx * 10 + ny)
+    gx, gy = named_grounds(nx, ny)
+    for _ in range(6):
+        fx = rand_merged_tail_formigram(rng, gx, max_crit=2)
+        fy = rand_merged_tail_formigram(rng, gy, max_crit=2)
+        calls.clear()
+        assert gromov_hausdorff_formigrams(fx, fy) == unpruned_gh_formigrams(fx, fy)
+        assert len(calls) == len(set(calls))
+        ix = rand_int_filtration(rng, gx, pinned=True)
+        iy = rand_int_filtration(rng, gy, pinned=True)
+        calls.clear()
+        assert tripod_distance_int(ix, iy) == unpruned_tripod_int(ix, iy)
+        assert len(calls) == len(set(calls))
 
 
 # --- Gromov-Hausdorff between formigrams ------------------------------------------

@@ -39,6 +39,7 @@ from stairdist import (
     staircase,
     sublevel_staircase,
     subset,
+    to_int_indexed,
     tripod_distance_int,
     tripod_distance_r,
     ultrametric,
@@ -201,6 +202,21 @@ def test_ultrametric_refuses_a_matrix_of_the_wrong_shape(rows):
         Ultrametric(XY, rows)
 
 
+@pytest.mark.parametrize(
+    "rows, what",
+    [
+        (((0, 1), (5, 0)), "symmetric"),
+        (((0, 5), (1, 0)), "symmetric"),
+        (((3, 1), (1, 0)), "diagonal"),
+    ],
+)
+def test_ultrametric_refuses_an_asymmetric_matrix_or_a_nonzero_diagonal(rows, what):
+    """Each of these was read: GH against ((0, 1), (1, 0)) was 0, 2 and 3/2,
+    depending on which triangle and which diagonal entry a cost read."""
+    with pytest.raises(ValidationError, match=what):
+        Ultrametric(XY, rows)
+
+
 # --- no engine returns a float other than +-inf -----------------------------------
 
 
@@ -271,6 +287,24 @@ def test_no_engine_returns_an_inexact_float():
     finite = [x for x in answers if type(x) is Fraction]
     assert any(x.denominator == 4 for x in finite)  # a clamp halved a half
     assert len(finite) > len(answers) // 2
+
+
+def test_searches_answer_a_fraction_zero_and_a_float_infinity():
+    """The searches compare ints on a scale, but an all-zero answer is
+    Fraction(0), not the int 0, and an infinite one the float INF."""
+    xy = SubPartition(XY, (("x", "y"),))
+    one = Formigram.constant(xy)
+    apart = Formigram.constant(SubPartition(XY, (("x",), ("y",))))
+    assert same(gromov_hausdorff_formigrams(one, one), F(0))
+    assert same(gromov_hausdorff_formigrams(one, apart), INF)
+    u = Ultrametric(XY, ((0, 1), (1, 0)))
+    assert same(gromov_hausdorff_ultrametrics(u, u), F(0))
+    edge = RFiltration(XY, {frozenset("x"): 0, frozenset("y"): 0, frozenset("xy"): 1})
+    dots = RFiltration(XY, {frozenset("x"): 0, frozenset("y"): 0})
+    assert same(tripod_distance_r(edge, edge), F(0))
+    assert same(tripod_distance_r(edge, dots), INF)
+    assert same(tripod_distance_int(to_int_indexed(edge), to_int_indexed(edge)), F(0))
+    assert same(tripod_distance_int(to_int_indexed(edge), to_int_indexed(dots)), INF)
 
 
 # --- wide ints ---------------------------------------------------------------------

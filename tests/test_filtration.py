@@ -31,10 +31,11 @@ from stairdist import (
     tripod_distance_r,
     validate_filtration,
 )
-from stairdist.compare import enumerate_correspondences
-from stairdist.filtration import Simplex, _realizable_pairs
+from stairdist.compare import _minimal_covers, enumerate_correspondences
+from stairdist.filtration import Simplex, _image_items
 from stairdist.staircase import Staircase
 from conftest import ground, rand_fraction, rand_int_filtration, rand_r_filtration
+from test_compare import grown_items, named, rows_of, unpruned_min_max, walk_items
 
 F = Fraction
 
@@ -43,8 +44,8 @@ def fs(*xs):
     return frozenset(xs)
 
 
-def oracle_tripod_r(f, g, guard=12):
-    """Literal subset enumeration over each correspondence."""
+def tripod_cost_r(f, g):
+    """The birth discrepancy of an image pair (A, B), by name."""
 
     def cost(a, b):
         ba, bb = birth(f, a), birth(g, b)
@@ -52,16 +53,50 @@ def oracle_tripod_r(f, g, guard=12):
             return F(0)
         return INF if (ba == INF) != (bb == INF) else abs(ba - bb)
 
-    return _oracle_tripod(f, g, cost, guard)
+    return cost
 
 
-def oracle_tripod_int(f, g, guard=12):
-    """Literal subset enumeration with support-staircase costs."""
+def tripod_cost_int(f, g):
+    """The support-staircase Hausdorff distance of an image pair, by name."""
 
     def cost(a, b):
         return hausdorff(support(f, a), support(g, b))
 
-    return _oracle_tripod(f, g, cost, guard)
+    return cost
+
+
+def oracle_tripod_r(f, g, guard=12):
+    """Literal subset enumeration over each correspondence."""
+    return _oracle_tripod(f, g, tripod_cost_r(f, g), guard)
+
+
+def oracle_tripod_int(f, g, guard=12):
+    """Literal subset enumeration with support-staircase costs."""
+    return _oracle_tripod(f, g, tripod_cost_int(f, g), guard)
+
+
+def _realizable_pairs(pairs):
+    """The image pairs (pi_X S, pi_Y S) of the nonempty sub-relations S of
+    the correspondence, each once, in order of first appearance: the
+    tripod items of a correspondence, by name.  A minimal cover has at most
+    |X| + |Y| - 1 pairs, so this walks at most 2^(|X| + |Y| - 1) subsets."""
+    seen = set()
+    for k in range(1, len(pairs) + 1):
+        for sub in combinations(pairs, k):
+            item = frozenset(x for x, _ in sub), frozenset(y for _, y in sub)
+            if item not in seen:
+                seen.add(item)
+                yield item
+
+
+def unpruned_tripod_r(f, g, guard=12):
+    """The line-indexed tripod distance through the unpruned twin."""
+    return unpruned_min_max(f.ground, g.ground, _realizable_pairs, tripod_cost_r(f, g), guard)
+
+
+def unpruned_tripod_int(f, g, guard=12):
+    """The interval-indexed tripod distance through the unpruned twin."""
+    return unpruned_min_max(f.ground, g.ground, _realizable_pairs, tripod_cost_int(f, g), guard)
 
 
 def _oracle_tripod(f, g, cost, guard):
@@ -418,11 +453,25 @@ def covered_subset_pairs(rel):
 
 
 def test_realizable_pairs_are_the_covered_subset_pairs():
-    """Images of sub-relations against the subset-pair cover filter, on
-    every correspondence (minimal or not) up to 2 x 3 and 3 x 2."""
+    """The images grown along the star walk, as the search grows them, on
+    every minimal cover, and the images grown row by row and the twin's
+    images of sub-relations on every correspondence (minimal or not),
+    against the subset-pair cover filter, up to 2 x 3 and 3 x 2; each image
+    is grown once."""
     for nx, ny in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
         x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-        for rel in enumerate_correspondences(x, y):
-            items = list(_realizable_pairs(rel))
+        covers = list(_minimal_covers(x, y))
+        walked = list(walk_items(_image_items, nx, ny))
+        assert [rows for rows, _ in walked] == [rows_of(rel, x, y) for rel in covers]
+        for rel, (_, items) in zip(covers, walked):
+            items = named(items, x, y)
             assert len(items) == len(set(items))
             assert set(items) == covered_subset_pairs(set(rel))
+        for rel in enumerate_correspondences(x, y):
+            covered = covered_subset_pairs(set(rel))
+            grown = named(grown_items(_image_items, rows_of(rel, x, y)), x, y)
+            assert set(grown) == covered
+            assert len(grown) == len(set(grown))
+            items = list(_realizable_pairs(rel))
+            assert len(items) == len(set(items))
+            assert set(items) == covered

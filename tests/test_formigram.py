@@ -562,6 +562,26 @@ def test_ultrametric_matches_same_block_scan():
     assert min(seen.values()) >= 10, seen
 
 
+def test_ultrametric_trusts_its_own_matrix(monkeypatch):
+    """`ultrametric` sends no entry back through `rat`, and its result
+    equals the constructor's over the scan's matrix, Fraction entries
+    included."""
+    from stairdist import formigram
+    from stairdist.formigram import Ultrametric
+
+    rng = random.Random(61)
+    fs_ = [single_linkage(g, rand_metric(rng, g)) for g in (ground(n) for n in range(1, 7))]
+    read = []
+    monkeypatch.setattr(formigram, "rat", lambda x: read.append(x) or x)
+    us = [ultrametric(f) for f in fs_]
+    assert read == []
+    monkeypatch.undo()
+    for f, u in zip(fs_, us):
+        assert all(type(x) is Fraction for row in u.entries for x in row)
+        assert u.entries == ultrametric_scan(f)
+        assert u == Ultrametric(f.ground, ultrametric_scan(f))
+
+
 def test_ultrametric_idle_critical_points():
     g = GroundSet(("a", "b", "c"))
     apart = SubPartition.singletons(g)

@@ -336,6 +336,19 @@ def rand_gen_list(rng, k):
 
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_is_full_only_on_the_full_generator(ambient):
+    """Type tests, not Fraction-float equality: a lone generator with one
+    infinite coordinate is not full, and neither is the empty staircase."""
+    assert full(ambient).is_full()
+    assert staircase([(F(1), F(2)), (INF, NEG_INF)], ambient).is_full()
+    assert not empty(ambient).is_full()
+    assert not staircase([(INF, F(3))], ambient).is_full()
+    assert not staircase([(F(-3), NEG_INF)], ambient).is_full()
+    assert not staircase([(INF, F(3)), (F(-3), NEG_INF)], ambient).is_full()
+    assert not staircase([(F(0), F(0))], ambient).is_full()
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
 def test_normalize_matches_naive_dominance_filter(ambient):
     rng = random.Random(41)
     for _ in range(400):
