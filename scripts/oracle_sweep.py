@@ -8,14 +8,18 @@ line- and interval-indexed tripod distances at |X|*|Y| <= 8), the
 cosheaf code (the join over a random open interval rebuilt from the merge
 staircases, against the join of the pieces) and the merge times of
 dendrograms built directly (`um`: idle critical points and several merges
-at one time included, against the `same_block` scan) and, last, the
-pruned correspondence search (`search`: both Gromov-Hausdorff distances
-and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
-oracles, against the unpruned search over every minimal cover), on
-freshly sampled instances, and reports per-family counts (including how
-many infinite values were hit).  Disagreements abort with the offending instance printed
+at one time included, against the `same_block` scan), the pruned
+correspondence search (`search`: both Gromov-Hausdorff distances and both
+tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force oracles,
+against the unpruned search over every minimal cover) and, last, the
+validation of interval-indexed filtrations (`validate`: valid ones and
+copies with one face's support shrunk or dropped, against one `subset`
+per (simplex, face), comparing the report strings or None), on freshly
+sampled instances, and reports per-family counts (including how many
+infinite values were hit).  Disagreements abort with the offending instance printed
 for replay, and so does a fast answer that is not a Fraction or +-inf (or,
-for the cosheaf code, a SubPartition).
+for the cosheaf code, a SubPartition; for validation, a report string or
+None).
 """
 
 import argparse
@@ -46,6 +50,7 @@ from stairdist import (
     tripod_distance_int,
     tripod_distance_r,
     ultrametric,
+    validate_filtration,
 )
 from stairdist.oracle import (
     oracle_formigram_distance,
@@ -73,8 +78,10 @@ from test_compare import (
     unpruned_gh_ultrametrics,
 )
 from test_filtration import (
+    broken_copies,
     oracle_tripod_int,
     oracle_tripod_r,
+    per_face_validate,
     unpruned_tripod_int,
     unpruned_tripod_r,
 )
@@ -169,6 +176,17 @@ def metric_instance(r):
     return g, rand_metric(r, g)
 
 
+def validate_instance(r):
+    """An interval-indexed filtration over 1 to 5 vertices, possibly with
+    2-simplices: valid, or with one face's support shrunk or dropped."""
+    f = rand_int_filtration(r, ground(r.randint(1, 5)), tri_prob=r.choice((0, 0.5, 1)))
+    return (r.choice(broken_copies(r, f)),)
+
+
+def is_report(x) -> bool:
+    return x is None or type(x) is str
+
+
 def is_exact(x) -> bool:
     """A Fraction or +-inf, a tuple of them (the merge-time matrices), or
     a SubPartition (the cosheaf code's joins, which hold no numbers)."""
@@ -179,14 +197,14 @@ def is_exact(x) -> bool:
     return type(x) is Fraction or (type(x) is float and math.isinf(x))
 
 
-def sweep(name, make, fast, slow, rng, iterations):
+def sweep(name, make, fast, slow, rng, iterations, exact=is_exact):
     t0 = time.perf_counter()
     infinite = 0
     for i in range(iterations):
         instance = make(rng)
         got = fast(*instance)
         expected = slow(*instance)
-        if not is_exact(got):
+        if not exact(got):
             print(f"{name}: INEXACT answer {got!r} at iteration {i}")
             print(f"  instance: {instance!r}")
             sys.exit(1)
@@ -303,6 +321,15 @@ def main():
         lambda kind, a, b: SEARCHES[kind][2](a, b),
         rng,
         args.iterations,
+    )
+    sweep(
+        "validate",
+        validate_instance,
+        validate_filtration,
+        per_face_validate,
+        rng,
+        args.iterations,
+        exact=is_report,
     )
     print("all families agree")
 

@@ -19,8 +19,12 @@ creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
 item already reaches the best cover so far is dropped with every cover
 below it.  The costs are ints on one scale that the caller picks, or INF,
 so no Fraction is compared inside the search; the callers read each mask's
-cost from small lazy tables, and every distinct pair of staircases costs
-one `hausdorff`.
+cost from small lazy tables.  For staircase costs the scale is the common
+scale of every staircase of both inputs: each distinct generator list goes
+onto it once (`staircase._on`), and every distinct pair of them costs one
+int kernel call (`staircase._gap`), with no Fraction made or compared.
+The grid distance calls `hausdorff` once per pair key, and builds each
+grid up-set as its normalized antichain in O(rows + cols).
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ from .rat import (
     from_scale,
     increasing_rats,
     rows_on_scale,
-    to_scale,
 )
-from .staircase import PLANE, Staircase, hausdorff, plane_generator
+from .staircase import PLANE, Staircase, _antichain, _gap, _on, hausdorff, plane_generator
 
 CORRESPONDENCE_GUARD = 12
 
@@ -252,22 +255,24 @@ def _key_items(
 
 
 def _hausdorff_costs(stair_x, stair_y, scale: int):
-    """cost(mx, my) = `hausdorff(stair_x(mx), stair_y(my))` on the int
-    scale `scale` (a multiple of every generator denominator on both
-    sides), through `to_scale`.  Each mask's staircase is looked up once,
-    and staircases with equal generator lists (all in one ambient) share
-    one index, so each distinct pair of generator lists costs one
-    `hausdorff`."""
-    stairs: list[Staircase] = []
-    index: dict = {}  # generator list -> its position in stairs
+    """cost(mx, my) = `hausdorff(stair_x(mx), stair_y(my))` times `scale`
+    (a multiple of twice every generator denominator on both sides), as an
+    int or INF, for interval staircases (merge staircases and supports).
+    Each mask's staircase is looked up once, and staircases with equal
+    generator lists share one index: each distinct generator list goes onto
+    the scale once (`_on`, O(k)), and each distinct unordered pair of them
+    costs one `_gap`, with no Fraction in between."""
+    on: list = []  # each distinct generator list on the scale, with its kinks
+    index: dict = {}  # generator list -> its position in on
 
     def table(stair):
         @cache
         def at(mask):
             u = stair(mask)
-            k = index.setdefault(u.gens, len(stairs))
-            if k == len(stairs):
-                stairs.append(u)
+            k = index.get(u.gens)
+            if k is None:
+                k = index[u.gens] = len(on)
+                on.append(_on(u, scale))
             return k
 
         return at
@@ -276,7 +281,7 @@ def _hausdorff_costs(stair_x, stair_y, scale: int):
 
     @cache
     def pair(p, q):
-        return to_scale(hausdorff(stairs[p], stairs[q]), scale)
+        return _gap(on[p], on[q], True)
 
     def cost(mx, my):
         p, q = at_x(mx), at_y(my)
@@ -370,7 +375,9 @@ def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
     Cells are order-preserving, so the merging cells of row r are the
     suffix of the row from some column c_r, and c_r does not increase with
     r.  One walk moves c leftward row by row and offers the corner of
-    cell (r, c_r) only where c_r drops: exactly the minimal corners.
+    cell (r, c_r) only where c_r drops: exactly the minimal corners, met
+    with l = -x and r = y both increasing, so the list is the normalized
+    antichain and the staircase skips normalization (`_antichain`).
     O(rows + cols) `same_block` calls."""
     for v in key:
         if v not in f.ground:
@@ -388,7 +395,7 @@ def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
                 f.y_cuts[r - 1] if r >= 1 else NEG_INF,
             )
             gens.append(plane_generator(corner))
-    return Staircase(PLANE, tuple(gens))
+    return _antichain(PLANE, tuple(gens))
 
 
 def grid_interleaving_distance(f: GridClustering, g: GridClustering) -> RatX:

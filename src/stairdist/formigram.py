@@ -49,7 +49,7 @@ from .rat import (
     rat,
     rows_on_scale,
 )
-from .staircase import INT, Staircase, hausdorff
+from .staircase import INT, Staircase, _antichain, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
 
@@ -227,9 +227,11 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     pair's first merging piece does not decrease with i, so each key's
     index pairs arrive sorted in both coordinates, and dropping an entry
     whose left or right index equals its neighbour's leaves the antichain.
-    Keys with equal index lists share one (frozen) Staircase.  For n
-    elements and m critical points this is O(m n (m + n)): O(m) starts,
-    each reading O(m n) block members and noting O(n^2) pairs.
+    Keys with equal index lists share one (frozen) Staircase, built on its
+    already normalized antichain without the normalizing sweep
+    (`_antichain`).  For n elements and m critical points this is
+    O(m n (m + n)): O(m) starts, each reading O(m n) block members and
+    noting O(n^2) pairs.
     """
     elements = f.ground.elements
     index = f.ground.index
@@ -285,7 +287,7 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
             run = tuple(runs[a][b])
             u = shared.get(run)
             if u is None:
-                u = shared[run] = Staircase(
+                u = shared[run] = _antichain(
                     INT, tuple([(lefts[l], rights[r]) for l, r in run])
                 )
             out[frozenset((elements[a], elements[b]))] = u

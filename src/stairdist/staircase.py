@@ -29,15 +29,25 @@ and k_v generators, ``hausdorff`` and ``subset`` cost
 O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
 normalizing k generators (a sort by l and one sweep) costs O(k log k).
 
-The walk runs on Python ints.  A call on u and v takes L_u and L_v, the
-lcm of each side's finite denominators, and puts both generator lists on
-the common scale S = 2 lcm(L_u, L_v) of ``rat.common_scale`` and
-``rat.on_scale``, where every coordinate and every breakpoint is an even
-int, so the clamp c/2 is the exact c // 2.
-Fractions appear only at the boundary: ``hausdorff`` returns the largest
-scaled gap over S, and ``profile`` converts each breakpoint, value and
-slope.  The O(k log k) counts above are integer operations on ints of
-the bit size of lcm(L_u, L_v).
+The walk runs on Python ints, in two steps.  ``_on(u, S)`` puts one
+staircase on an integer scale S, a multiple of twice every denominator,
+where every coordinate and every breakpoint is an even int, so the clamp
+c/2 is the exact c // 2; it returns the scaled generators and their kink
+set, in O(k).  One kernel then walks two staircases on the same scale:
+``_gap`` gives the largest scaled gap and ``_contained`` the containment
+test, both through the two sweeps of ``_walk``.  ``hausdorff`` and
+``subset`` take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of
+one side's finite denominators) and convert each side once; callers that
+compare many staircases built from one set of coordinates (the
+correspondence searches, ``validate_filtration``) pick one scale for all
+of them and convert each staircase once per call.  Fractions appear only
+at the boundary: ``hausdorff`` returns the largest scaled gap over S, and
+``profile`` converts each breakpoint, value and slope.  The O(k log k)
+counts above are integer operations on ints of the bit size of S.
+
+Constructions that emit the normalized antichain by design (the cosheaf
+code and the grid up-sets) skip the normalizing constructor through
+``_antichain``.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient
-from .rat import INF, NEG_INF, RatX, common_scale, is_finite, on_scale, rat
+from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
 
 INT, PLANE = "int", "plane"
 
@@ -131,6 +141,16 @@ def empty(ambient: str = INT) -> Staircase:
     return Staircase(ambient, ())
 
 
+def _antichain(ambient: str, gens: tuple[Gen, ...]) -> Staircase:
+    """A Staircase on gens that its caller already built as the normalized
+    antichain sorted by l, of Fractions and infinities on their own sides,
+    so the constructor's reading and sweep are skipped.  O(1)."""
+    u = object.__new__(Staircase)
+    object.__setattr__(u, "ambient", ambient)
+    object.__setattr__(u, "gens", gens)
+    return u
+
+
 def contains(u: Staircase, p: tuple[Fraction, Fraction]) -> bool:
     """Closed-region membership of an ambient point."""
     a, b = p
@@ -182,12 +202,12 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
-def _common_scale(
-    u: Staircase, v: Staircase
-) -> tuple[int, tuple[_IntGen, ...], tuple[_IntGen, ...]]:
-    """S = 2 lcm(L_u, L_v) and both generator lists on it."""
-    scale = common_scale(u.gens, v.gens)
-    return scale, on_scale(u.gens, scale), on_scale(v.gens, scale)
+def _on(u: Staircase, scale: int) -> tuple[tuple[_IntGen, ...], set[int]]:
+    """u's generators on ``scale`` (a multiple of twice every denominator of
+    u) and their candidate kinks: the staircase ready for ``_gap`` and
+    ``_contained``.  O(k) for k generators."""
+    gens = on_scale(u.gens, scale)
+    return gens, _breaks(gens, u.clamped)
 
 
 def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
@@ -204,10 +224,9 @@ def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
     return out
 
 
-def _merged_breaks(clamped: bool, *gens: tuple[_IntGen, ...]) -> list[int]:
-    """Sorted union of the candidate kinks of scaled generator lists ([0]
-    when none)."""
-    cs = sorted(set().union(*[_breaks(g, clamped) for g in gens]))
+def _merged_breaks(*kinks: set[int]) -> list[int]:
+    """Sorted union of kink sets ([0] when none)."""
+    cs = sorted(set().union(*kinks))
     return cs if cs else [0]
 
 
@@ -251,6 +270,54 @@ def _sweep(
     return vals[1:-1], vals[1] - vals[0], vals[-1] - vals[-2]
 
 
+def _walk(a, b, clamped: bool):
+    """Both profiles, as ``_sweep`` reads them, at the merged kinks of two
+    staircases on one scale (a = ``_on(u, S)``, b = ``_on(v, S)``)."""
+    cs = _merged_breaks(a[1], b[1])
+    return _sweep(a[0], clamped, cs), _sweep(b[0], clamped, cs)
+
+
+def _gap(a, b, clamped: bool) -> int | float:
+    """sup_c |g_u(c) - g_v(c)| times S for a = ``_on(u, S)`` and
+    b = ``_on(v, S)``: an int, or INF when one side is empty/full against
+    the other's proper region, or when the profiles diverge in a tail.
+    O((k_u + k_v) log(k_u + k_v)) int operations."""
+    su, sv = a[0], b[0]
+    if not su or not sv:
+        return 0 if not su and not sv else INF
+    if _is_full(su) or _is_full(sv):
+        if _is_full(su) and _is_full(sv):
+            return 0
+        if not clamped:
+            return INF
+        # clamped full Int still has the finite profile c/2: fall through
+    (gu, lo_u, hi_u), (gv, lo_v, hi_v) = _walk(a, b, clamped)
+    # Beyond the extreme breakpoints both profiles are single lines: equal
+    # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.
+    if hi_u != hi_v or lo_u != lo_v:
+        return INF
+    return max([abs(x - y) for x, y in zip(gu, gv)])
+
+
+def _contained(a, b, clamped: bool) -> bool:
+    """u inside v, i.e. g_v <= g_u on every flow line, for a = ``_on(u, S)``
+    and b = ``_on(v, S)``.  O((k_u + k_v) log(k_u + k_v)) int operations."""
+    su, sv = a[0], b[0]
+    if not su:
+        return True
+    if not sv:
+        return False
+    if _is_full(sv):
+        return True
+    if _is_full(su) and not clamped:
+        return False
+    (gu, lo_u, hi_u), (gv, lo_v, hi_v) = _walk(a, b, clamped)
+    # g_u - g_v must stay >= 0 out in both tails as well
+    if hi_u < hi_v or lo_u > lo_v:
+        return False
+    return all(x >= y for x, y in zip(gu, gv))
+
+
 def _check_ambient(u: Staircase, v: Staircase):
     if u.ambient != v.ambient:
         raise AmbientMismatch(f"{u.ambient} vs {v.ambient}")
@@ -260,47 +327,20 @@ def hausdorff(u: Staircase, v: Staircase) -> RatX:
     """Exact sup-norm Hausdorff distance between two staircases.
 
     Returns a Fraction, or INF when one side is empty/full against the
-    other's proper region, or when the entry profiles diverge in a tail.
+    other's proper region, or when the entry profiles diverge in a tail:
+    ``_gap`` on the common scale of the two, taken back by ``from_scale``.
     """
     _check_ambient(u, v)
-    if u.is_empty() or v.is_empty():
-        return Fraction(0) if u.is_empty() and v.is_empty() else INF
-    if u.is_full() or v.is_full():
-        if u.is_full() and v.is_full():
-            return Fraction(0)
-        if not u.clamped:
-            return INF
-        # clamped full Int still has the finite profile c/2: fall through
-    scale, su, sv = _common_scale(u, v)
-    cs = _merged_breaks(u.clamped, su, sv)
-    gu, lo_u, hi_u = _sweep(su, u.clamped, cs)
-    gv, lo_v, hi_v = _sweep(sv, u.clamped, cs)
-    # Beyond the extreme breakpoints both profiles are single lines: equal
-    # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.
-    if hi_u != hi_v or lo_u != lo_v:
-        return INF
-    return Fraction(max(abs(a - b) for a, b in zip(gu, gv)), scale)
+    scale = common_scale(u.gens, v.gens)
+    return from_scale(_gap(_on(u, scale), _on(v, scale), u.clamped), scale)
 
 
 def subset(u: Staircase, v: Staircase) -> bool:
-    """True iff u is contained in v, i.e. g_v <= g_u on every flow line."""
+    """True iff u is contained in v, i.e. g_v <= g_u on every flow line:
+    ``_contained`` on the common scale of the two."""
     _check_ambient(u, v)
-    if u.is_empty():
-        return True
-    if v.is_empty():
-        return False
-    if v.is_full():
-        return True
-    if u.is_full() and not u.clamped:
-        return False
-    _, su, sv = _common_scale(u, v)
-    cs = _merged_breaks(u.clamped, su, sv)
-    gu, lo_u, hi_u = _sweep(su, u.clamped, cs)
-    gv, lo_v, hi_v = _sweep(sv, u.clamped, cs)
-    # g_u - g_v must stay >= 0 out in both tails as well
-    if hi_u < hi_v or lo_u > lo_v:
-        return False
-    return all(a >= b for a, b in zip(gu, gv))
+    scale = common_scale(u.gens, v.gens)
+    return _contained(_on(u, scale), _on(v, scale), u.clamped)
 
 
 def upper_set_interleaved(u: Staircase, v: Staircase, eps: Fraction) -> bool:
@@ -339,8 +379,8 @@ def profile(u: Staircase) -> StepProfile:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
     scale = common_scale(u.gens)
-    gens = on_scale(u.gens, scale)
-    cs = _merged_breaks(u.clamped, gens)
+    gens, kinks = _on(u, scale)
+    cs = _merged_breaks(kinks)
     vals, lo, hi = _sweep(gens, u.clamped, cs)
     inner = [
         Fraction(v1 - v0, c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])

@@ -36,7 +36,7 @@ from stairdist.compare import (
     min_max_over_correspondences,
 )
 from stairdist.rat import NEG_INF
-from stairdist.staircase import PLANE, hausdorff, plane_generator, staircase
+from stairdist.staircase import PLANE, Staircase, hausdorff, plane_generator, staircase
 from stairdist.filtration import (
     RFiltration,
     _image_items,
@@ -396,40 +396,59 @@ def test_int_cost_searches_compare_no_fraction(monkeypatch):
     assert all(type(d) is Fraction for d in got)
 
 
-def hausdorff_pairs(monkeypatch, module):
-    """Record the generator lists of every `hausdorff` call made through
-    `module`."""
-    calls = []
+def kernel_calls(monkeypatch, module):
+    """Record, through `module`, the generator list of every staircase put
+    on a scale (`_on`) and the scaled generator lists of every `_gap` call;
+    every `hausdorff` call made through `module` goes to a third list."""
+    conversions, gaps, calls = [], [], []
+    on, gap = module._on, module._gap
 
-    def recording(u, v):
-        calls.append(frozenset((u.gens, v.gens)))
+    def recording_on(u, scale):
+        conversions.append(u.gens)
+        return on(u, scale)
+
+    def recording_gap(a, b, clamped):
+        gaps.append(frozenset((a[0], b[0])))
+        return gap(a, b, clamped)
+
+    def recording_hausdorff(u, v):
+        calls.append((u.gens, v.gens))
         return hausdorff(u, v)
 
-    monkeypatch.setattr(module, "hausdorff", recording)
-    return calls
+    monkeypatch.setattr(module, "_on", recording_on)
+    monkeypatch.setattr(module, "_gap", recording_gap)
+    monkeypatch.setattr(module, "hausdorff", recording_hausdorff)
+    return conversions, gaps, calls
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
 def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
-    """GH between formigrams and the interval tripod distance run
-    `hausdorff` at most once per distinct (unordered) pair of generator
-    lists, and agree with their unpruned twins."""
+    """GH between formigrams and the interval tripod distance put each
+    distinct generator list on the search's scale once and run the int
+    kernel `_gap` once per distinct (unordered) pair of them, with no
+    `hausdorff` call, and agree with their unpruned twins."""
     from test_filtration import unpruned_tripod_int
 
-    calls = hausdorff_pairs(monkeypatch, compare)
+    conversions, gaps, calls = kernel_calls(monkeypatch, compare)
     rng = random.Random(nx * 10 + ny)
     gx, gy = named_grounds(nx, ny)
     for _ in range(6):
         fx = rand_merged_tail_formigram(rng, gx, max_crit=2)
         fy = rand_merged_tail_formigram(rng, gy, max_crit=2)
-        calls.clear()
-        assert gromov_hausdorff_formigrams(fx, fy) == unpruned_gh_formigrams(fx, fy)
-        assert len(calls) == len(set(calls))
         ix = rand_int_filtration(rng, gx, pinned=True)
         iy = rand_int_filtration(rng, gy, pinned=True)
-        calls.clear()
-        assert tripod_distance_int(ix, iy) == unpruned_tripod_int(ix, iy)
-        assert len(calls) == len(set(calls))
+        for search, twin, x, y in [
+            (gromov_hausdorff_formigrams, unpruned_gh_formigrams, fx, fy),
+            (tripod_distance_int, unpruned_tripod_int, ix, iy),
+        ]:
+            conversions.clear()
+            gaps.clear()
+            got = search(x, y)
+            assert gaps and len(gaps) == len(set(gaps))
+            assert conversions and len(conversions) == len(set(conversions))
+            assert calls == []
+            assert got == twin(x, y)
+            calls.clear()
 
 
 # --- Gromov-Hausdorff between formigrams ------------------------------------------
@@ -569,6 +588,22 @@ def test_grid_upper_set_matches_all_cells_scan():
         f = rand_edged_grid(rng, g)
         for key in all_pair_keys(g):
             assert grid_upper_set(f, key).gens == referee_grid_upper_set(f, key).gens, (f, key)
+
+
+def test_built_staircases_need_no_normalization():
+    """`cosheaf_code` and `grid_upper_set` skip the normalizing constructor:
+    normalizing what they build again changes nothing, and every coordinate
+    is already a Fraction or an infinity."""
+    rng = random.Random(181)
+    for _ in range(150):
+        g = ground(rng.randint(1, 5))
+        f = rand_formigram(rng, g, max_crit=rng.choice((0, 2, 5)))
+        grids = [make(rng, ground(rng.randint(1, 4))) for make in (rand_grid, rand_edged_grid)]
+        built = [*cosheaf_code(f).values()]
+        built += [grid_upper_set(h, key) for h in grids for key in all_pair_keys(h.ground)]
+        for u in built:
+            assert Staircase(u.ambient, u.gens).gens == u.gens, u
+            assert all(type(x) in (Fraction, float) for gen in u.gens for x in gen), u
 
 
 def test_grid_distance_examples():

@@ -45,8 +45,8 @@ from stairdist import (
     ultrametric,
 )
 from stairdist.oracle import oracle_formigram_distance, oracle_grid_distance, oracle_hausdorff
-from stairdist.rat import rat
-from stairdist.staircase import Staircase, _common_scale, _g, _merged_breaks
+from stairdist.rat import common_scale, rat
+from stairdist.staircase import Staircase, _g
 from conftest import (
     ground,
     rand_barcode,
@@ -57,6 +57,7 @@ from conftest import (
     rand_r_filtration,
     union_staircase,
 )
+from test_staircase import common_kinks
 
 F = Fraction
 
@@ -329,8 +330,7 @@ def coprime_antichain(k, dens, rng, ambient):
 def profile_route(u, v):
     """hausdorff and subset read off _g at the kernel's breakpoints, taken
     back through the scale, with the tails from unit steps."""
-    scale, su, sv = _common_scale(u, v)
-    cs = [F(c, scale) for c in _merged_breaks(u.clamped, su, sv)]
+    cs = common_kinks(u, v)
     diff = [_g(u, c) - _g(v, c) for c in [cs[0] - 1, *cs, cs[-1] + 1]]
     lo, hi = diff[1] - diff[0], diff[-1] - diff[-2]
     dist = INF if lo or hi else max(map(abs, diff))
@@ -344,7 +344,7 @@ def test_wide_scale_agrees_with_oracle_and_reference(ambient):
     dens = primes()
     for k in (1, 3, 10, 40):
         u, v = (coprime_antichain(k, dens, rng, ambient) for _ in range(2))
-        scale = _common_scale(u, v)[0]
+        scale = common_scale(u.gens, v.gens)
         assert scale.bit_length() > 16 * k  # 4k + 4 distinct primes
         d = hausdorff(u, v)
         assert type(d) is Fraction

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 import random
+import re
 
 import pytest
 
@@ -25,12 +26,14 @@ from stairdist import (
     one_point_tripod,
     pullback_filtration,
     staircase,
+    subset,
     support,
     to_int_indexed,
     tripod_distance_int,
     tripod_distance_r,
     validate_filtration,
 )
+from stairdist import filtration
 from stairdist.compare import _minimal_covers, enumerate_correspondences
 from stairdist.filtration import Simplex, _image_items
 from stairdist.staircase import Staircase
@@ -169,6 +172,87 @@ def test_int_filtration_validation():
     assert validate_filtration(ok) is None
     bad = IntFiltration(g, {fs("a"): e, fs("b"): vfull, fs("a", "b"): vfull})
     assert validate_filtration(bad) is not None
+
+
+def test_int_filtration_refuses_a_support_that_is_not_a_staircase():
+    with pytest.raises(ValidationError, match=r"simplex \['a'\]"):
+        IntFiltration(GroundSet(("a",)), {fs("a"): 3})
+
+
+def per_face_validate(f: IntFiltration):
+    """The per-face twin of `validate_filtration` on an interval-indexed
+    filtration: one `subset` per (simplex, face), each on the pair's own
+    scale."""
+    for s, u in f.supports.items():
+        if len(s) == 1:
+            continue
+        for v in s:
+            face = s - {v}
+            if not subset(u, support(f, face)):
+                return (
+                    f"support of simplex {sorted(s)} is not contained in the "
+                    f"support of its face {sorted(face)}"
+                )
+    return None
+
+
+def shrunk(u, d):
+    """A staircase inside u: every generator moved (l - d, r + d)."""
+    return staircase((l - d, r + d) for l, r in u.gens)
+
+
+def broken_copies(rng, f: IntFiltration):
+    """f, f with one face's support swapped for a smaller staircase, and f
+    with one face dropped (a face of some stored simplex in each)."""
+    faces = [s - {v} for s in f.supports if len(s) > 1 for v in s]
+    out = [f]
+    if faces:
+        face, gone = rng.choice(faces), rng.choice(faces)
+        swapped = dict(f.supports)
+        swapped[face] = shrunk(f.supports[face], rand_fraction(rng, lo=0, hi=2) + F(1, 4))
+        dropped = {s: u for s, u in f.supports.items() if s != gone}
+        out += [IntFiltration(f.ground, swapped), IntFiltration(f.ground, dropped)]
+    return out
+
+
+def test_validate_int_matches_per_face_twin():
+    """One scale for all supports reports exactly what one `subset` per
+    (simplex, face) reports, None included, on valid random filtrations
+    and on broken copies of them."""
+    rng = random.Random(29)
+    reports = []
+    for _ in range(80):
+        f = rand_int_filtration(
+            rng, ground(rng.randint(1, 5)), tri_prob=rng.choice((0, 0.5, 1))
+        )
+        copies = broken_copies(rng, f)
+        got = [validate_filtration(h) for h in copies]
+        assert got == [per_face_validate(h) for h in copies]
+        assert got[0] is None
+        reports += got[1:]
+    assert None in reports and len(set(reports)) > 10
+    assert any(r and re.search(r"simplex \[[^]]*,[^]]*,[^]]*\]", r) for r in reports)  # a triangle
+
+
+def test_validate_int_puts_each_support_on_the_scale_once(monkeypatch):
+    """Each stored support is converted once, whatever the number of faces
+    checked against it."""
+    converted = []
+    on = filtration._on
+
+    def recording(u, scale):
+        converted.append(id(u))
+        return on(u, scale)
+
+    monkeypatch.setattr(filtration, "_on", recording)
+    rng = random.Random(31)
+    for n in range(1, 7):
+        f = rand_int_filtration(rng, ground(n), edge_prob=1, tri_prob=1)
+        converted.clear()
+        assert validate_filtration(f) is None
+        assert sorted(converted) == sorted(map(id, f.supports.values()))
+    # the last filtration checks more faces than it stores supports
+    assert sum(len(s) for s in f.supports if len(s) > 1) > len(f.supports)
 
 
 # --- pullback ---------------------------------------------------------------------

@@ -24,12 +24,12 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.rat import common_scale, on_scale
+from stairdist.rat import common_scale
 from stairdist.staircase import (
     Staircase,
-    _common_scale,
     _g,
     _merged_breaks,
+    _on,
     _sweep,
 )
 from conftest import rand_fraction, rand_staircase, rand_staircase_pair
@@ -183,10 +183,16 @@ def test_hausdorff_matches_candidate_scan_oracle():
     assert seen_finite_positive > 20
 
 
+def common_kinks(u, v):
+    """The merged candidate kinks of u and v, taken back from their common
+    scale as Fractions."""
+    scale = common_scale(u.gens, v.gens)
+    return [F(c, scale) for c in _merged_breaks(_on(u, scale)[1], _on(v, scale)[1])]
+
+
 def find_violating_line(u, v):
     """A flow line on which u pokes out of v (g_u < g_v), or None."""
-    scale, su, sv = _common_scale(u, v)
-    cs = [F(c, scale) for c in _merged_breaks(u.clamped, su, sv)]
+    cs = common_kinks(u, v)
     for c in cs:
         if _g(u, c) < _g(v, c):
             return c
@@ -374,8 +380,8 @@ def test_sweep_matches_rescanning_reference(ambient):
             continue
         w = staircase(rand_gen_list(rng, 4), ambient)
         scale = 2 * common_scale(u.gens, w.gens)
-        su = on_scale(u.gens, scale)
-        cs = _merged_breaks(u.clamped, su, on_scale(w.gens, scale))
+        su, kinks = _on(u, scale)
+        cs = _merged_breaks(kinks, _on(w, scale)[1])
         assert all(c % 4 == 0 for c in cs)
         mids = ((a + b) // 2 for a, b in zip(cs, cs[1:]))
         pts = sorted({*cs, *mids, cs[0] - 3 * scale, cs[-1] + 3 * scale})
@@ -415,8 +421,8 @@ def test_merged_breaks_are_linear_in_generators(ambient):
     for _ in range(200):
         u = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
         v = staircase(rand_gen_list(rng, rng.randint(0, 30)), ambient)
-        scale, su, sv = _common_scale(u, v)
-        cs = _merged_breaks(u.clamped, su, sv)
+        scale = common_scale(u.gens, v.gens)
+        cs = _merged_breaks(_on(u, scale)[1], _on(v, scale)[1])
         assert len(cs) <= 4 * (len(u.gens) + len(v.gens)) + 1
         assert all(type(c) is int and c % 2 == 0 for c in cs)
         assert {F(c, scale) for c in cs} <= pairwise_breaks(u) | pairwise_breaks(v) | {F(0)}
