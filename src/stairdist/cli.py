@@ -143,8 +143,7 @@ def _smooth(args):
     a = _read("formigram", args.a)
     if args.epsilon is None:
         raise ValidationError("smooth requires --epsilon")
-    eps = parse_rat(args.epsilon, allow_infinite=False)
-    return io_json.formigram_to_json(formigram.smooth(a, eps))
+    return io_json.formigram_to_json(formigram.smooth(a, parse_rat(args.epsilon)))
 
 
 def _code(f):

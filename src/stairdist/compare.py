@@ -13,8 +13,9 @@ visits minimal covers only: relations in which every pair has an end of
 degree one, i.e. disjoint unions of stars.  There are far fewer of them
 than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
 
-The search is a branch and bound over the star walk that builds the
-minimal covers one star at a time: each star adds only the items it
+The search is a branch and bound over the star walk (`_walk_stars`) that
+builds the minimal covers one star at a time; the library makes the covers
+nowhere else and never lists them.  Each star adds only the items it
 creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
 item already reaches the best cover so far is dropped with every cover
 below it.  The costs are ints on one scale that the caller picks, or INF,
@@ -37,7 +38,7 @@ from typing import Generator, Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
 from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
-from .lattice import GroundSet, SubPartition
+from .lattice import GroundSet, SubPartition, _check_same_ground
 from .rat import (
     NEG_INF,
     INF,
@@ -81,21 +82,6 @@ def _iter_correspondences(x: GroundSet, y: GroundSet) -> Iterator[Correspondence
             yield tuple(chosen)
 
 
-def _minimal_covers(
-    x: GroundSet, y: GroundSet, guard: int = CORRESPONDENCE_GUARD
-) -> Iterator[Correspondence]:
-    """Every correspondence in which each pair has an end of degree one,
-    once, in the order (and with the pair order) of
-    `enumerate_correspondences`.
-
-    Such a relation is a choice of a nonempty neighbourhood N(a) in y for
-    every a in x, where each N(a) of two or more elements is disjoint from
-    all the others and together they cover y.  The guard is checked up
-    front."""
-    _check_guard(x, y, guard)
-    return _iter_minimal_covers(x, y)
-
-
 def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
     """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the high
     bits of the mask that `enumerate_correspondences` counts up.  stars:
@@ -113,10 +99,14 @@ def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
 def _walk_stars(nx: int, ny: int) -> Generator[tuple[int, int], bool | None, None]:
     """Depth-first over the minimal covers of nx by ny elements: yields
     every choice (i, c) of N(xs[i]) = c, a bitmask over y, from i = nx - 1
-    down to 0; a choice at i = 0 completes a cover.  Sending a true value
-    back skips the choices below the one just yielded.  The walk keeps an
-    explicit stack of (untried choices, stars, leaves), so nx is not
-    bounded by the recursion limit; stack[d] chooses N(xs[nx - 1 - d])."""
+    down to 0; a choice at i = 0 completes a cover.  A minimal cover is a
+    choice of a nonempty N(a) for every a in x, where each N(a) of two or
+    more elements is disjoint from all the others and together they cover
+    y; the walk completes them in the order of `enumerate_correspondences`.
+    Sending a true value back skips the choices below the one just
+    yielded.  The walk keeps an explicit stack of (untried choices, stars,
+    leaves), so nx is not bounded by the recursion limit; stack[d] chooses
+    N(xs[nx - 1 - d])."""
     if not (nx and ny):
         return
     full = (1 << ny) - 1
@@ -138,18 +128,6 @@ def _walk_stars(nx: int, ny: int) -> Generator[tuple[int, int], bool | None, Non
         stack.append((iter(_options(i - 1, stars, leaves, full)), stars, leaves))
 
 
-def _iter_minimal_covers(x: GroundSet, y: GroundSet) -> Iterator[Correspondence]:
-    xs, ys = x.elements, y.elements
-    rows = [[(a, b) for b in ys] for a in xs]
-    chosen = [0] * len(xs)  # N(a) for every a in x, as a bitmask over y
-    for i, c in _walk_stars(len(xs), len(ys)):
-        chosen[i] = c
-        if i == 0:
-            yield tuple([
-                p for row, m in zip(rows, chosen) for k, p in enumerate(row) if m >> k & 1
-            ])
-
-
 Item = tuple[int, int]  # (x-mask, y-mask): bit k stands for elements[k]
 
 
@@ -164,9 +142,9 @@ def min_max_over_correspondences(
     for xs[i + 1:], which left `state` (() at the root); the items of a
     cover are those of its choices.  The objective must be monotone (a
     sub-relation yields a subset of the items), so the minimum is attained
-    on a minimal cover (`_minimal_covers`; e.g. 62 of the 4095 relations
-    at 2 x 6).  `cost` maps an item to an int on the caller's scale, or to
-    INF, and runs at most once per item.
+    on a minimal cover (e.g. 62 of the 4095 relations at 2 x 6).  `cost`
+    maps an item to an int on the caller's scale, or to INF, and runs at
+    most once per item.
 
     The bound reads memoized costs only: a choice is dropped, with every
     cover below it, as soon as the worst memoized cost among its items
@@ -352,8 +330,7 @@ class GridClustering:
             raise ValidationError(f"need {nrow} rows x {ncol} cols of cells")
         for row in self.cells:
             for v in row:
-                if v.ground != self.ground:
-                    raise GroundSetMismatch("cell value over a different ground set")
+                _check_same_ground(self, v)
         for r in range(nrow):
             for c in range(ncol):
                 v = self.cells[r][c]
@@ -378,7 +355,11 @@ def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
     cell (r, c_r) only where c_r drops: exactly the minimal corners, met
     with l = -x and r = y both increasing, so the list is the normalized
     antichain and the staircase skips normalization (`_antichain`).
-    O(rows + cols) `same_block` calls."""
+    O(rows + cols) `same_block` calls.  A key that is not one or two
+    elements raises ValidationError, an element outside the ground
+    GroundSetMismatch."""
+    if not 1 <= len(key) <= 2:
+        raise ValidationError(f"a key is one or two elements, got {sorted(key)}")
     for v in key:
         if v not in f.ground:
             raise GroundSetMismatch(f"{v!r} not in the clustering ground set")
@@ -401,8 +382,7 @@ def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
 def grid_interleaving_distance(f: GridClustering, g: GridClustering) -> RatX:
     """Largest pairwise plane-staircase Hausdorff distance (the diagonal
     flow interleaving distance of the two clusterings)."""
-    if f.ground != g.ground:
-        raise GroundSetMismatch("clusterings over different ground sets")
+    _check_same_ground(f, g)
     best: RatX = Fraction(0)
     for key in all_pair_keys(f.ground):
         d = hausdorff(grid_upper_set(f, key), grid_upper_set(g, key))

@@ -41,7 +41,7 @@ class EmptySimplex(StairdistError):
     """Simplices are nonempty vertex subsets."""
 
 
-class InvalidMetric(StairdistError):
+class InvalidMetric(ValidationError):
     """Matrix is not a finite metric (symmetry, zero diagonal, positivity)."""
 
 

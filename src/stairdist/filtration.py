@@ -95,26 +95,26 @@ class IntFiltration:
         return sorted(self.supports, key=lambda s: (len(s), sorted(s)))
 
 
-def birth(f: RFiltration, simplex) -> RatX:
-    """Stored birth time, +inf for absent simplices."""
+def _simplex(f, simplex, what: str) -> Simplex:
+    """simplex as a Simplex, checked nonempty and over f's vertices before
+    its `what` (birth or support) is looked up."""
     s = Simplex(simplex)
     if not s:
-        raise EmptySimplex("birth of the empty simplex is undefined")
+        raise EmptySimplex(f"{what} of the empty simplex is undefined")
     for v in s:
         if v not in f.ground:
             raise GroundSetMismatch(f"vertex {v!r} not in the filtration ground set")
-    return f.births.get(s, INF)
+    return s
+
+
+def birth(f: RFiltration, simplex) -> RatX:
+    """Stored birth time, +inf for absent simplices."""
+    return f.births.get(_simplex(f, simplex, "birth"), INF)
 
 
 def support(f: IntFiltration, simplex) -> Staircase:
     """Stored support staircase, empty for absent simplices."""
-    s = Simplex(simplex)
-    if not s:
-        raise EmptySimplex("support of the empty simplex is undefined")
-    for v in s:
-        if v not in f.ground:
-            raise GroundSetMismatch(f"vertex {v!r} not in the filtration ground set")
-    return f.supports.get(s, _EMPTY)
+    return f.supports.get(_simplex(f, simplex, "support"), _EMPTY)
 
 
 def validate_filtration(f) -> str | None:

@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
+from .lattice import _check_same_ground
 from .rat import (
     INF,
     NEG_INF,
@@ -68,8 +69,7 @@ class Formigram:
                 f"need {2 * m + 1} values for {m} critical points, got {len(self.values)}"
             )
         for v in self.values:
-            if v.ground != self.ground:
-                raise GroundSetMismatch("formigram value over a different ground set")
+            _check_same_ground(self, v)
 
     @classmethod
     def constant(cls, value: SubPartition) -> "Formigram":
@@ -137,8 +137,7 @@ def _sample_points(*fs: Formigram) -> list[Fraction]:
 
 def pointwise_refines(f: Formigram, g: Formigram) -> bool:
     """f(t) <= g(t) for every t."""
-    if f.ground != g.ground:
-        raise GroundSetMismatch("formigrams over different ground sets")
+    _check_same_ground(f, g)
     return all(f.evaluate(t).refines(g.evaluate(t)) for t in _sample_points(f, g))
 
 
@@ -147,9 +146,13 @@ def smooth(f: Formigram, eps: Fraction) -> Formigram:
 
     The result is again a formigram with critical points among
     {t_i - eps, t_i + eps}; smoothing by a then b equals smoothing by a+b.
+    eps is read through ``rat``, and must be finite and >= 0.
     """
+    eps = rat(eps)
     if eps < 0:
         raise NegativeEpsilon(f"eps = {eps} < 0")
+    if not is_finite(eps):
+        raise ValidationError(f"eps must be finite, got {eps}")
     if eps == 0 or not f.crit:
         return f
     cand = sorted({t + d for t in f.crit for d in (eps, -eps)})
@@ -298,8 +301,7 @@ def interleaving_distance_with_witness(
     f: Formigram, g: Formigram
 ) -> tuple[RatX, PairKey]:
     """Largest pairwise staircase Hausdorff distance, with an attaining pair."""
-    if f.ground != g.ground:
-        raise GroundSetMismatch("formigrams over different ground sets")
+    _check_same_ground(f, g)
     code_f = cosheaf_code(f)
     code_g = cosheaf_code(g)
     best: RatX = Fraction(0)
@@ -345,27 +347,14 @@ def is_dendrogram(f: Formigram) -> str | None:
 class Ultrametric:
     """Symmetric matrix with a zero diagonal over a ground set satisfying
     the ultra-triangle inequality (checked by `violations`, not the
-    constructor).  The entries are read through ``rat``: an int becomes a
-    Fraction, an inexact float raises ValueError, and an infinite entry, a
-    nonzero diagonal entry, an asymmetric matrix or a matrix that is not
-    n x n over the ground set raises ValidationError."""
+    constructor).  The entries are read by `_read_matrix`."""
 
     ground: GroundSet
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        n = len(self.ground)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValidationError(f"need a {n}x{n} matrix of entries")
-        entries = tuple([tuple([rat(x) for x in row]) for row in self.entries])
-        if not all(is_finite(x) for row in entries for x in row):
-            raise ValidationError("ultrametric entries must be finite")
-        for i, row in enumerate(entries):
-            if row[i] != 0:
-                raise ValidationError("ultrametric diagonal must be zero")
-            if any(row[j] != entries[j][i] for j in range(i)):
-                raise ValidationError("ultrametric matrix must be symmetric")
-        object.__setattr__(self, "entries", entries)
+        entries = _read_matrix(self.ground, self.entries)[0]
+        object.__setattr__(self, "entries", tuple([tuple(row) for row in entries]))
 
     def __call__(self, x: str, y: str) -> Fraction:
         i, j = self.ground.index[x], self.ground.index[y]
@@ -381,25 +370,35 @@ class Ultrametric:
         return out
 
 
-def _check_metric(ground: GroundSet, d) -> tuple[list[list[int]], int]:
-    """d on one integer scale S, as (S * d, S), if it is a finite metric on
-    ground.  The entries are read through ``rat``: an inexact float raises
-    ValueError, anything else that is not a finite metric InvalidMetric."""
+def _read_matrix(ground: GroundSet, rows) -> tuple[list[list[Fraction]], list[list[int]], int]:
+    """rows as a finite symmetric n x n matrix with a zero diagonal over
+    ground, both as read and on one integer scale S: (d, S * d, S).  The
+    entries are read through ``rat``: an inexact float raises ValueError,
+    anything else that breaks these rules InvalidMetric."""
     n = len(ground)
-    if len(d) != n or any(len(row) != n for row in d):
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise InvalidMetric(f"need a {n}x{n} matrix")
-    d = [[rat(x) for x in row] for row in d]
+    d = [[rat(x) for x in row] for row in rows]
     if not all(is_finite(x) for row in d for x in row):
         raise InvalidMetric("not a finite metric: an entry is infinite")
     scale = common_scale(d)
-    d = rows_on_scale(d, scale)
-    for i in range(n):
-        if d[i][i] != 0:
+    on = rows_on_scale(d, scale)
+    for i, row in enumerate(on):
+        if row[i]:
             raise InvalidMetric("diagonal must be zero")
-        for j in range(i + 1, n):
-            if d[i][j] != d[j][i]:
+        for j in range(i):
+            if row[j] != on[j][i]:
                 raise InvalidMetric("matrix must be symmetric")
-            if d[i][j] <= 0:
+    return d, on, scale
+
+
+def _check_metric(ground: GroundSet, d) -> tuple[list[list[int]], int]:
+    """d on one integer scale S, as (S * d, S), if `_read_matrix` reads it
+    and every off-diagonal distance is positive; InvalidMetric otherwise."""
+    _, d, scale = _read_matrix(ground, d)
+    for i, row in enumerate(d):
+        for x in row[i + 1:]:
+            if x <= 0:
                 raise InvalidMetric("off-diagonal distances must be positive")
     return d, scale
 

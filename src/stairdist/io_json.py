@@ -1,8 +1,10 @@
 """JSON codecs for every value the CLI reads or writes.
 
 Numbers travel as canonical strings "p/q" (integers without "/1") or
-"inf"/"-inf"; raw JSON integers are accepted on input.  Every emitted
-object re-parses to an equal value.
+"inf"/"-inf"; raw JSON integers are accepted on input.  The readers check
+the shape of a document, and each value's constructor its rules (such as
+a finite metric entry or birth, or a known ambient).  Every emitted object
+re-parses to an equal value.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from .formigram import Formigram, Ultrametric
 from .lattice import GroundSet, SubPartition
 from .persistence import barcode
 from .rat import fmt_rat, parse_rat
-from .staircase import INT, PLANE, Staircase, profile
+from .staircase import Staircase, profile
 
 
-def _rat(obj, allow_infinite=True):
+def _rat(obj):
     try:
-        return parse_rat(obj, allow_infinite=allow_infinite)
+        return parse_rat(obj)
     except ValueError as e:
         raise ValidationError(f"bad number {obj!r}: {e}") from None
 
@@ -75,8 +77,6 @@ def subpartition_to_json(p: SubPartition, with_ground: bool = True):
 
 def staircase_from_json(obj) -> Staircase:
     ambient = _require(obj, "ambient", str)
-    if ambient not in (INT, PLANE):
-        raise ValidationError(f'ambient must be "int" or "plane", got {ambient!r}')
     gens = _require(obj, "generators", list)
     pairs = []
     for g in gens:
@@ -94,11 +94,11 @@ def staircase_to_json(u: Staircase):
 
 
 def profile_to_json(u: Staircase):
-    if u.is_empty():
-        return {"empty": True, "breakpoints": [], "pieces": []}
-    if u.is_full() and u.ambient == PLANE:
-        return {"full_plane": True, "breakpoints": [], "pieces": []}
     prof = profile(u)
+    if prof.empty:
+        return {"empty": True, "breakpoints": [], "pieces": []}
+    if not prof.breakpoints:  # only the full plane has no breakpoint
+        return {"full_plane": True, "breakpoints": [], "pieces": []}
     pieces = []
     for i, slope in enumerate(prof.slopes):
         piece = {"slope": fmt_rat(slope)}
@@ -130,7 +130,7 @@ def formigram_to_json(f: Formigram):
 def metric_from_json(obj) -> tuple[GroundSet, list[list[Fraction]]]:
     ground = ground_from_json(_require(obj, "points", list))
     rows = _rows(obj, "d")
-    d = [[_rat(x, allow_infinite=False) for x in row] for row in rows]
+    d = [[_rat(x) for x in row] for row in rows]
     return ground, d
 
 
@@ -181,8 +181,7 @@ def _simplices(obj, key, kind, read):
 
 
 def r_filtration_from_json(obj) -> RFiltration:
-    return RFiltration(*_simplices(
-        obj, "birth", None, lambda b: _rat(b, allow_infinite=False)))
+    return RFiltration(*_simplices(obj, "birth", None, _rat))
 
 
 def r_filtration_to_json(f: RFiltration):

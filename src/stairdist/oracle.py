@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EmptyInterval, GroundSetMismatch, StairdistError
+from .errors import EmptyInterval, StairdistError
 from .compare import GridClustering
 from .formigram import (
     Formigram,
@@ -26,7 +26,7 @@ from .formigram import (
     pointwise_refines,
     smooth,
 )
-from .lattice import SubPartition, join_all
+from .lattice import SubPartition, _check_same_ground, join_all
 from .rat import INF, RatX, is_finite
 from .staircase import Staircase, contains, upper_set_interleaved
 
@@ -57,9 +57,8 @@ def first_admissible(cands: list[Fraction], predicate) -> RatX:
 
 def formigram_interleaved(f: Formigram, g: Formigram, eps: Fraction) -> bool:
     """Direct interleaving predicate through smoothing: each formigram is
-    pointwise below the other's eps-smoothing."""
-    if f.ground != g.ground:
-        raise GroundSetMismatch("formigrams over different ground sets")
+    pointwise below the other's eps-smoothing (`pointwise_refines` checks
+    the ground sets)."""
     return pointwise_refines(f, smooth(g, eps)) and pointwise_refines(g, smooth(f, eps))
 
 
@@ -122,8 +121,7 @@ def grid_interleaved(f: GridClustering, g: GridClustering, eps: Fraction) -> boo
     """Direct diagonal-flow interleaving predicate for grid clusterings,
     checked on the interiors of the refined cells (cut-line values follow
     from their upper-right cells)."""
-    if f.ground != g.ground:
-        raise GroundSetMismatch("clusterings over different ground sets")
+    _check_same_ground(f, g)
 
     def samples(cuts_f, cuts_g):
         cs = sorted(set(cuts_f) | {c - eps for c in cuts_g})

@@ -62,22 +62,20 @@ def increasing_rats(ts, what: str) -> tuple[Fraction, ...]:
     return ts
 
 
-def parse_rat(text, allow_infinite: bool = True) -> RatX:
+def parse_rat(text) -> RatX:
     """Parse "p/q", "p" or "inf"/"-inf", or read any other value through
-    ``rat``; a zero denominator, an infinity where ``allow_infinite`` is
-    off, and anything ``rat`` refuses raise ValueError."""
-    if isinstance(text, str):
-        x = _INFINITIES.get(text.strip())
-        if x is None:
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-    else:
-        x = rat(text)
-    if not allow_infinite and not is_finite(x):
-        raise ValueError("infinite value not allowed here")
-    return x
+    ``rat``; a zero denominator and anything ``rat`` refuses raise
+    ValueError.  An infinity is refused, where it has no meaning, by the
+    constructor of the value it goes into."""
+    if not isinstance(text, str):
+        return rat(text)
+    x = _INFINITIES.get(text.strip())
+    if x is not None:
+        return x
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def common_scale(*pair_lists) -> int:

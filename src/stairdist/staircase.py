@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient
+from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient, ValidationError
 from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
 
 INT, PLANE = "int", "plane"
@@ -76,7 +76,7 @@ class Staircase:
 
     def __post_init__(self):
         if self.ambient not in (INT, PLANE):
-            raise ValueError(f"unknown ambient {self.ambient!r}")
+            raise ValidationError(f'ambient must be "int" or "plane", got {self.ambient!r}')
         gens = self.gens
         for l, r in gens:
             # a Fraction or an infinity on its own side passes; anything else
@@ -344,9 +344,8 @@ def subset(u: Staircase, v: Staircase) -> bool:
 
 
 def upper_set_interleaved(u: Staircase, v: Staircase, eps: Fraction) -> bool:
-    """eps-interleaving of upper sets: each inside the other's thickening."""
-    if eps < 0:
-        raise NegativeEpsilon(f"eps = {eps} < 0")
+    """eps-interleaving of upper sets: each inside the other's thickening
+    (`thicken` refuses a negative eps)."""
     return subset(u, thicken(v, eps)) and subset(v, thicken(u, eps))
 
 

@@ -251,6 +251,11 @@ def test_exit_codes(tmp_path, capsys):
     flag_crit = write(tmp_path, "flag_crit.json", dict(LOOP_THETA_PRIME, crit=[True, "3/2"]))
     stair = write(tmp_path, "stair.json", {"ambient": "int", "generators": [["0", "0"]]})
     point = write(tmp_path, "point.json", {"points": ["a"], "d": [["0"]]})
+    # infinities and ambients refused by the values' constructors
+    far = write(tmp_path, "far.json", {"points": ["a", "b"], "d": [["0", "inf"], ["inf", "0"]]})
+    never = write(tmp_path, "never.json", {
+        "vertices": ["a"], "simplices": [{"verts": ["a"], "birth": "inf"}]})
+    disk = write(tmp_path, "disk.json", {"ambient": "disk", "generators": []})
     for argv in [
         ("formigram", "smooth", loop, "--epsilon", "1/0"),
         ("bottleneck", str(huge), essential),
@@ -270,6 +275,15 @@ def test_exit_codes(tmp_path, capsys):
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    for argv, rule in [
+        (("dendro", "slhc", far), "finite metric"),
+        (("h0", never), "infinite birth"),
+        (("tripod", "--indexing", "r", never, never), "infinite birth"),
+        (("formigram", "smooth", loop, "--epsilon", "inf"), "eps"),
+        (("staircase", "profile", disk), 'ambient must be "int" or "plane"'),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and rule in err
 
 
 @pytest.mark.parametrize("simplices", [

@@ -29,8 +29,8 @@ from stairdist import (
 )
 from stairdist import compare
 from stairdist.compare import (
+    _check_guard,
     _key_items,
-    _minimal_covers,
     _names,
     _walk_stars,
     min_max_over_correspondences,
@@ -92,9 +92,10 @@ def unpruned_min_max(x, y, items, cost, guard=12):
     cover in turn, its items by name from `items(rel)`, `cost` once per
     distinct item.  A cover is abandoned as soon as its worst item reaches
     the best value so far, and the search stops at 0."""
+    _check_guard(x, y, guard)
     memo = {}
     best = INF
-    for rel in _minimal_covers(x, y, guard):
+    for rel in minimal_covers(x, y):
         worst = F(0)
         for item in items(rel):
             c = memo.get(item)
@@ -171,6 +172,21 @@ def walk_items(grow, nx, ny):
             yield tuple(rows), node[0][1]
 
 
+def cover_of(rows, x, y):
+    """The relation whose rows N(xs[i]) are bitmasks over y, as named pairs:
+    a in xs, then b in ys."""
+    return tuple([
+        (a, b) for a, m in zip(x.elements, rows) for k, b in enumerate(y.elements) if m >> k & 1
+    ])
+
+
+def minimal_covers(x, y):
+    """Every minimal cover of x and y, in the order the star walk completes
+    them, as named pairs."""
+    walked = walk_items(lambda state, i, c: (state, []), len(x), len(y))
+    return [cover_of(rows, x, y) for rows, _ in walked]
+
+
 def rows_of(rel, x, y):
     return tuple([
         sum(1 << k for k, b in enumerate(y.elements) if (a, b) in rel) for a in x.elements
@@ -230,35 +246,29 @@ def is_minimal_cover(rel, x, y):
 )
 def test_minimal_cover_counts(nx, ny, count):
     x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-    rels = list(_minimal_covers(x, y))
+    rels = minimal_covers(x, y)
     assert len(rels) == len(set(rels)) == count
     assert all(is_minimal_cover(rel, x, y) for rel in rels)
 
 
 def test_minimal_covers_are_the_minimal_correspondences():
-    """Every shape up to the default guard: the generator yields exactly the
-    minimal covers among all correspondences, each once and in the same
+    """Every shape up to the default guard: the star walk completes exactly
+    the minimal covers among all correspondences, each once and in the same
     order."""
     for nx in range(1, 13):
         for ny in range(1, 12 // nx + 1):
             x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-            rels = list(_minimal_covers(x, y))
+            rels = minimal_covers(x, y)
             assert len(rels) == len(set(rels))
             assert rels == [
                 rel for rel in enumerate_correspondences(x, y) if is_minimal_cover(rel, x, y)
             ]
 
 
-def test_minimal_covers_guard_is_checked_up_front():
-    with pytest.raises(SizeGuardExceeded):
-        _minimal_covers(ground(4), ground(4))
-    assert len(list(_minimal_covers(ground(4), ground(4), guard=16))) > 0
-
-
 def test_minimal_covers_walk_long_ground_sets():
     """One choice per element of X, far past the recursion limit."""
     x, y = GroundSet(tuple(f"x{i:04d}" for i in range(1200))), GroundSet(("y",))
-    rels = list(_minimal_covers(x, y, guard=5000))
+    rels = minimal_covers(x, y)
     assert rels == [tuple((a, "y") for a in x.elements)]
 
 
@@ -272,10 +282,8 @@ def test_key_items_are_the_key_pairs():
         for rel in enumerate_correspondences(x, y):
             items = named(grown_items(_key_items, rows_of(rel, x, y)), x, y)
             assert set(items) == set(_key_pairs(rel))
-        covers = list(_minimal_covers(x, y))
-        walked = list(walk_items(_key_items, nx, ny))
-        assert [rows for rows, _ in walked] == [rows_of(rel, x, y) for rel in covers]
-        for rel, (_, items) in zip(covers, walked):
+        for rows, items in walk_items(_key_items, nx, ny):
+            rel = cover_of(rows, x, y)
             items = named(items, x, y)
             assert len(items) == len(set(items))
             assert set(items) == set(_key_pairs(rel))
@@ -545,6 +553,13 @@ def test_grid_upper_set_examples():
     assert grid_upper_set(never, fs("x", "y")).is_empty()
     with pytest.raises(GroundSetMismatch):
         grid_upper_set(f, fs("zz"))
+    # a key of three ground elements was read as the pair of the least and
+    # the greatest, and an empty key raised a bare ValueError from min()
+    abc = GroundSet(("a", "b", "c"))
+    one = GridClustering(abc, (), (), ((SubPartition.one_block(abc),),))
+    for key in (fs(), fs("a", "b", "c")):
+        with pytest.raises(ValidationError, match="one or two"):
+            grid_upper_set(one, key)
 
 
 def referee_grid_upper_set(f, key):

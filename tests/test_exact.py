@@ -5,7 +5,11 @@ integer kernel stays exact when the common scale is a wide int."""
 from fractions import Fraction
 from itertools import count
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -193,7 +197,10 @@ def test_ultrametric_refuses_an_inexact_float():
 
 
 def test_ultrametric_refuses_an_infinite_entry():
-    with pytest.raises(ValidationError, match="finite"):
+    """The one matrix reader of `single_linkage` and `Ultrametric` raises
+    InvalidMetric, which is a ValidationError."""
+    assert issubclass(InvalidMetric, ValidationError)
+    with pytest.raises(InvalidMetric, match="finite"):
         Ultrametric(XY, ((0, INF), (INF, 0)))
 
 
@@ -214,7 +221,7 @@ def test_ultrametric_refuses_a_matrix_of_the_wrong_shape(rows):
 def test_ultrametric_refuses_an_asymmetric_matrix_or_a_nonzero_diagonal(rows, what):
     """Each of these was read: GH against ((0, 1), (1, 0)) was 0, 2 and 3/2,
     depending on which triangle and which diagonal entry a cost read."""
-    with pytest.raises(ValidationError, match=what):
+    with pytest.raises(InvalidMetric, match=what):
         Ultrametric(XY, rows)
 
 
@@ -354,3 +361,19 @@ def test_wide_scale_agrees_with_oracle_and_reference(ambient):
         assert subset(u, v) == contained
         assert subset(v, u) == profile_route(v, u)[1]
         assert subset(u, u) and hausdorff(u, u) == 0
+
+
+def test_answer_digest_is_pinned():
+    """The bit-for-bit gate: one hash over every engine's answers, with
+    their types, on the seed-0 instances of `scripts/answer_digest.py`.  The
+    pin changes only with a stated reason."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "answer_digest.py"), "--seed", "0"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == (
+        "seed 0: 3271 answers sha256 "
+        "5e6ca84ac01871684dd67055f98e9497e97347b24044bc65114a1e4aba85f9db\n"
+    )

@@ -34,11 +34,11 @@ from stairdist import (
     validate_filtration,
 )
 from stairdist import filtration
-from stairdist.compare import _minimal_covers, enumerate_correspondences
+from stairdist.compare import enumerate_correspondences
 from stairdist.filtration import Simplex, _image_items
 from stairdist.staircase import Staircase
 from conftest import ground, rand_fraction, rand_int_filtration, rand_r_filtration
-from test_compare import grown_items, named, rows_of, unpruned_min_max, walk_items
+from test_compare import cover_of, grown_items, named, rows_of, unpruned_min_max, walk_items
 
 F = Fraction
 
@@ -544,10 +544,8 @@ def test_realizable_pairs_are_the_covered_subset_pairs():
     is grown once."""
     for nx, ny in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
         x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-        covers = list(_minimal_covers(x, y))
-        walked = list(walk_items(_image_items, nx, ny))
-        assert [rows for rows, _ in walked] == [rows_of(rel, x, y) for rel in covers]
-        for rel, (_, items) in zip(covers, walked):
+        for rows, items in walk_items(_image_items, nx, ny):
+            rel = cover_of(rows, x, y)
             items = named(items, x, y)
             assert len(items) == len(set(items))
             assert set(items) == covered_subset_pairs(set(rel))

@@ -18,6 +18,7 @@ from stairdist import (
     NotADendrogram,
     SubPartition,
     Surjection,
+    ValidationError,
     cosheaf_code,
     evaluate_cosheaf,
     formigrams_equal,
@@ -97,6 +98,9 @@ def test_smooth_loop_facts():
     assert formigrams_equal(smooth(THETA_PRIME, DELTA + F(5)), THETA)
     with pytest.raises(NegativeEpsilon):
         smooth(THETA, F(-1))
+    for f in (THETA, THETA_PRIME):
+        with pytest.raises(ValidationError, match="eps"):
+            smooth(f, INF)
 
 
 def test_smooth_critical_points_shift():

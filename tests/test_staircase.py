@@ -153,6 +153,8 @@ def test_upper_set_interleaved_examples():
     assert upper_set_interleaved(full(), LOOP, d)
     assert not upper_set_interleaved(full(), LOOP, d - F(1, 100))
     assert upper_set_interleaved(LOOP, LOOP, F(0))
+    with pytest.raises(NegativeEpsilon):  # refused by `thicken`
+        upper_set_interleaved(LOOP, LOOP, F(-1))
 
 
 def test_closure_convention_attains_infimum():
