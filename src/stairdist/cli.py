@@ -5,15 +5,18 @@ JSON document (or a text rendering with ``--format text``) to stdout.
 Diagnostics go to stderr.  Exit codes: 0 success, 2 parse/validation
 failure, 3 ground-set/ambient mismatch, 4 size guard exceeded.
 
-One table, ``OPS``, maps each (command, op) to its runner, the number of
-input files it reads and the options it reads; the parser is built from it,
-and any other number of files or an option the op does not read is refused.
+One table, ``OPS``, gives each (command, op) its input kind, its number of
+input files, the options it reads and its op, a plain function of the
+inputs in file order and then of each option's value.  The parser is built
+from the table; ``main`` alone reads the parsed arguments, refuses any other
+number of files or an option the op does not read, and calls the op.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import compare, filtration, formigram, io_json, lattice, persistence
@@ -28,23 +31,25 @@ EXIT_MISMATCH = 3
 EXIT_GUARD = 4
 
 
-def _refuse_float(text: str):
-    raise ValidationError(f"number {text} is not exact; write it as a string \"p/q\"")
+def _refuse_inexact(text: str):
+    raise ValidationError(f'number {text} is not exact; write numbers as strings "p/q" or "inf"')
 
 
 def _load(path: str):
-    """The JSON document at path, refusing float literals (1e309 would read as inf)."""
+    """The JSON document at path, its integers read by parse_rat; a float
+    literal (1e309 would read as inf), NaN or +-Infinity is refused."""
+    hooks = dict(parse_int=parse_rat, parse_float=_refuse_inexact, parse_constant=_refuse_inexact)
     try:
         if path == "-":
-            return json.load(sys.stdin, parse_float=_refuse_float)
+            return json.load(sys.stdin, **hooks)
         with open(path) as fh:
-            return json.load(fh, parse_float=_refuse_float)
+            return json.load(fh, **hooks)
     except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
+        raise ValidationError(f"cannot read it: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from None
+        raise ValidationError(f"not valid JSON ({e})") from None
     except RecursionError:
-        raise ValidationError(f"{path}: JSON nested too deeply") from None
+        raise ValidationError("JSON nested too deeply") from None
 
 
 def _emit(doc, fmt: str):
@@ -67,69 +72,49 @@ def _emit(doc, fmt: str):
     print(render(doc))
 
 
-def _guard(args, default=compare.CORRESPONDENCE_GUARD):
-    if args.max_size is not None and args.max_size != default:
+def _guard(max_size, default=compare.CORRESPONDENCE_GUARD):
+    if max_size is not None and max_size != default:
         print(
-            f"warning: size guard overridden to {args.max_size}; "
+            f"warning: size guard overridden to {max_size}; "
             "exhaustive searches grow exponentially",
             file=sys.stderr,
         )
-    return args.max_size if args.max_size is not None else default
-
-
-# --- runners: each takes the parsed arguments and returns the JSON document ---
+    return default if max_size is None else max_size
 
 
 def _read(kind: str, path: str):
-    """The input at path, read by io_json's `<kind>_from_json`."""
-    return getattr(io_json, f"{kind}_from_json")(_load(path))
+    """The input at path, read by io_json's `<kind>_from_json`; an error
+    names the file."""
+    try:
+        return getattr(io_json, f"{kind}_from_json")(_load(path))
+    except StairdistError as e:
+        raise type(e)(f"{path}: {e}") from None
+    except ValueError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _lookup(name: str):
-    """The function `module.attr` (or `attr` of this module), looked up when a
-    runner runs rather than at import, so that a name rebound later is followed."""
+    """The function `module.attr` (or `attr` of this module), looked up when an
+    op runs rather than at import, so that a name rebound later is followed."""
     owner, _, attr = name.rpartition(".")
     return getattr(globals()[owner], attr) if owner else globals()[attr]
 
 
-def _one(kind, fn):
-    """The op fn on the one input, read as `kind`."""
-    return lambda args: fn(_read(kind, args.a))
+# --- ops: each takes the inputs in file order, then the value of each option
+# it reads, and returns the JSON document ---
 
 
-def _two(kind, fn, guarded=False):
-    """The op fn on the two inputs, read as `kind`, the size guard third if guarded."""
-
-    def run(args):
-        a, b = _read(kind, args.a), _read(kind, args.b)
-        return fn(a, b, _guard(args)) if guarded else fn(a, b)
-
-    return run
-
-
-def _distance(kind, dist, guarded=False):
-    """The distance named `dist` between the two inputs, read as `kind`."""
-    return _two(kind, lambda *ab: io_json.distance_to_json(_lookup(dist)(*ab)), guarded)
-
-
-def _parts(a):
-    return {
-        "ground": list(a.ground.elements),
-        "parts": [
-            io_json.subpartition_to_json(p, with_ground=False)
-            for p in lattice.irreducible_parts(a)
-        ],
-    }
-
-
-def _min_reps(args):
-    a = _read("subpartition", args.a)
-    reps = lattice.minimal_join_representations(a, guard=_guard(args, lattice.MIN_REPS_GUARD))
-    canon = sorted(
-        sorted(io_json.subpartition_to_json(p, with_ground=False) for p in rep)
-        for rep in reps
+def _distance(dist):
+    """The op giving the distance named `dist` between the two inputs; an op
+    that reads --max-size passes the size guard third."""
+    return lambda a, b, *max_size: io_json.distance_to_json(
+        _lookup(dist)(a, b, *[_guard(m) for m in max_size])
     )
-    return {"ground": list(a.ground.elements), "representations": canon}
+
+
+def _min_reps(a, max_size):
+    reps = lattice.minimal_join_representations(a, guard=_guard(max_size, lattice.MIN_REPS_GUARD))
+    return io_json.representations_to_json(a.ground, reps)
 
 
 def _validate(f):
@@ -139,27 +124,15 @@ def _validate(f):
     return {"ok": True}
 
 
-def _smooth(args):
-    a = _read("formigram", args.a)
-    if args.epsilon is None:
+def _smooth(f, epsilon):
+    if epsilon is None:
         raise ValidationError("smooth requires --epsilon")
-    return io_json.formigram_to_json(formigram.smooth(a, parse_rat(args.epsilon)))
-
-
-def _code(f):
-    code = formigram.cosheaf_code(f)
-    return {
-        "ground": list(f.ground.elements),
-        "code": [
-            {"pair": sorted(key), "staircase": io_json.staircase_to_json(code[key])}
-            for key in sorted(code, key=lambda k: sorted(k))
-        ],
-    }
+    return io_json.formigram_to_json(formigram.smooth(f, parse_rat(epsilon)))
 
 
 _SUB = "subpartition"
-_GH = _distance("formigram", "compare.gromov_hausdorff_formigrams", guarded=True)
 _MAX = ("--max-size",)
+_GH = ("formigram", 2, _MAX, _distance("compare.gromov_hausdorff_formigrams"))
 
 _HELP = {
     "lattice": "subpartition lattice operations",
@@ -173,36 +146,38 @@ _HELP = {
     "staircase": "staircase geometry",
 }
 
-# (command, op) -> (runner, input files, options read).  The op of tripod is
-# its --indexing; erosion, bottleneck and h0 have none.
+# (command, op) -> (input kind, input files, options read, op).  The op of
+# tripod is its --indexing; erosion, bottleneck and h0 have none.
 OPS = {
-    ("lattice", "join"): (_two(_SUB, lambda a, b: io_json.subpartition_to_json(a.join(b))), 2, ()),
-    ("lattice", "meet"): (_two(_SUB, lambda a, b: io_json.subpartition_to_json(a.meet(b))), 2, ()),
-    ("lattice", "refines"): (_two(_SUB, lambda a, b: {"refines": a.refines(b)}), 2, ()),
-    ("lattice", "parts"): (_one(_SUB, _parts), 1, ()),
-    ("lattice", "min-reps"): (_min_reps, 1, _MAX),
-    ("formigram", "validate"): (_one("formigram", _validate), 1, ()),
-    ("formigram", "smooth"): (_smooth, 1, ("--epsilon",)),
-    ("formigram", "code"): (_one("formigram", _code), 1, ()),
-    ("formigram", "df"): (_distance("formigram", "formigram.interleaving_distance"), 2, ()),
-    ("formigram", "dgh"): (_GH, 2, _MAX),
-    ("dendro", "slhc"): (_one("metric", lambda m: io_json.formigram_to_json(
-        formigram.single_linkage(*m))), 1, ()),
-    ("dendro", "ultrametric"): (_one("formigram", lambda f: io_json.ultrametric_to_json(
-        formigram.ultrametric(f))), 1, ()),
-    ("dendro", "gh"): (_GH, 2, _MAX),
-    ("erosion", None): (_distance("barcode", "persistence.erosion_distance"), 2, ()),
-    ("bottleneck", None): (_distance("barcode", "persistence.bottleneck_distance"), 2, ()),
-    ("h0", None): (_one("r_filtration", lambda f: io_json.barcode_to_json(
-        persistence.h0_barcode(f))), 1, ()),
-    ("tripod", "r"): (_distance("r_filtration", "filtration.tripod_distance_r", True), 2, _MAX),
-    ("tripod", "int"): (
-        _distance("int_filtration", "filtration.tripod_distance_int", True), 2, _MAX),
-    ("clustering", "di"): (_distance("grid", "compare.grid_interleaving_distance"), 2, ()),
-    ("staircase", "hausdorff"): (_distance("staircase", "staircase_hausdorff"), 2, ()),
-    ("staircase", "profile"): (_one("staircase", lambda s: io_json.profile_to_json(s)), 1, ()),
+    ("lattice", "join"): (_SUB, 2, (), lambda a, b: io_json.subpartition_to_json(a.join(b))),
+    ("lattice", "meet"): (_SUB, 2, (), lambda a, b: io_json.subpartition_to_json(a.meet(b))),
+    ("lattice", "refines"): (_SUB, 2, (), lambda a, b: {"refines": a.refines(b)}),
+    ("lattice", "parts"): (_SUB, 1, (), lambda a: io_json.parts_to_json(
+        a.ground, lattice.irreducible_parts(a))),
+    ("lattice", "min-reps"): (_SUB, 1, _MAX, _min_reps),
+    ("formigram", "validate"): ("formigram", 1, (), _validate),
+    ("formigram", "smooth"): ("formigram", 1, ("--epsilon",), _smooth),
+    ("formigram", "code"): ("formigram", 1, (), lambda f: io_json.code_to_json(
+        f.ground, formigram.cosheaf_code(f))),
+    ("formigram", "df"): ("formigram", 2, (), _distance("formigram.interleaving_distance")),
+    ("formigram", "dgh"): _GH,
+    ("dendro", "slhc"): ("metric", 1, (), lambda m: io_json.formigram_to_json(
+        formigram.single_linkage(*m))),
+    ("dendro", "ultrametric"): ("formigram", 1, (), lambda f: io_json.ultrametric_to_json(
+        formigram.ultrametric(f))),
+    ("dendro", "gh"): _GH,
+    ("erosion", None): ("barcode", 2, (), _distance("persistence.erosion_distance")),
+    ("bottleneck", None): ("barcode", 2, (), _distance("persistence.bottleneck_distance")),
+    ("h0", None): ("r_filtration", 1, (), lambda f: io_json.barcode_to_json(
+        persistence.h0_barcode(f))),
+    ("tripod", "r"): ("r_filtration", 2, _MAX, _distance("filtration.tripod_distance_r")),
+    ("tripod", "int"): ("int_filtration", 2, _MAX, _distance("filtration.tripod_distance_int")),
+    ("clustering", "di"): ("grid", 2, (), _distance("compare.grid_interleaving_distance")),
+    ("staircase", "hausdorff"): ("staircase", 2, (), _distance("staircase_hausdorff")),
+    ("staircase", "profile"): ("staircase", 1, (), lambda s: io_json.profile_to_json(s)),
 }
 _OPTIONS = {"--epsilon": None, "--max-size": int}
+_NEGATIVE = re.compile(r"-\.?\d|-inf$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,16 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     for command, text in _HELP.items():
         entries = {op: spec for (c, op), spec in OPS.items() if c == command}
         p = sub.add_parser(command, help=text)
+        # argparse takes only -1 and -1.5 for values; -1/2 and -inf are values too
+        p._negative_number_matcher = _NEGATIVE
         if command == "tripod":
             p.add_argument("--indexing", dest="op", choices=tuple(entries), required=True)
         elif None not in entries:
             p.add_argument("op", choices=tuple(entries))
         p.add_argument("a")
-        files = {n for _, n, _ in entries.values()}
+        files = {n for _, n, _, _ in entries.values()}
         if 2 in files:
             p.add_argument("b", nargs="?" if 1 in files else None)
         for option, kind in _OPTIONS.items():
-            if any(option in read for _, _, read in entries.values()):
+            if any(option in read for _, _, read, _ in entries.values()):
                 p.add_argument(option, type=kind, default=None)
     return top
 
@@ -233,17 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     op = getattr(args, "op", None)
-    run, files, read = OPS[args.command, op]
+    kind, files, read, run = OPS[args.command, op]
+    paths = [args.a] if getattr(args, "b", None) is None else [args.a, args.b]
+    values = {option: getattr(args, option[2:].replace("-", "_"), None) for option in _OPTIONS}
     try:
-        given = 1 if getattr(args, "b", None) is None else 2
-        if given != files:
+        if len(paths) != files:
             raise ValidationError(
-                f"{op} takes {('one input file', 'two input files')[files - 1]}, got {given}"
+                f"{op} takes {('one input file', 'two input files')[files - 1]}, got {len(paths)}"
             )
-        for option in _OPTIONS:
-            if getattr(args, option[2:].replace("-", "_"), None) is not None and option not in read:
+        for option, value in values.items():
+            if value is not None and option not in read:
                 raise ValidationError(f"{op} does not take {option}")
-        doc = run(args)
+        doc = run(*[_read(kind, path) for path in paths], *[values[option] for option in read])
     except (StairdistError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (GroundSetMismatch, AmbientMismatch)):

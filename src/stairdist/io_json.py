@@ -1,10 +1,12 @@
-"""JSON codecs for every value the CLI reads or writes.
+"""JSON codecs for every value the CLI reads or writes, and the writers of
+the documents the CLI prints.
 
 Numbers travel as canonical strings "p/q" (integers without "/1") or
 "inf"/"-inf"; raw JSON integers are accepted on input.  The readers check
 the shape of a document, and each value's constructor its rules (such as
 a finite metric entry or birth, or a known ambient).  Every emitted object
-re-parses to an equal value.
+re-parses to an equal value, unless a number has more digits than Python's
+int-to-str limit: it is written in full and refused on input.
 """
 
 from __future__ import annotations
@@ -75,6 +77,25 @@ def subpartition_to_json(p: SubPartition, with_ground: bool = True):
     return {"ground": list(p.ground.elements), "blocks": blocks}
 
 
+def parts_to_json(ground: GroundSet, parts):
+    """The join-irreducible parts of a subpartition of ground."""
+    return {
+        "ground": list(ground.elements),
+        "parts": [subpartition_to_json(p, with_ground=False) for p in parts],
+    }
+
+
+def representations_to_json(ground: GroundSet, reps):
+    """Minimal join representations over ground, each one's parts sorted
+    and then the representations sorted, so that the order is canonical."""
+    return {
+        "ground": list(ground.elements),
+        "representations": sorted(
+            sorted(subpartition_to_json(p, with_ground=False) for p in rep) for rep in reps
+        ),
+    }
+
+
 def staircase_from_json(obj) -> Staircase:
     ambient = _require(obj, "ambient", str)
     gens = _require(obj, "generators", list)
@@ -124,6 +145,17 @@ def formigram_to_json(f: Formigram):
         "ground": list(f.ground.elements),
         "crit": [fmt_rat(t) for t in f.crit],
         "values": [subpartition_to_json(v, with_ground=False) for v in f.values],
+    }
+
+
+def code_to_json(ground: GroundSet, code):
+    """A cosheaf code {key: merge staircase} over ground, keys in sorted order."""
+    return {
+        "ground": list(ground.elements),
+        "code": [
+            {"pair": sorted(key), "staircase": staircase_to_json(code[key])}
+            for key in sorted(code, key=sorted)
+        ],
     }
 
 

@@ -9,6 +9,9 @@ line-indexed filtrations, critical points and grid cuts read their
 coordinates through `rat`, so an int becomes a Fraction and an inexact
 float or a bool is refused; `parse_rat` reads text as well, and
 `increasing_rats` reads the finite increasing times of critical points and cuts.
+Text with more digits than Python's int-to-str limit is refused on input,
+and `fmt_rat` writes every value in full, however long, without changing
+that limit.
 
 The exact kernels (the staircase profile walk, the bottleneck search, single
 linkage and the Gromov-Hausdorff and tripod searches) run on ints:
@@ -21,6 +24,7 @@ Fraction).
 
 from fractions import Fraction
 import math
+import sys
 
 from .errors import ValidationError
 
@@ -65,13 +69,22 @@ def increasing_rats(ts, what: str) -> tuple[Fraction, ...]:
 def parse_rat(text) -> RatX:
     """Parse "p/q", "p" or "inf"/"-inf", or read any other value through
     ``rat``; a zero denominator and anything ``rat`` refuses raise
-    ValueError.  An infinity is refused, where it has no meaning, by the
-    constructor of the value it goes into."""
+    ValueError, and text with more digits than Python's int-to-str limit
+    ValidationError (naming the limit, not the digits).  An infinity is
+    refused, where it has no meaning, by the constructor of the value it
+    goes into."""
     if not isinstance(text, str):
         return rat(text)
     x = _INFINITIES.get(text.strip())
     if x is not None:
         return x
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    if limit and len(text) > limit:
+        digits = sum([c.isdecimal() for c in text])
+        if digits > limit:
+            raise ValidationError(
+                f"a number of {digits} digits is over the limit of {limit} digits"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -118,10 +131,26 @@ def rows_on_scale(rows, scale: int) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of an int n >= 0, split in halves while a half is
+    still past Python's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of its digits
+        high, low = divmod(n, 10**half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
 def fmt_rat(x: RatX) -> str:
-    """Canonical string form: "p/q", "p", "inf" or "-inf"."""
+    """Canonical string form: "p/q", "p", "inf" or "-inf", in full however
+    many digits it has."""
     if isinstance(x, Fraction):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # a part past Python's int-to-str limit
+            text = ("-" if x < 0 else "") + _decimal(abs(x.numerator))
+            return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
     if x == INF:
         return "inf"
     if x == NEG_INF:

@@ -1,6 +1,7 @@
 """CLI: subcommand dispatch, round-trips, deterministic output, exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 from stairdist import cli, io_json
 from stairdist.errors import ValidationError
 from stairdist.formigram import Formigram
+from stairdist.rat import INF, fmt_rat
+from stairdist.staircase import Staircase, hausdorff
 
 F = Fraction
 
@@ -256,6 +259,11 @@ def test_exit_codes(tmp_path, capsys):
     never = write(tmp_path, "never.json", {
         "vertices": ["a"], "simplices": [{"verts": ["a"], "birth": "inf"}]})
     disk = write(tmp_path, "disk.json", {"ambient": "disk", "generators": []})
+    constants = []  # JSON constants, which json would read as floats
+    for i, constant in enumerate(("Infinity", "-Infinity", "NaN")):
+        path = tmp_path / f"constant{i}.json"
+        path.write_text(f'{{"bars": [["0", {constant}]]}}')
+        constants.append((("bottleneck", str(path), essential), "not exact"))
     for argv in [
         ("formigram", "smooth", loop, "--epsilon", "1/0"),
         ("bottleneck", str(huge), essential),
@@ -280,10 +288,63 @@ def test_exit_codes(tmp_path, capsys):
         (("h0", never), "infinite birth"),
         (("tripod", "--indexing", "r", never, never), "infinite birth"),
         (("formigram", "smooth", loop, "--epsilon", "inf"), "eps"),
+        # negative values that argparse would take for unknown options
+        (("formigram", "smooth", loop, "--epsilon", "-1/2"), "eps"),
+        (("formigram", "smooth", loop, "--epsilon", "-inf"), "eps"),
         (("staircase", "profile", disk), 'ambient must be "int" or "plane"'),
+        *constants,
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and rule in err
+
+
+def _limit() -> int:
+    """Python's int-to-str digit limit; 0, no limit, before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _read_int(text: str) -> int:
+    """The int written in decimal text of any length, read in pieces below
+    Python's int-to-str limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(digits), 600):
+        piece = digits[i:i + 600]
+        n = n * 10 ** len(piece) + int(piece)
+    return sign * n
+
+
+def test_long_answers_are_written_in_full(tmp_path, capsys):
+    """An exact answer past Python's int-to-str limit is printed in full,
+    and the limit itself is left as it is."""
+    limit = _limit()
+    p, q = 10**2999 + 1, 10**2999 + 3
+    a = write(tmp_path, "a.json", {"ambient": "int", "generators": [["inf", f"1/{p}"]]})
+    b = write(tmp_path, "b.json", {"ambient": "int", "generators": [["inf", f"1/{q}"]]})
+    num, den = run_json(capsys, "staircase", "hausdorff", a, b)["distance"].split("/")
+    expected = hausdorff(Staircase("int", ((INF, F(1, p)),)), Staircase("int", ((INF, F(1, q)),)))
+    assert expected == F(2, p * q) and F(_read_int(num), _read_int(den)) == expected
+    assert len(den) > 4300
+    for x in (F(-(10**9000) - 7, 3), F(10**5000 + 1), F(1, 7**8000)):
+        text = fmt_rat(x)
+        assert F(*map(_read_int, text.split("/"))) == x
+    assert _limit() == limit
+
+
+@pytest.mark.skipif(_limit() == 0, reason="no int-to-str limit is set")
+def test_input_numbers_past_the_limit_are_refused(tmp_path, capsys):
+    """A number with more digits than the limit exits 2 naming the file and
+    the limit, and does not echo its digits."""
+    limit = _limit()
+    digits = "1" * (limit + 700)
+    essential = write(tmp_path, "essential.json", {"bars": [["0", "inf"]]})
+    text = write(tmp_path, "text.json", {"bars": [["0", digits]]})
+    raw = tmp_path / "raw.json"
+    raw.write_text(f'{{"bars": [["0", {digits}]]}}')
+    for path in (text, str(raw)):
+        code, out, err = run(capsys, "bottleneck", path, essential)
+        assert code == 2 and out == "" and err.startswith(f"error: {path}: ")
+        assert f"limit of {limit} digits" in err and digits[:50] not in err
 
 
 @pytest.mark.parametrize("simplices", [
@@ -318,7 +379,7 @@ def test_readme_usage_matches_the_parser():
         for argv in product(*(w.split("|") for w in words[1:])):
             args = cli.build_parser().parse_args(argv)
             op = getattr(args, "op", None)
-            _, files, reads = cli.OPS[args.command, op]
+            _, files, reads, _ = cli.OPS[args.command, op]
             assert 1 + (getattr(args, "b", None) is not None) == files, line
             options = {w for w in argv if w.startswith("--")} - {"--indexing"}
             assert options <= set(reads), line
