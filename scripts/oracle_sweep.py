@@ -14,7 +14,10 @@ tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force oracles,
 against the unpruned search over every minimal cover) and, last, the
 validation of interval-indexed filtrations (`validate`: valid ones and
 copies with one face's support shrunk or dropped, against one `subset`
-per (simplex, face), comparing the report strings or None), on freshly
+per (simplex, face), comparing the report strings or None) and the
+one-point tripod shortcut (`one-point`: interval-indexed filtrations over
+1 to 4 vertices against a one-vertex filtration, against the search
+`tripod_distance_int`), on freshly
 sampled instances, and reports per-family counts (including how many
 infinite values were hit).  Disagreements abort with the offending instance printed
 for replay, and so does a fast answer that is not a Fraction or +-inf (or,
@@ -45,6 +48,7 @@ from stairdist import (
     gromov_hausdorff_ultrametrics,
     hausdorff,
     interleaving_distance,
+    one_point_tripod,
     single_linkage,
     to_int_indexed,
     tripod_distance_int,
@@ -181,6 +185,17 @@ def validate_instance(r):
     2-simplices: valid, or with one face's support shrunk or dropped."""
     f = rand_int_filtration(r, ground(r.randint(1, 5)), tri_prob=r.choice((0, 0.5, 1)))
     return (r.choice(broken_copies(r, f)),)
+
+
+def one_point_instance(r):
+    """An interval-indexed filtration over 1 to 4 vertices, possibly with
+    2-simplices and pinned tails, and a one-vertex filtration."""
+    pin = r.random() < 0.5
+    f = rand_int_filtration(
+        r, ground(r.randint(1, 4)), edge_prob=r.choice((0.7, 1.0)),
+        tri_prob=r.choice((0, 1)), pinned=pin,
+    )
+    return f, rand_int_filtration(r, ground(1), pinned=pin)
 
 
 def is_report(x) -> bool:
@@ -330,6 +345,14 @@ def main():
         rng,
         args.iterations,
         exact=is_report,
+    )
+    sweep(
+        "one-point",
+        one_point_instance,
+        one_point_tripod,
+        tripod_distance_int,
+        rng,
+        args.iterations,
     )
     print("all families agree")
 

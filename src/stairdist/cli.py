@@ -9,7 +9,8 @@ One table, ``OPS``, gives each (command, op) its input kind, its number of
 input files, the options it reads and its op, a plain function of the
 inputs in file order and then of each option's value.  The parser is built
 from the table; ``main`` alone reads the parsed arguments, refuses any other
-number of files or an option the op does not read, and calls the op.
+number of files or an option the op does not read, reads the files and
+options (an error names which) and calls the op.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from . import compare, filtration, formigram, io_json, lattice, persistence
 from .errors import AmbientMismatch, GroundSetMismatch, SizeGuardExceeded
 from .errors import StairdistError, ValidationError
-from .rat import parse_rat
+from .rat import parse_rat, within_digit_limit
 from .staircase import hausdorff as staircase_hausdorff
 
 EXIT_OK = 0
@@ -82,15 +83,20 @@ def _guard(max_size, default=compare.CORRESPONDENCE_GUARD):
     return default if max_size is None else max_size
 
 
+def _named(name: str, read, *args):
+    """read(*args); an error names `name`, the file or the option read."""
+    try:
+        return read(*args)
+    except StairdistError as e:
+        raise type(e)(f"{name}: {e}") from None
+    except ValueError as e:
+        raise ValidationError(f"{name}: {e}") from None
+
+
 def _read(kind: str, path: str):
     """The input at path, read by io_json's `<kind>_from_json`; an error
     names the file."""
-    try:
-        return getattr(io_json, f"{kind}_from_json")(_load(path))
-    except StairdistError as e:
-        raise type(e)(f"{path}: {e}") from None
-    except ValueError as e:
-        raise ValidationError(f"{path}: {e}") from None
+    return _named(path, lambda: getattr(io_json, f"{kind}_from_json")(_load(path)))
 
 
 def _lookup(name: str):
@@ -127,7 +133,7 @@ def _validate(f):
 def _smooth(f, epsilon):
     if epsilon is None:
         raise ValidationError("smooth requires --epsilon")
-    return io_json.formigram_to_json(formigram.smooth(f, parse_rat(epsilon)))
+    return io_json.formigram_to_json(formigram.smooth(f, epsilon))
 
 
 _SUB = "subpartition"
@@ -176,7 +182,7 @@ OPS = {
     ("staircase", "hausdorff"): ("staircase", 2, (), _distance("staircase_hausdorff")),
     ("staircase", "profile"): ("staircase", 1, (), lambda s: io_json.profile_to_json(s)),
 }
-_OPTIONS = {"--epsilon": None, "--max-size": int}
+_OPTIONS = {"--epsilon": parse_rat, "--max-size": lambda text: int(within_digit_limit(text))}
 _NEGATIVE = re.compile(r"-\.?\d|-inf$")
 
 
@@ -201,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         files = {n for _, n, _, _ in entries.values()}
         if 2 in files:
             p.add_argument("b", nargs="?" if 1 in files else None)
-        for option, kind in _OPTIONS.items():
+        for option in _OPTIONS:
             if any(option in read for _, _, read, _ in entries.values()):
-                p.add_argument(option, type=kind, default=None)
+                p.add_argument(option, default=None)
     return top
 
 
@@ -221,7 +227,10 @@ def main(argv=None) -> int:
         for option, value in values.items():
             if value is not None and option not in read:
                 raise ValidationError(f"{op} does not take {option}")
-        doc = run(*[_read(kind, path) for path in paths], *[values[option] for option in read])
+        doc = run(
+            *[_read(kind, path) for path in paths],
+            *[None if values[o] is None else _named(o, _OPTIONS[o], values[o]) for o in read],
+        )
     except (StairdistError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (GroundSetMismatch, AmbientMismatch)):

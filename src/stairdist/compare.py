@@ -21,11 +21,11 @@ item already reaches the best cover so far is dropped with every cover
 below it.  The costs are ints on one scale that the caller picks, or INF,
 so no Fraction is compared inside the search; the callers read each mask's
 cost from small lazy tables.  For staircase costs the scale is the common
-scale of every staircase of both inputs: each distinct generator list goes
-onto it once (`staircase._on`), and every distinct pair of them costs one
-int kernel call (`staircase._gap`), with no Fraction made or compared.
-The grid distance calls `hausdorff` once per pair key, and builds each
-grid up-set as its normalized antichain in O(rows + cols).
+scale of every staircase of both inputs, and the kernel `staircase._gaps`
+costs each distinct pair of generator lists by one int `_gap`, with no
+Fraction made or compared.  The grid distance calls `hausdorff` once per
+pair key, and builds each grid up-set as its normalized antichain in
+O(rows + cols).
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from .rat import (
     common_scale,
     from_scale,
     increasing_rats,
+    on_scale,
     rows_on_scale,
 )
-from .staircase import PLANE, Staircase, _antichain, _gap, _on, hausdorff, plane_generator
+from .staircase import PLANE, Staircase, _antichain, _gaps, hausdorff, plane_generator
 
 CORRESPONDENCE_GUARD = 12
 
@@ -236,36 +237,12 @@ def _hausdorff_costs(stair_x, stair_y, scale: int):
     """cost(mx, my) = `hausdorff(stair_x(mx), stair_y(my))` times `scale`
     (a multiple of twice every generator denominator on both sides), as an
     int or INF, for interval staircases (merge staircases and supports).
-    Each mask's staircase is looked up once, and staircases with equal
-    generator lists share one index: each distinct generator list goes onto
-    the scale once (`_on`, O(k)), and each distinct unordered pair of them
-    costs one `_gap`, with no Fraction in between."""
-    on: list = []  # each distinct generator list on the scale, with its kinks
-    index: dict = {}  # generator list -> its position in on
-
-    def table(stair):
-        @cache
-        def at(mask):
-            u = stair(mask)
-            k = index.get(u.gens)
-            if k is None:
-                k = index[u.gens] = len(on)
-                on.append(_on(u, scale))
-            return k
-
-        return at
-
-    at_x, at_y = table(stair_x), table(stair_y)
-
-    @cache
-    def pair(p, q):
-        return _gap(on[p], on[q], True)
-
-    def cost(mx, my):
-        p, q = at_x(mx), at_y(my)
-        return pair(p, q) if p <= q else pair(q, p)
-
-    return cost
+    Each mask's staircase goes on the scale once, and `staircase._gaps`
+    costs each distinct pair of generator lists."""
+    gap = _gaps()
+    at_x = cache(lambda m: on_scale(stair_x(m).gens, scale))
+    at_y = cache(lambda m: on_scale(stair_y(m).gens, scale))
+    return lambda mx, my: gap(at_x(mx), at_y(my))
 
 
 def gromov_hausdorff_formigrams(

@@ -34,8 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, Surjection
-from .rat import INF, RatX, common_scale, from_scale, is_finite, rat, to_scale
-from .staircase import INT, Staircase, _contained, _on, empty, hausdorff, staircase
+from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
+from .staircase import INT, Staircase, _contained, _gaps, _on, empty, staircase
 
 Simplex = frozenset
 
@@ -257,16 +257,14 @@ def tripod_distance_int(
 def one_point_tripod(f: IntFiltration, g: IntFiltration) -> RatX:
     """Tripod distance against a one-vertex filtration needs no search: it
     is the worst distance from any simplex support to the point's support.
-    Absent simplices all have the empty support, so they count once."""
+    Absent simplices all have the empty support, so they count once; the
+    answer is the largest `staircase._gaps` on their common scale S, over S."""
     if len(g.ground) != 1:
         raise NotOnePoint(f"second filtration has {len(g.ground)} vertices")
     star = support(g, Simplex(g.ground.elements))
     supports = list(f.supports.values())
     if len(supports) < 2 ** len(f.ground) - 1:
         supports.append(_EMPTY)
-    worst: RatX = Fraction(0)
-    for u in supports:
-        d = hausdorff(u, star)
-        if d > worst:
-            worst = d
-    return worst
+    scale = common_scale(star.gens, *[u.gens for u in supports])
+    gap, point = _gaps(), on_scale(star.gens, scale)
+    return from_scale(max([gap(on_scale(u.gens, scale), point) for u in supports]), scale)

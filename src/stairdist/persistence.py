@@ -4,12 +4,13 @@ A bar is a closed interval [birth, death] (death may be +inf) counted with
 multiplicity.  The rank at (a, b) counts bars containing [a, b]; the n-th
 sublevel staircase is the closed region where the rank stays <= n, and the
 erosion distance is the largest Hausdorff distance between matching
-sublevel staircases.  All grades of a barcode come from one sweep over the
-strips between consecutive births, each strip giving one generator per
-grade.  Degree-0 persistence of a line-indexed filtration is computed by
-the elder rule.  The bottleneck distance is the smallest integer eps, on
-a common scale of the coordinates, at which two covering searches on the
-B1 x B2 threshold graph succeed.
+sublevel staircases.  One sweep over the strips between births emits each
+grade's normalized antichain; erosion sweeps on the bars' integer scale
+and joins the grades by ``staircase._gaps``.  Degree-0 persistence of a
+line-indexed filtration is computed by the elder rule.  The bottleneck
+distance is the smallest integer eps, on a common scale of the
+coordinates, at which two covering searches on the B1 x B2 threshold
+graph succeed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
 from .lattice import find
-from .rat import INF, NEG_INF, RatX, common_scale, is_finite, on_scale, rat
-from .staircase import INT, Staircase, hausdorff, staircase
+from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
+from .staircase import INT, Staircase, _antichain, _gaps
 
 Bar = tuple[Fraction, RatX]
 Barcode = tuple[Bar, ...]  # as built by barcode(); the distances accept raw pairs
@@ -48,9 +49,9 @@ def rank(bars: Barcode, a: Fraction, b: Fraction) -> int:
     return sum(1 for p, q in bars if p <= a and b <= q)
 
 
-def _sublevels(bars: Barcode, grades: int, first: int = 0) -> list[Staircase]:
-    """The sublevel staircases of grades first .. grades - 1, by one sweep
-    over the births.
+def _sublevels(bars, grades: int, first: int = 0) -> list[tuple]:
+    """The normalized generators of the sublevel staircases of grades first
+    .. grades - 1 of bars read by ``barcode`` (and maybe ``on_scale``).
 
     On the strip alo < a < ahi between consecutive distinct births (with
     -inf and +inf at the ends) the live bars are those born at or before
@@ -60,31 +61,33 @@ def _sublevels(bars: Barcode, grades: int, first: int = 0) -> list[Staircase]:
     generator (ahi, max(D, floor)), none when D = +inf.  floor, the largest
     finite death <= alo, lifts the corner as far as the region allows:
     what it cuts off has a < b < floor <= alo, and the earlier strips cover
-    that, since the rank only drops as a decreases.  Each grade gets at
-    most (distinct births + 1) generators: O(B (grades - first)) for the
-    sweep, O(B^2) element moves for the sorted inserts, and one O(B log B)
-    normalization per grade collected.  ``bars`` may be raw (birth, death)
-    pairs: they are read through ``barcode`` first.
+    that, since the rank only drops as a decreases.  r = max(D, floor)
+    never falls along the sweep, so an equal r lets the later, larger l
+    replace the last generator, and the rest is the normalized antichain.
+    Each grade gets at most (distinct births + 1) generators: O(B (grades -
+    first)) for the sweep, O(B^2) element moves for the sorted inserts.
     """
-    bars = barcode(bars)
-    deaths = sorted({d for _, d in bars if is_finite(d)})
+    deaths = sorted({d for _, d in bars if d != INF})
     by_birth = iter(bars)  # barcode() sorts them by birth
     nxt = next(by_birth, None)
-    live: list[RatX] = []  # deaths of the bars born at or before alo, ascending
+    live: list = []  # deaths of the bars born at or before alo, ascending
     gens: list[list] = [[] for _ in range(first, grades)]
-    alo: RatX = NEG_INF
+    alo = NEG_INF
     for ahi in [*sorted({b for b, _ in bars}), INF]:
         k = bisect_right(deaths, alo)
         floor = deaths[k - 1] if k else NEG_INF
         for n, out in enumerate(gens, first):
             d = live[-n - 1] if n < len(live) else NEG_INF
             if d != INF:
-                out.append((ahi, max(d, floor)))
+                r = max(d, floor)
+                if out and out[-1][1] == r:
+                    out.pop()
+                out.append((ahi, r))
         while nxt is not None and nxt[0] == ahi:
             insort(live, nxt[1])
             nxt = next(by_birth, None)
         alo = ahi
-    return [staircase(g, INT) for g in gens]
+    return [tuple(g) for g in gens]
 
 
 def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
@@ -92,27 +95,24 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
 
     Read from the strip sweep of ``_sublevels``, which collects grade n
     only: at most one generator per strip between consecutive distinct
-    births, and one normalization.  Grades from B up are all the same
-    region, so n is capped at B.
+    births, already normalized.  Grades from B up are all the same region,
+    so n is capped at B.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     n = min(n, len(bars))
-    return _sublevels(bars, n + 1, n)[0]
+    return _antichain(INT, _sublevels(barcode(bars), n + 1, n)[0])
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:
     """max over grades n of the Hausdorff distance between the n-th
     sublevel staircases; beyond the larger bar count both are full.  Each
-    barcode is swept once for all its grades; raw (birth, death) pairs are
-    read through ``barcode``."""
-    grades = max(len(b1), len(b2))
-    best: RatX = Fraction(0)
-    for u, v in zip(_sublevels(b1, grades), _sublevels(b2, grades)):
-        d = hausdorff(u, v)
-        if d > best:
-            best = d
-    return best
+    barcode is read (``barcode``), put on their common scale S and swept
+    once for all its grades; the answer is the largest ``_gaps`` over S."""
+    b1, b2 = barcode(b1), barcode(b2)
+    scale, grades = common_scale(b1, b2), max(len(b1), len(b2))
+    levels = [_sublevels(on_scale(b, scale), grades) for b in (b1, b2)]
+    return from_scale(max(map(_gaps(), *levels), default=0), scale)
 
 
 def h0_barcode(f: RFiltration) -> Barcode:

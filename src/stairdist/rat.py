@@ -9,9 +9,9 @@ line-indexed filtrations, critical points and grid cuts read their
 coordinates through `rat`, so an int becomes a Fraction and an inexact
 float or a bool is refused; `parse_rat` reads text as well, and
 `increasing_rats` reads the finite increasing times of critical points and cuts.
-Text with more digits than Python's int-to-str limit is refused on input,
-and `fmt_rat` writes every value in full, however long, without changing
-that limit.
+Text with more digits than Python's int-to-str limit is refused on input
+(`within_digit_limit`), and `fmt_rat` writes every value in full, however
+long, without changing that limit.
 
 The exact kernels (the staircase profile walk, the bottleneck search, single
 linkage and the Gromov-Hausdorff and tripod searches) run on ints:
@@ -78,6 +78,15 @@ def parse_rat(text) -> RatX:
     x = _INFINITIES.get(text.strip())
     if x is not None:
         return x
+    try:
+        return Fraction(within_digit_limit(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def within_digit_limit(text: str) -> str:
+    """text, refused with ValidationError (naming the limit, not the digits)
+    when it has more decimal digits than Python's int-to-str limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
     if limit and len(text) > limit:
         digits = sum([c.isdecimal() for c in text])
@@ -85,10 +94,7 @@ def parse_rat(text) -> RatX:
             raise ValidationError(
                 f"a number of {digits} digits is over the limit of {limit} digits"
             )
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return text
 
 
 def common_scale(*pair_lists) -> int:

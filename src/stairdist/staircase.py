@@ -38,22 +38,22 @@ set, in O(k).  One kernel then walks two staircases on the same scale:
 test, both through the two sweeps of ``_walk``.  ``hausdorff`` and
 ``subset`` take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of
 one side's finite denominators) and convert each side once; callers that
-compare many staircases built from one set of coordinates (the
-correspondence searches, ``validate_filtration``) pick one scale for all
-of them and convert each staircase once per call.  Fractions appear only
+compare many staircases pick one scale for all of them, and those that
+take a join over pairs of parts read ``_gaps``.  Fractions appear only
 at the boundary: ``hausdorff`` returns the largest scaled gap over S, and
 ``profile`` converts each breakpoint, value and slope.  The O(k log k)
 counts above are integer operations on ints of the bit size of S.
 
 Constructions that emit the normalized antichain by design (the cosheaf
-code and the grid up-sets) skip the normalizing constructor through
-``_antichain``.
+code, the grid up-sets and the sublevel sweep) skip the normalizing
+constructor through ``_antichain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient, ValidationError
@@ -297,6 +297,15 @@ def _gap(a, b, clamped: bool) -> int | float:
     if hi_u != hi_v or lo_u != lo_v:
         return INF
     return max([abs(x - y) for x, y in zip(gu, gv)])
+
+
+def _gaps():
+    """gap(a, b): the ``_gap`` of two interval staircases given as generator
+    tuples on one scale (``on_scale`` of normalized generators), with each
+    distinct tuple's kinks found once and one ``_gap`` per unordered pair."""
+    on = cache(lambda gens: (gens, _breaks(gens, True)))
+    pair = cache(lambda a, b: _gap(on(a), on(b), True))
+    return lambda a, b: pair(a, b) if a <= b else pair(b, a)
 
 
 def _contained(a, b, clamped: bool) -> bool:

@@ -265,7 +265,6 @@ def test_exit_codes(tmp_path, capsys):
         path.write_text(f'{{"bars": [["0", {constant}]]}}')
         constants.append((("bottleneck", str(path), essential), "not exact"))
     for argv in [
-        ("formigram", "smooth", loop, "--epsilon", "1/0"),
         ("bottleneck", str(huge), essential),
         ("bottleneck", unborn, essential),
         ("bottleneck", flags, unit),
@@ -293,9 +292,24 @@ def test_exit_codes(tmp_path, capsys):
         (("formigram", "smooth", loop, "--epsilon", "-inf"), "eps"),
         (("staircase", "profile", disk), 'ambient must be "int" or "plane"'),
         *constants,
+        # an option's reading error names the option
+        (("formigram", "smooth", loop, "--epsilon", "1/0"), "--epsilon: zero denominator"),
+        (("lattice", "min-reps", good, "--max-size", "zz"), "--max-size: invalid literal"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and rule in err
+    limit = _limit()
+    if limit:  # values past Python's int-to-str limit: no digit is echoed
+        digits = "1" * (limit + 700)
+        for argv, option in [
+            (("lattice", "min-reps", good, "--max-size", digits), "--max-size"),
+            (("formigram", "smooth", loop, "--epsilon", digits), "--epsilon"),
+        ]:
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and err == (
+                f"error: {option}: a number of {limit + 700} digits is over the "
+                f"limit of {limit} digits\n"
+            )
 
 
 def _limit() -> int:

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+import importlib
 from itertools import combinations_with_replacement
 import random
 
@@ -17,14 +18,18 @@ from stairdist import (
     SubPartition,
     Surjection,
     ValidationError,
+    barcode,
     enumerate_correspondences,
+    erosion_distance,
     grid_interleaving_distance,
     grid_upper_set,
     gromov_hausdorff_formigrams,
     gromov_hausdorff_ultrametrics,
     interleaving_distance,
+    one_point_tripod,
     pullback_formigram,
     single_linkage,
+    sublevel_staircase,
     ultrametric,
 )
 from stairdist import compare
@@ -49,6 +54,7 @@ from stairdist.oracle import grid_interleaved, oracle_grid_distance
 from conftest import (
     full_r_filtration,
     ground,
+    rand_barcode,
     rand_formigram,
     rand_grid,
     rand_grid_pair,
@@ -58,6 +64,9 @@ from conftest import (
 )
 
 F = Fraction
+
+# the package exports a function named `staircase`, so fetch the module
+staircase_module = importlib.import_module("stairdist.staircase")
 
 
 def fs(*xs):
@@ -404,40 +413,44 @@ def test_int_cost_searches_compare_no_fraction(monkeypatch):
     assert all(type(d) is Fraction for d in got)
 
 
-def kernel_calls(monkeypatch, module):
-    """Record, through `module`, the generator list of every staircase put
-    on a scale (`_on`) and the scaled generator lists of every `_gap` call;
-    every `hausdorff` call made through `module` goes to a third list."""
+def kernel_calls(monkeypatch):
+    """Record, in the staircase kernel's module, the scaled generator list
+    of every staircase whose kinks are found (`_breaks`) and the scaled
+    generator lists of every `_gap` call; every staircase put on a scale
+    one at a time (`_on`, which every `hausdorff` call runs) goes to a
+    third list."""
     conversions, gaps, calls = [], [], []
-    on, gap = module._on, module._gap
+    breaks, gap, on = staircase_module._breaks, staircase_module._gap, staircase_module._on
 
-    def recording_on(u, scale):
-        conversions.append(u.gens)
-        return on(u, scale)
+    def recording_breaks(gens, clamped):
+        conversions.append(gens)
+        return breaks(gens, clamped)
 
     def recording_gap(a, b, clamped):
         gaps.append(frozenset((a[0], b[0])))
         return gap(a, b, clamped)
 
-    def recording_hausdorff(u, v):
-        calls.append((u.gens, v.gens))
-        return hausdorff(u, v)
+    def recording_on(u, scale):
+        calls.append(u.gens)
+        return on(u, scale)
 
-    monkeypatch.setattr(module, "_on", recording_on)
-    monkeypatch.setattr(module, "_gap", recording_gap)
-    monkeypatch.setattr(module, "hausdorff", recording_hausdorff)
+    monkeypatch.setattr(staircase_module, "_breaks", recording_breaks)
+    monkeypatch.setattr(staircase_module, "_gap", recording_gap)
+    monkeypatch.setattr(staircase_module, "_on", recording_on)
     return conversions, gaps, calls
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
 def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
-    """GH between formigrams and the interval tripod distance put each
-    distinct generator list on the search's scale once and run the int
-    kernel `_gap` once per distinct (unordered) pair of them, with no
-    `hausdorff` call, and agree with their unpruned twins."""
-    from test_filtration import unpruned_tripod_int
+    """GH between formigrams, the interval tripod distance, erosion and the
+    one-point tripod find the kinks of each distinct generator list on
+    their scale once and run the int kernel `_gap` once per distinct
+    (unordered) pair of them, with no `hausdorff` call, and agree with
+    their twins."""
+    from test_filtration import one_point_tripod_by_subsets, unpruned_tripod_int
+    from test_persistence import oracle_erosion
 
-    conversions, gaps, calls = kernel_calls(monkeypatch, compare)
+    conversions, gaps, calls = kernel_calls(monkeypatch)
     rng = random.Random(nx * 10 + ny)
     gx, gy = named_grounds(nx, ny)
     for _ in range(6):
@@ -445,9 +458,16 @@ def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
         fy = rand_merged_tail_formigram(rng, gy, max_crit=2)
         ix = rand_int_filtration(rng, gx, pinned=True)
         iy = rand_int_filtration(rng, gy, pinned=True)
+        point = rand_int_filtration(rng, ground(1), pinned=True)
+        b1, b2 = (barcode([(F(0), F(1)), *rand_barcode(rng, n)]) for n in (nx, ny))
         for search, twin, x, y in [
             (gromov_hausdorff_formigrams, unpruned_gh_formigrams, fx, fy),
             (tripod_distance_int, unpruned_tripod_int, ix, iy),
+            # against itself, one list meets another in both orders
+            (gromov_hausdorff_formigrams, unpruned_gh_formigrams, fx, fx),
+            (tripod_distance_int, unpruned_tripod_int, ix, ix),
+            (erosion_distance, oracle_erosion, b1, b2),
+            (one_point_tripod, one_point_tripod_by_subsets, ix, point),
         ]:
             conversions.clear()
             gaps.clear()
@@ -606,16 +626,20 @@ def test_grid_upper_set_matches_all_cells_scan():
 
 
 def test_built_staircases_need_no_normalization():
-    """`cosheaf_code` and `grid_upper_set` skip the normalizing constructor:
-    normalizing what they build again changes nothing, and every coordinate
-    is already a Fraction or an infinity."""
+    """`cosheaf_code`, `grid_upper_set` and `sublevel_staircase` skip the
+    normalizing constructor: normalizing what they build again changes
+    nothing, and every coordinate is already a Fraction or an infinity."""
+    from test_persistence import rand_tied_barcode
+
     rng = random.Random(181)
     for _ in range(150):
         g = ground(rng.randint(1, 5))
         f = rand_formigram(rng, g, max_crit=rng.choice((0, 2, 5)))
         grids = [make(rng, ground(rng.randint(1, 4))) for make in (rand_grid, rand_edged_grid)]
+        bars = rand_tied_barcode(rng, 8)
         built = [*cosheaf_code(f).values()]
         built += [grid_upper_set(h, key) for h in grids for key in all_pair_keys(h.ground)]
+        built += [sublevel_staircase(bars, n) for n in range(len(bars) + 2)]
         for u in built:
             assert Staircase(u.ambient, u.gens).gens == u.gens, u
             assert all(type(x) in (Fraction, float) for gen in u.gens for x in gen), u

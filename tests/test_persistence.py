@@ -267,24 +267,31 @@ def test_strip_sweep_matches_grid_twin():
     rng = random.Random(71)
     for i in range(300):
         bars = rand_tied_barcode(rng, 7) if i % 2 else rand_barcode(rng, 6)
-        levels = persistence._sublevels(bars, len(bars) + 2)
+        levels = persistence._sublevels(barcode(bars), len(bars) + 2)
         for n in range(len(bars) + 2):
             twin = grid_sublevel(bars, n)
-            assert levels[n].gens == twin.gens
+            assert levels[n] == twin.gens
             assert sublevel_staircase(bars, n).gens == twin.gens
 
 
-def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
-    """Erosion builds one staircase per grade per barcode, from at most
-    (distinct births + 1) generators."""
+def counting_sublevels(monkeypatch):
+    """Record the length of every generator list that `_sublevels` returns."""
     built = []
+    sublevels = persistence._sublevels
 
-    def counting_staircase(gens, ambient):
-        gens = list(gens)
-        built.append(len(gens))
-        return staircase(gens, ambient)
+    def counting(bars, grades, first=0):
+        levels = sublevels(bars, grades, first)
+        built.extend(len(gens) for gens in levels)
+        return levels
 
-    monkeypatch.setattr(persistence, "staircase", counting_staircase)
+    monkeypatch.setattr(persistence, "_sublevels", counting)
+    return built
+
+
+def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
+    """Erosion sweeps one generator list per grade per barcode, of at most
+    (distinct births + 1) generators."""
+    built = counting_sublevels(monkeypatch)
     rng = random.Random(73)
     for _ in range(40):
         b1, b2 = rand_tied_barcode(rng, 8), rand_tied_barcode(rng, 8)
@@ -299,25 +306,18 @@ def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
 
 
 def test_sublevel_staircase_builds_only_its_grade(monkeypatch):
-    """One grade asked, one staircase built, from at most (distinct births
-    + 1) generators, at every grade of a 40-bar barcode and beyond it; it
-    equals that grade of the all-grades sweep."""
-    built = []
-
-    def counting_staircase(gens, ambient):
-        gens = list(gens)
-        built.append(len(gens))
-        return staircase(gens, ambient)
-
+    """One grade asked, one generator list swept, of at most (distinct
+    births + 1) generators, at every grade of a 40-bar barcode and beyond
+    it; it equals that grade of the all-grades sweep."""
     rng = random.Random(79)
     bars = barcode((b, b + rand_fraction(rng, lo=0, hi=6)) for b in
                    (rand_fraction(rng) for _ in range(40)))
     expected = persistence._sublevels(bars, 42)  # every grade, one sweep
-    monkeypatch.setattr(persistence, "staircase", counting_staircase)
+    built = counting_sublevels(monkeypatch)
     strips = len({p for p, _ in bars}) + 1
     for n in range(42):
         built.clear()
-        assert sublevel_staircase(bars, n) == expected[n]
+        assert sublevel_staircase(bars, n).gens == expected[n]
         assert len(built) == 1 and built[0] <= strips
 
 
