@@ -13,8 +13,8 @@ visits minimal covers only: relations in which every pair has an end of
 degree one, i.e. disjoint unions of stars.  There are far fewer of them
 than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
 
-The search is a branch and bound over the star walk (`_walk_stars`) that
-builds the minimal covers one star at a time; the library makes the covers
+The search is one branch and bound that walks the minimal covers itself,
+one star at a time on one explicit stack; the library makes the covers
 nowhere else and never lists them.  Each star adds only the items it
 creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
 item already reaches the best cover so far is dropped with every cover
@@ -34,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Generator, Iterator
+from typing import Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
 from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
@@ -84,10 +84,11 @@ def _iter_correspondences(x: GroundSet, y: GroundSet) -> Iterator[Correspondence
 
 
 def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
-    """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], the high
-    bits of the mask that `enumerate_correspondences` counts up.  stars:
-    elements of an N(a) of size >= 2, which no other N(a) may name; leaves:
-    elements some N(a) = {b} names; full: every element of y."""
+    """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], in the
+    order the search tries them: the high bits of the mask that
+    `enumerate_correspondences` counts up.  stars: elements of an N(a) of
+    size >= 2, which no other N(a) may name; leaves: elements some
+    N(a) = {b} names; full: every element of y."""
     free = full & ~(stars | leaves)
     if i == 0:  # the last choice must cover what is left
         return [free] if free else [1 << k for k in range(full.bit_length()) if leaves >> k & 1]
@@ -97,38 +98,6 @@ def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
     ]
 
 
-def _walk_stars(nx: int, ny: int) -> Generator[tuple[int, int], bool | None, None]:
-    """Depth-first over the minimal covers of nx by ny elements: yields
-    every choice (i, c) of N(xs[i]) = c, a bitmask over y, from i = nx - 1
-    down to 0; a choice at i = 0 completes a cover.  A minimal cover is a
-    choice of a nonempty N(a) for every a in x, where each N(a) of two or
-    more elements is disjoint from all the others and together they cover
-    y; the walk completes them in the order of `enumerate_correspondences`.
-    Sending a true value back skips the choices below the one just
-    yielded.  The walk keeps an explicit stack of (untried choices, stars,
-    leaves), so nx is not bounded by the recursion limit; stack[d] chooses
-    N(xs[nx - 1 - d])."""
-    if not (nx and ny):
-        return
-    full = (1 << ny) - 1
-    stack = [(iter(_options(nx - 1, 0, 0, full)), 0, 0)]
-    while stack:
-        untried, stars, leaves = stack[-1]
-        i = nx - len(stack)
-        c = next(untried, None)
-        if c is None:
-            stack.pop()
-            continue
-        skip = yield i, c
-        if i == 0 or skip:
-            continue
-        if c & (c - 1):
-            stars |= c
-        else:
-            leaves |= c
-        stack.append((iter(_options(i - 1, stars, leaves, full)), stars, leaves))
-
-
 Item = tuple[int, int]  # (x-mask, y-mask): bit k stands for elements[k]
 
 
@@ -136,7 +105,15 @@ def min_max_over_correspondences(
     x: GroundSet, y: GroundSet, grow, cost, guard: int
 ) -> int | float:
     """min over correspondences R of the max of `cost` over the items of R,
-    by branch and bound over the star walk of the minimal covers.
+    by a depth-first branch and bound over the minimal covers.
+
+    A minimal cover is a choice of a nonempty N(a), a bitmask over y, for
+    every a in x, where each N(a) of two or more elements is disjoint from
+    all the others and together they cover y.  The search chooses N(xs[i])
+    from i = nx - 1 down to 0 among `_options`, so it completes the covers
+    in the order of `enumerate_correspondences`.  It keeps one explicit
+    stack with one frame per level, so nx is not bounded by the recursion
+    limit.
 
     Items are (x-mask, y-mask) ints.  `grow(state, i, c)` returns the new
     state and the items that the choice N(xs[i]) = c adds to the choices
@@ -149,7 +126,8 @@ def min_max_over_correspondences(
 
     The bound reads memoized costs only: a choice is dropped, with every
     cover below it, as soon as the worst memoized cost among its items
-    (read when the choice is made) reaches the best cover so far.  Unknown
+    (read when the choice is made) reaches the best cover so far, and a
+    frame is popped once the choices above it reach the best.  Unknown
     costs are computed only at a complete cover, after every cost found
     since, and the cover is abandoned at the first that reaches the best.
     The search stops at 0 and returns the best cost; the caller turns it
@@ -158,28 +136,29 @@ def min_max_over_correspondences(
     _check_guard(x, y, guard)
     memo: dict[Item, int | float] = {}
     best: int | float = INF
-    nx = len(x)
-    # node[i]: (state, worst known cost, items of unknown cost) after the
-    # choices for xs[i:]; node[nx] is the root
-    node: list = [None] * nx + [((), 0, ())]
-    walk = _walk_stars(nx, len(y))
-    skip = None
-    while True:
-        try:
-            i, c = walk.send(skip)
-        except StopIteration:
-            break
-        state, worst, unknown = node[i + 1]
-        skip = worst >= best
-        if skip:
+    nx, full = len(x), (1 << len(y)) - 1
+    # a frame chooses N(xs[i]), i = nx - len(stack): its untried choices,
+    # then the stars, leaves, state, worst known cost and items of unknown
+    # cost that the choices for xs[i + 1:] left
+    stack = [(iter(_options(nx - 1, 0, 0, full)), 0, 0, (), 0, ())]
+    while stack:
+        untried, stars, leaves, state, worst, unknown = stack[-1]
+        c = next(untried, None)
+        if c is None or worst >= best:
+            stack.pop()
             continue
+        i = nx - len(stack)
         state, new = grow(state, i, c)
         worst, new = _known(memo, worst, new)
-        skip = worst >= best
-        if skip:
+        if worst >= best:
             continue
         if i:
-            node[i] = state, worst, unknown + new
+            if c & (c - 1):
+                stars |= c
+            else:
+                leaves |= c
+            options = iter(_options(i - 1, stars, leaves, full))
+            stack.append((options, stars, leaves, state, worst, unknown + new))
             continue
         # a complete cover: the costs found since its choices were made
         # first, then the unknown ones until one reaches the best

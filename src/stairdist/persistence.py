@@ -100,8 +100,9 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    bars = barcode(bars)
     n = min(n, len(bars))
-    return _antichain(INT, _sublevels(barcode(bars), n + 1, n)[0])
+    return _antichain(INT, _sublevels(bars, n + 1, n)[0])
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:

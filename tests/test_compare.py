@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 import importlib
 from itertools import combinations_with_replacement
 import random
@@ -34,10 +35,8 @@ from stairdist import (
 )
 from stairdist import compare
 from stairdist.compare import (
-    _check_guard,
     _key_items,
     _names,
-    _walk_stars,
     min_max_over_correspondences,
 )
 from stairdist.rat import NEG_INF
@@ -98,13 +97,13 @@ def _key_pairs(rel):
 
 def unpruned_min_max(x, y, items, cost, guard=12):
     """The unpruned twin of `min_max_over_correspondences`: every minimal
-    cover in turn, its items by name from `items(rel)`, `cost` once per
-    distinct item.  A cover is abandoned as soon as its worst item reaches
-    the best value so far, and the search stops at 0."""
-    _check_guard(x, y, guard)
+    cover in turn, listed by brute force (`minimal_covers`), its items by
+    name from `items(rel)`, `cost` once per distinct item.  A cover is
+    abandoned as soon as its worst item reaches the best value so far, and
+    the search stops at 0."""
     memo = {}
     best = INF
-    for rel in minimal_covers(x, y):
+    for rel in minimal_covers(x, y, guard):
         worst = F(0)
         for item in items(rel):
             c = memo.get(item)
@@ -166,19 +165,23 @@ def grown_items(grow, rows):
     return out
 
 
-def walk_items(grow, nx, ny):
-    """(rows, items) of every cover the star walk completes, in its order,
-    with the items grown along the walk as the search grows them: each
-    choice extends the state its parent choice left."""
-    node = {nx: ((), [])}
-    rows = [0] * nx
-    for i, c in _walk_stars(nx, ny):
-        state, items = node[i + 1]
-        state, new = grow(state, i, c)
-        node[i] = state, items + new
-        rows[i] = c
-        if i == 0:
-            yield tuple(rows), node[0][1]
+def searched_covers(x, y, guard=12):
+    """Every cover that `min_max_over_correspondences` completes, in its
+    order, as named pairs.  `grow` keeps the rows N(xs[i]), and the last
+    choice adds one item naming the cover; `cost` records that item at
+    cost 1, so the search costs every cover once."""
+    covers = []
+
+    def grow(rows, i, c):
+        rows = (c,) + rows
+        return rows, [] if i else [rows]
+
+    def cost(*rows):
+        covers.append(rows)
+        return 1
+
+    min_max_over_correspondences(x, y, grow, cost, guard)
+    return [cover_of(rows, x, y) for rows in covers]
 
 
 def cover_of(rows, x, y):
@@ -189,11 +192,15 @@ def cover_of(rows, x, y):
     ])
 
 
-def minimal_covers(x, y):
-    """Every minimal cover of x and y, in the order the star walk completes
-    them, as named pairs."""
-    walked = walk_items(lambda state, i, c: (state, []), len(x), len(y))
-    return [cover_of(rows, x, y) for rows, _ in walked]
+@cache
+def minimal_covers(x, y, guard=12):
+    """Every minimal cover of x and y by brute force, as named pairs: the
+    correspondences in which every pair has an end of degree one, in the
+    order of `enumerate_correspondences`.  Cached per shape and names, as
+    the twins list the same covers again and again."""
+    return tuple([
+        rel for rel in enumerate_correspondences(x, y, guard) if is_minimal_cover(rel, x, y)
+    ])
 
 
 def rows_of(rel, x, y):
@@ -255,66 +262,42 @@ def is_minimal_cover(rel, x, y):
 )
 def test_minimal_cover_counts(nx, ny, count):
     x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-    rels = minimal_covers(x, y)
+    rels = searched_covers(x, y)
     assert len(rels) == len(set(rels)) == count
     assert all(is_minimal_cover(rel, x, y) for rel in rels)
 
 
 def test_minimal_covers_are_the_minimal_correspondences():
-    """Every shape up to the default guard: the star walk completes exactly
+    """Every shape up to the default guard: the search completes exactly
     the minimal covers among all correspondences, each once and in the same
     order."""
     for nx in range(1, 13):
         for ny in range(1, 12 // nx + 1):
             x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
-            rels = minimal_covers(x, y)
+            rels = searched_covers(x, y)
             assert len(rels) == len(set(rels))
-            assert rels == [
-                rel for rel in enumerate_correspondences(x, y) if is_minimal_cover(rel, x, y)
-            ]
+            assert tuple(rels) == minimal_covers(x, y)
 
 
 def test_minimal_covers_walk_long_ground_sets():
     """One choice per element of X, far past the recursion limit."""
     x, y = GroundSet(tuple(f"x{i:04d}" for i in range(1200))), GroundSet(("y",))
-    rels = minimal_covers(x, y)
-    assert rels == [tuple((a, "y") for a in x.elements)]
+    assert searched_covers(x, y, guard=1200) == [tuple((a, "y") for a in x.elements)]
 
 
 def test_key_items_are_the_key_pairs():
-    """The GH items grown row by row are the pair keys of the relation, on
-    every correspondence (minimal or not) up to 2 x 3 and 3 x 2; along the
-    star walk, which completes the minimal covers in their order, each key
-    is grown once."""
+    """The GH items grown row by row, as the search grows them along a
+    cover, are the pair keys of the relation, on every correspondence up to
+    2 x 3 and 3 x 2; on the minimal covers, the only relations the search
+    grows, each key is grown once (a relation holding (a, u), (a, v),
+    (b, u) and (b, v) grows the key ({a, b}, {u, v}) twice)."""
     for nx, ny in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
         x, y = ground(nx), GroundSet(tuple(f"y{i}" for i in range(ny)))
         for rel in enumerate_correspondences(x, y):
             items = named(grown_items(_key_items, rows_of(rel, x, y)), x, y)
             assert set(items) == set(_key_pairs(rel))
-        for rows, items in walk_items(_key_items, nx, ny):
-            rel = cover_of(rows, x, y)
-            items = named(items, x, y)
-            assert len(items) == len(set(items))
-            assert set(items) == set(_key_pairs(rel))
-
-
-def test_star_walk_skips_below_a_sent_choice():
-    """A true value sent back drops exactly the covers below that choice."""
-    walk = _walk_stars(3, 4)
-    seen, skip = [], None
-    chosen = [0] * 3
-    while True:
-        try:
-            i, c = walk.send(skip)
-        except StopIteration:
-            break
-        chosen[i] = c
-        skip = i == 2 and c == 0b0011
-        if i == 0:
-            seen.append(tuple(chosen))
-    covers = [rows for rows, _ in walk_items(_key_items, 3, 4)]
-    assert seen == [rows for rows in covers if rows[2] != 0b0011]
-    assert len(seen) < len(covers)
+            if is_minimal_cover(rel, x, y):
+                assert len(items) == len(set(items))
 
 
 def search_instances(rng, nx, ny):

@@ -188,6 +188,10 @@ def test_sublevel_examples():
     assert sublevel_staircase(one, 0).gens == ((F(1), -INF), (INF, F(4)))
     assert hausdorff(sublevel_staircase(one, 1), full()) == 0
     assert hausdorff(sublevel_staircase(one, 7), full()) == 0
+    # any iterable of bars, read before n is capped at the bar count
+    for n in (1, 7):
+        got = sublevel_staircase(iter([(0, 1), (0, 2)]), n)
+        assert got == sublevel_staircase(((0, 1), (0, 2)), n)
 
 
 def test_sublevel_agrees_with_pointwise_rank():
