@@ -1,28 +1,31 @@
 #!/usr/bin/env python3
 """Random agreement sweep: every fast distance against its brute-force twin.
 
-Covers staircase Hausdorff, formigram interleaving, grid-clustering
-interleaving, erosion and bottleneck distances, single-linkage merge
-times, the correspondence searches (Gromov-Hausdorff between formigrams,
-line- and interval-indexed tripod distances at |X|*|Y| <= 8), the
-cosheaf code (the join over a random open interval rebuilt from the merge
-staircases, against the join of the pieces) and the merge times of
-dendrograms built directly (`um`: idle critical points and several merges
-at one time included, against the `same_block` scan), the pruned
-correspondence search (`search`: both Gromov-Hausdorff distances and both
-tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force oracles,
-against the unpruned search over every minimal cover) and, last, the
+Covers staircase Hausdorff on intervals, formigram interleaving,
+grid-clustering interleaving, erosion and bottleneck distances,
+single-linkage merge times, the correspondence searches (Gromov-Hausdorff
+between formigrams, line- and interval-indexed tripod distances at
+|X|*|Y| <= 8), the cosheaf code (the join over a random open interval
+rebuilt from the merge staircases, against the join of the pieces) and the
+merge times of dendrograms built directly (`um`: idle critical points and
+several merges at one time included, against the `same_block` scan), the
+pruned correspondence search (`search`: both Gromov-Hausdorff distances
+and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
+oracles, against the unpruned search over every minimal cover), the
 validation of interval-indexed filtrations (`validate`: valid ones and
 copies with one face's support shrunk or dropped, against one `subset`
-per (simplex, face), comparing the report strings or None) and the
-one-point tripod shortcut (`one-point`: interval-indexed filtrations over
-1 to 4 vertices against a one-vertex filtration, against the search
-`tripod_distance_int`), on freshly
-sampled instances, and reports per-family counts (including how many
-infinite values were hit).  Disagreements abort with the offending instance printed
-for replay, and so does a fast answer that is not a Fraction or +-inf (or,
-for the cosheaf code, a SubPartition; for validation, a report string or
-None).
+per (simplex, face), comparing the report strings or None), the one-point
+tripod shortcut (`one-point`: interval-indexed filtrations over 1 to 4
+vertices against a one-vertex filtration, against the search
+`tripod_distance_int`) and, last, staircases of the plane (`plane`:
+Hausdorff against the candidate scan; `subset`: containment, where half
+the second staircases hold the first's generators or are its thickening,
+against containment generator by generator), on freshly sampled
+instances, and reports per-family counts (including how many infinite
+values were hit).  Disagreements abort with the offending instance
+printed for replay, and so does a fast answer that is not a Fraction or
++-inf (or, for the cosheaf code, a SubPartition; for validation, a report
+string or None; for containment, a bool).
 """
 
 import argparse
@@ -50,6 +53,9 @@ from stairdist import (
     interleaving_distance,
     one_point_tripod,
     single_linkage,
+    staircase,
+    subset,
+    thicken,
     to_int_indexed,
     tripod_distance_int,
     tripod_distance_r,
@@ -91,6 +97,7 @@ from test_filtration import (
 )
 from test_formigram import brute_merge_time, ultrametric_scan
 from test_persistence import oracle_bottleneck, oracle_erosion_direct
+from test_staircase import plane_subset_by_generators
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
 SEARCH_SIZES = [(nx, ny) for nx in range(1, 9) for ny in range(1, 9) if nx * ny <= 8]
@@ -196,6 +203,18 @@ def one_point_instance(r):
         tri_prob=r.choice((0, 1)), pinned=pin,
     )
     return f, rand_int_filtration(r, ground(1), pinned=pin)
+
+
+def subset_instance(r):
+    """Two plane staircases; half the time the second also holds the
+    first's generators or is its thickening, so the first lies inside it."""
+    u, v = rand_staircase_pair(r, "plane")
+    roll = r.random()
+    if roll < 0.25:
+        v = staircase(u.gens + v.gens, "plane")
+    elif roll < 0.5:
+        v = thicken(u, Fraction(r.randint(0, 6), r.choice((1, 2, 3))))
+    return u, v
 
 
 def is_report(x) -> bool:
@@ -353,6 +372,23 @@ def main():
         tripod_distance_int,
         rng,
         args.iterations,
+    )
+    sweep(
+        "plane",
+        lambda r: rand_staircase_pair(r, "plane"),
+        hausdorff,
+        oracle_hausdorff,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "subset",
+        subset_instance,
+        subset,
+        plane_subset_by_generators,
+        rng,
+        args.iterations,
+        exact=lambda x: type(x) is bool,
     )
     print("all families agree")
 

@@ -34,8 +34,9 @@ staircase on an integer scale S, a multiple of twice every denominator,
 where every coordinate and every breakpoint is an even int, so the clamp
 c/2 is the exact c // 2; it returns the scaled generators and their kink
 set, in O(k).  One kernel then walks two staircases on the same scale:
-``_gap`` gives the largest scaled gap and ``_contained`` the containment
-test, both through the two sweeps of ``_walk``.  ``hausdorff`` and
+``_walk`` reads g_u - g_v at their merged kinks and past both ends in one
+pass, and ``_gap`` (the largest scaled gap) and ``_contained`` (the
+containment test) read that one list.  ``hausdorff`` and
 ``subset`` take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of
 one side's finite denominators) and convert each side once; callers that
 compare many staircases pick one scale for all of them, and those that
@@ -162,7 +163,7 @@ def contains(u: Staircase, p: tuple[Fraction, Fraction]) -> bool:
 def plane_generator(corner: tuple[RatX, RatX]) -> Gen:
     """Generator for the product-order up-set of a plane corner point."""
     px, py = corner
-    return (INF if px == NEG_INF else -px, py)
+    return (-px, py)  # -NEG_INF == INF
 
 
 def thicken(u: Staircase, eps: Fraction) -> Staircase:
@@ -188,7 +189,8 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     """Entry height of the staircase on the flow line a + b = c.
 
     +inf for the empty staircase; -inf only for the full plane.  Rescans
-    every generator: the reference that ``_sweep`` is tested against.
+    every generator: the reference that ``_sweep`` and ``_walk`` are
+    tested against.
     """
     if not u.gens:
         return INF
@@ -211,16 +213,24 @@ def _on(u: Staircase, scale: int) -> tuple[tuple[_IntGen, ...], set[int]]:
 
 
 def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
-    """Candidate kink positions of the profile of scaled generators: own
-    corners l_i + r_i, inner corners l_i + r_{i+1} and (clamped) the
-    diagonal hits 2 l_i and 2 r_i.  Sums with an infinite term are skipped;
-    in a normalized antichain only the first r and the last l can be
-    infinite, so every inner corner is finite."""
-    out = {l + r for l, r in gens if l != INF and r != NEG_INF}
-    out.update(l + r for (l, _), (_, r) in zip(gens, gens[1:]))
-    if clamped:
-        out.update(2 * l for l, _ in gens if l != INF)
-        out.update(2 * r for _, r in gens if r != NEG_INF)
+    """Candidate kink positions of the profile of scaled generators, in one
+    pass: own corners l_i + r_i, inner corners l_{i-1} + r_i and (clamped)
+    the diagonal hits 2 l_i and 2 r_i.  Sums with an infinite term are
+    skipped; in a normalized antichain only the first r and the last l can
+    be infinite, so every inner corner is finite."""
+    out: set[int] = set()
+    prev = None  # l_{i-1}
+    for l, r in gens:
+        if prev is not None:
+            out.add(prev + r)
+        if l != INF:
+            if r != NEG_INF:
+                out.add(l + r)
+            if clamped:
+                out.add(2 * l)
+        if clamped and r != NEG_INF:
+            out.add(2 * r)
+        prev = l
     return out
 
 
@@ -228,6 +238,11 @@ def _merged_breaks(*kinks: set[int]) -> list[int]:
     """Sorted union of kink sets ([0] when none)."""
     cs = sorted(set().union(*kinks))
     return cs if cs else [0]
+
+
+def _corners(gens: tuple[_IntGen, ...]) -> list[int | float]:
+    """Corner sums l_i + r_i, ascending: -inf first at most, +inf last."""
+    return [NEG_INF if r == NEG_INF else INF if l == INF else l + r for l, r in gens]
 
 
 def _sweep(
@@ -242,39 +257,61 @@ def _sweep(
     generator whose corner l_j + r_j is not left of c, every generator
     before it is on its slope-1 leg and every one after it is higher than
     r_j, so g(c) = min(r_j, c - l_{j-1}).  Every c is even, so the clamp
-    c // 2 is exact.
+    c // 2 is exact.  The full generator's corner is -inf, so j passes it
+    and c - INF gives -inf before the clamp.
     """
-    pts = [cs[0] - 2, *cs, cs[-1] + 2]
-    if _is_full(gens):
-        # INF + NEG_INF has no corner; the profile is c/2 or -inf
-        vals = [c // 2 if clamped else NEG_INF for c in pts]
-    else:
-        # only the first corner can be -inf and only the last +inf
-        corners = [
-            NEG_INF if r == NEG_INF else INF if l == INF else l + r for l, r in gens
-        ]
-        k, j, vals = len(gens), 0, []
-        for c in pts:
-            while j < k and corners[j] < c:
-                j += 1
-            t = gens[j][1] if j < k else INF
-            if j:
-                d = c - gens[j - 1][0]
-                if d < t:
-                    t = d
-            if clamped:
-                d = c // 2
-                if d > t:
-                    t = d
-            vals.append(t)
+    corners = _corners(gens)
+    k, j, vals = len(gens), 0, []
+    for c in (cs[0] - 2, *cs, cs[-1] + 2):
+        while j < k and corners[j] < c:
+            j += 1
+        t = gens[j][1] if j < k else INF
+        if j:
+            d = c - gens[j - 1][0]
+            if d < t:
+                t = d
+        if clamped:
+            d = c // 2
+            if d > t:
+                t = d
+        vals.append(t)
     return vals[1:-1], vals[1] - vals[0], vals[-1] - vals[-2]
 
 
-def _walk(a, b, clamped: bool):
-    """Both profiles, as ``_sweep`` reads them, at the merged kinks of two
-    staircases on one scale (a = ``_on(u, S)``, b = ``_on(v, S)``)."""
+def _walk(a, b, clamped: bool) -> list[int | float]:
+    """g_u - g_v at the merged kinks cs of two staircases on one scale
+    (a = ``_on(u, S)``, b = ``_on(v, S)``) and at cs[0] - 2 and cs[-1] + 2,
+    each profile read as ``_sweep`` reads it, in one walk with a pointer
+    into each.  An empty side reads +inf and the full plane -inf, so a
+    difference is an int, or +-inf against the other side's proper region
+    (nan for two empty sides or two full planes: equal generators)."""
     cs = _merged_breaks(a[1], b[1])
-    return _sweep(a[0], clamped, cs), _sweep(b[0], clamped, cs)
+    su, sv = a[0], b[0]
+    cu, cv = _corners(su), _corners(sv)
+    ku, kv, i, j, d = len(su), len(sv), 0, 0, []
+    for c in (cs[0] - 2, *cs, cs[-1] + 2):
+        while i < ku and cu[i] < c:
+            i += 1
+        while j < kv and cv[j] < c:
+            j += 1
+        x = su[i][1] if i < ku else INF
+        if i:
+            t = c - su[i - 1][0]
+            if t < x:
+                x = t
+        y = sv[j][1] if j < kv else INF
+        if j:
+            t = c - sv[j - 1][0]
+            if t < y:
+                y = t
+        if clamped:
+            t = c // 2
+            if t > x:
+                x = t
+            if t > y:
+                y = t
+        d.append(x - y)
+    return d
 
 
 def _gap(a, b, clamped: bool) -> int | float:
@@ -282,21 +319,14 @@ def _gap(a, b, clamped: bool) -> int | float:
     b = ``_on(v, S)``: an int, or INF when one side is empty/full against
     the other's proper region, or when the profiles diverge in a tail.
     O((k_u + k_v) log(k_u + k_v)) int operations."""
-    su, sv = a[0], b[0]
-    if not su or not sv:
-        return 0 if not su and not sv else INF
-    if _is_full(su) or _is_full(sv):
-        if _is_full(su) and _is_full(sv):
-            return 0
-        if not clamped:
-            return INF
-        # clamped full Int still has the finite profile c/2: fall through
-    (gu, lo_u, hi_u), (gv, lo_v, hi_v) = _walk(a, b, clamped)
+    if a[0] == b[0]:  # the same set, and the only sides read as nan
+        return 0
+    d = _walk(a, b, clamped)
     # Beyond the extreme breakpoints both profiles are single lines: equal
     # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.
-    if hi_u != hi_v or lo_u != lo_v:
+    if d[1] != d[0] or d[-1] != d[-2]:
         return INF
-    return max([abs(x - y) for x, y in zip(gu, gv)])
+    return max(map(abs, d))
 
 
 def _gaps():
@@ -311,20 +341,11 @@ def _gaps():
 def _contained(a, b, clamped: bool) -> bool:
     """u inside v, i.e. g_v <= g_u on every flow line, for a = ``_on(u, S)``
     and b = ``_on(v, S)``.  O((k_u + k_v) log(k_u + k_v)) int operations."""
-    su, sv = a[0], b[0]
-    if not su:
+    if a[0] == b[0]:  # the same set, and the only sides read as nan
         return True
-    if not sv:
-        return False
-    if _is_full(sv):
-        return True
-    if _is_full(su) and not clamped:
-        return False
-    (gu, lo_u, hi_u), (gv, lo_v, hi_v) = _walk(a, b, clamped)
+    d = _walk(a, b, clamped)
     # g_u - g_v must stay >= 0 out in both tails as well
-    if hi_u < hi_v or lo_u > lo_v:
-        return False
-    return all(x >= y for x, y in zip(gu, gv))
+    return d[1] <= d[0] and d[-1] >= d[-2] and min(d) >= 0
 
 
 def _check_ambient(u: Staircase, v: Staircase):

@@ -24,13 +24,17 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.rat import common_scale
+from stairdist.rat import common_scale, from_scale
 from stairdist.staircase import (
     Staircase,
+    _contained,
     _g,
+    _gap,
     _merged_breaks,
     _on,
     _sweep,
+    _walk,
+    plane_generator,
 )
 from conftest import rand_fraction, rand_staircase, rand_staircase_pair
 
@@ -270,13 +274,35 @@ def test_hausdorff_zero_iff_mutual_containment():
 
 
 def test_plane_quadrant_distance():
-    from stairdist.staircase import plane_generator
-
     a = staircase([plane_generator((F(0), F(0)))], "plane")
     b = staircase([plane_generator((F(1), F(1)))], "plane")
     assert hausdorff(a, b) == 1
     assert subset(b, a)
     assert not subset(a, b)
+
+
+def test_plane_generator_flips_the_corner():
+    """(-px, py), with -NEG_INF the float INF: the same values and types
+    for finite and infinite corners."""
+    cases = [
+        ((F(1, 2), F(-3)), (F(-1, 2), F(-3))),
+        ((F(0), NEG_INF), (F(0), NEG_INF)),
+        ((NEG_INF, F(2)), (INF, F(2))),
+        ((NEG_INF, NEG_INF), (INF, NEG_INF)),
+    ]
+    for corner, gen in cases:
+        got = plane_generator(corner)
+        assert got == gen
+        assert [type(x) for x in got] == [type(x) for x in gen]
+
+
+def plane_subset_by_generators(u, v):
+    """u inside v in the plane, from the generators alone: a corner region
+    lies in a finite union of corner regions iff it lies in one of them
+    (its corner must, or with an infinite coordinate its unbounded edge
+    must, and each region is an up-set of the flipped product order).  The
+    diagonal clamp breaks this on intervals (see the covering example)."""
+    return all(any(l <= l2 and r >= r2 for l2, r2 in v.gens) for l, r in u.gens)
 
 
 def test_plane_full_vs_proper():
@@ -393,6 +419,71 @@ def test_sweep_matches_rescanning_reference(ambient):
         assert [F(x, scale) for x in vals] == [_g(u, c) for c in real]
         assert F(lo, 2) == _g(u, real[0]) - _g(u, real[0] - 1)
         assert F(hi, 2) == _g(u, real[-1] + 1) - _g(u, real[-1])
+
+
+def special_staircases(ambient):
+    """Empty, full, one-side-infinite and single-generator staircases."""
+    return [
+        empty(ambient),
+        full(ambient),
+        staircase([(INF, F(1))], ambient),
+        staircase([(F(-1), NEG_INF)], ambient),
+        staircase([(INF, F(1, 2)), (F(-3, 2), NEG_INF)], ambient),
+        staircase([(F(1, 3), F(2))], ambient),
+    ]
+
+
+def gap_and_containment_by_g(u, v, real):
+    """sup |g_u - g_v| and u inside v from _g alone at the sorted points
+    real: the merged kinks and one step past each end, beyond which both
+    profiles are single lines.  Where both sides are the same infinity
+    the difference is 0."""
+    gs = [(_g(u, c), _g(v, c)) for c in real]
+    diffs = [0 if gu == gv else gu - gv for gu, gv in gs]
+    inside = all(gv <= gu for gu, gv in gs)
+    if any(d in (INF, NEG_INF) for d in diffs):
+        return INF, inside
+    lo = (diffs[1] - diffs[0]) / (real[1] - real[0])
+    hi = (diffs[-1] - diffs[-2]) / (real[-1] - real[-2])
+    gap = INF if lo or hi else max(abs(d) for d in diffs)
+    return gap, inside and lo <= 0 and hi >= 0
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_walk_matches_rescanning_reference(ambient):
+    """The one walk over both staircases reads g_u - g_v, as _g gives it
+    through the scale, at every merged kink and one step past each end;
+    _gap and _contained equal the largest |g_u - g_v| and the containment
+    that _g gives there, and in the plane the containment by generators.
+    oracle_hausdorff reads `subset`, so it runs this same walk and cannot
+    stand in for this twin."""
+    rng = random.Random(59)
+    specials = special_staircases(ambient)
+    pairs = [(u, v) for u in specials for v in specials]
+    for _ in range(200):
+        u, v = rand_staircase_pair(rng, ambient, max_gens=rng.choice((2, 5, 12)))
+        one = rand_staircase(rng, ambient, max_gens=1)
+        pairs += [(u, v), (one, v), (rng.choice(specials), v), (u, rng.choice(specials))]
+    for u, v in pairs:
+        scale = common_scale(u.gens, v.gens)
+        a, b = _on(u, scale), _on(v, scale)
+        cs = _merged_breaks(a[1], b[1])
+        pts = [cs[0] - 2, *cs, cs[-1] + 2]
+        real = [F(c, scale) for c in pts]
+        d = _walk(a, b, u.clamped)
+        assert len(d) == len(pts)
+        for x, c in zip(d, real):
+            expect = _g(u, c) - _g(v, c)
+            if expect != expect:  # nan: both sides empty, or both the full plane
+                assert u.gens == v.gens and x != x
+            else:
+                assert from_scale(x, scale) == expect, (u, v, c)
+                assert type(x) is int or x in (INF, NEG_INF)
+        gap, inside = gap_and_containment_by_g(u, v, real)
+        assert from_scale(_gap(a, b, u.clamped), scale) == gap, (u, v)
+        assert _contained(a, b, u.clamped) == inside == subset(u, v), (u, v)
+        if ambient == "plane":
+            assert inside == plane_subset_by_generators(u, v), (u, v)
 
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
