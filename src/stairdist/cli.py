@@ -83,6 +83,14 @@ def _guard(max_size, default=compare.CORRESPONDENCE_GUARD):
     return default if max_size is None else max_size
 
 
+def _size(text: str) -> int:
+    """A --max-size value: an int >= 0 (a negative guard is an invalid option)."""
+    n = int(within_digit_limit(text))
+    if n < 0:
+        raise ValidationError(f"{n} < 0")
+    return n
+
+
 def _named(name: str, read, *args):
     """read(*args); an error names `name`, the file or the option read."""
     try:
@@ -182,7 +190,7 @@ OPS = {
     ("staircase", "hausdorff"): ("staircase", 2, (), _distance("staircase_hausdorff")),
     ("staircase", "profile"): ("staircase", 1, (), lambda s: io_json.profile_to_json(s)),
 }
-_OPTIONS = {"--epsilon": parse_rat, "--max-size": lambda text: int(within_digit_limit(text))}
+_OPTIONS = {"--epsilon": parse_rat, "--max-size": _size}
 _NEGATIVE = re.compile(r"-\.?\d|-inf$")
 
 

@@ -35,12 +35,12 @@ from .errors import (
 )
 from .lattice import GroundSet, Surjection
 from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
-from .staircase import INT, Staircase, _contained, _gaps, _on, empty, staircase
+from .staircase import INT, Staircase, _contained, _gaps, _on, _side, empty, staircase
 
 Simplex = frozenset
 
 _EMPTY = empty(INT)  # the support of every absent simplex
-_EMPTY_ON = _on(_EMPTY, 2)  # and on every scale: no generator, no kink
+_EMPTY_ON = _side((), True)  # its side on every scale: no generator, no kink
 
 
 def _check_simplices(ground: GroundSet, keys) -> None:

@@ -96,14 +96,20 @@ def representations_to_json(ground: GroundSet, reps):
     }
 
 
+def _pairs(obj, key, what: str) -> list[tuple[Fraction, Fraction]]:
+    """The list at obj[key] as pairs of numbers; what is the error for an
+    entry that is not a two-element list."""
+    out = []
+    for pair in _require(obj, key, list):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(what)
+        out.append((_rat(pair[0]), _rat(pair[1])))
+    return out
+
+
 def staircase_from_json(obj) -> Staircase:
     ambient = _require(obj, "ambient", str)
-    gens = _require(obj, "generators", list)
-    pairs = []
-    for g in gens:
-        if not isinstance(g, list) or len(g) != 2:
-            raise ValidationError("each generator must be a [l, r] pair")
-        pairs.append((_rat(g[0]), _rat(g[1])))
+    pairs = _pairs(obj, "generators", "each generator must be a [l, r] pair")
     return Staircase(ambient, tuple(pairs))
 
 
@@ -241,13 +247,7 @@ def int_filtration_to_json(f: IntFiltration):
 
 
 def barcode_from_json(obj):
-    bars = _require(obj, "bars", list)
-    out = []
-    for bar in bars:
-        if not isinstance(bar, list) or len(bar) != 2:
-            raise ValidationError("each bar must be a [birth, death] pair")
-        out.append((_rat(bar[0]), _rat(bar[1])))
-    return barcode(out)
+    return barcode(_pairs(obj, "bars", "each bar must be a [birth, death] pair"))
 
 
 def barcode_to_json(bars):

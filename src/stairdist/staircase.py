@@ -29,21 +29,21 @@ and k_v generators, ``hausdorff`` and ``subset`` cost
 O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
 normalizing k generators (a sort by l and one sweep) costs O(k log k).
 
-The walk runs on Python ints, in two steps.  ``_on(u, S)`` puts one
-staircase on an integer scale S, a multiple of twice every denominator,
-where every coordinate and every breakpoint is an even int, so the clamp
-c/2 is the exact c // 2; it returns the scaled generators and their kink
-set, in O(k).  One kernel then walks two staircases on the same scale:
-``_walk`` reads g_u - g_v at their merged kinks and past both ends in one
-pass, and ``_gap`` (the largest scaled gap) and ``_contained`` (the
-containment test) read that one list.  ``hausdorff`` and
-``subset`` take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of
-one side's finite denominators) and convert each side once; callers that
-compare many staircases pick one scale for all of them, and those that
-take a join over pairs of parts read ``_gaps``.  Fractions appear only
-at the boundary: ``hausdorff`` returns the largest scaled gap over S, and
-``profile`` converts each breakpoint, value and slope.  The O(k log k)
-counts above are integer operations on ints of the bit size of S.
+The walk runs on Python ints, in two steps.  ``_side`` readies generators
+on an integer scale S, a multiple of twice every denominator, where every
+coordinate and every breakpoint is an even int, so the clamp c/2 is the
+exact c // 2: it stores their kink set and corner sums, in O(k);
+``_on(u, S)`` puts u on S first.  One kernel then walks two sides on the
+same scale: ``_walk`` reads g_u - g_v at their merged kinks and past both
+ends in one pass, and ``_gap``, ``_contained`` and ``profile`` (against a
+side of known height) read that one list.  ``hausdorff`` and ``subset``
+take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of one side's
+finite denominators); callers that compare many staircases pick one scale
+for all of them, and those that take a join over pairs of parts read
+``_gaps``.  Fractions appear only at the boundary: ``hausdorff`` returns
+the largest scaled gap over S, and ``profile`` converts each breakpoint,
+value and slope.  The O(k log k) counts above are integer operations on
+ints of the bit size of S.
 
 Constructions that emit the normalized antichain by design (the cosheaf
 code, the grid up-sets and the sublevel sweep) skip the normalizing
@@ -64,6 +64,7 @@ INT, PLANE = "int", "plane"
 
 Gen = tuple[RatX, RatX]
 _IntGen = tuple[int | float, int | float]  # a generator on an integer scale
+_Side = tuple[tuple[_IntGen, ...], set[int], list[int | float]]  # gens, kinks, corners
 
 _FULL = ((INF, NEG_INF),)
 
@@ -189,7 +190,7 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     """Entry height of the staircase on the flow line a + b = c.
 
     +inf for the empty staircase; -inf only for the full plane.  Rescans
-    every generator: the reference that ``_sweep`` and ``_walk`` are
+    every generator: the reference that ``_walk`` and ``profile`` are
     tested against.
     """
     if not u.gens:
@@ -204,12 +205,16 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
-def _on(u: Staircase, scale: int) -> tuple[tuple[_IntGen, ...], set[int]]:
-    """u's generators on ``scale`` (a multiple of twice every denominator of
-    u) and their candidate kinks: the staircase ready for ``_gap`` and
-    ``_contained``.  O(k) for k generators."""
-    gens = on_scale(u.gens, scale)
-    return gens, _breaks(gens, u.clamped)
+def _on(u: Staircase, scale: int) -> _Side:
+    """The ``_side`` of u's generators on ``scale``, a multiple of twice
+    every denominator of u.  O(k) for k generators."""
+    return _side(on_scale(u.gens, scale), u.clamped)
+
+
+def _side(gens: tuple[_IntGen, ...], clamped: bool) -> _Side:
+    """(gens, kinks, corners) of generators already on a scale: a staircase
+    as ``_walk`` reads it, ready to meet many partners.  O(k)."""
+    return gens, _breaks(gens, clamped), _corners(gens)
 
 
 def _breaks(gens: tuple[_IntGen, ...], clamped: bool) -> set[int]:
@@ -245,49 +250,22 @@ def _corners(gens: tuple[_IntGen, ...]) -> list[int | float]:
     return [NEG_INF if r == NEG_INF else INF if l == INF else l + r for l, r in gens]
 
 
-def _sweep(
-    gens: tuple[_IntGen, ...], clamped: bool, cs: list[int]
-) -> tuple[list[int | float], int | float, int | float]:
-    """g at the sorted even points cs, on the generators' scale, and the
-    rises of the two tails over a step of 2.
-
-    Beyond the extreme breakpoints the profile is a single line, so the
-    steps g(cs[0]) - g(cs[0] - 2) and g(cs[-1] + 2) - g(cs[-1]) are twice
-    its slopes there.  One walk serves all points: j is the first
-    generator whose corner l_j + r_j is not left of c, every generator
-    before it is on its slope-1 leg and every one after it is higher than
-    r_j, so g(c) = min(r_j, c - l_{j-1}).  Every c is even, so the clamp
-    c // 2 is exact.  The full generator's corner is -inf, so j passes it
-    and c - INF gives -inf before the clamp.
-    """
-    corners = _corners(gens)
-    k, j, vals = len(gens), 0, []
-    for c in (cs[0] - 2, *cs, cs[-1] + 2):
-        while j < k and corners[j] < c:
-            j += 1
-        t = gens[j][1] if j < k else INF
-        if j:
-            d = c - gens[j - 1][0]
-            if d < t:
-                t = d
-        if clamped:
-            d = c // 2
-            if d > t:
-                t = d
-        vals.append(t)
-    return vals[1:-1], vals[1] - vals[0], vals[-1] - vals[-2]
-
-
-def _walk(a, b, clamped: bool) -> list[int | float]:
-    """g_u - g_v at the merged kinks cs of two staircases on one scale
+def _walk(a: _Side, b: _Side, clamped: bool) -> list[int | float]:
+    """g_u - g_v at the merged kinks cs of two sides on one scale
     (a = ``_on(u, S)``, b = ``_on(v, S)``) and at cs[0] - 2 and cs[-1] + 2,
-    each profile read as ``_sweep`` reads it, in one walk with a pointer
-    into each.  An empty side reads +inf and the full plane -inf, so a
-    difference is an int, or +-inf against the other side's proper region
-    (nan for two empty sides or two full planes: equal generators)."""
+    beyond which both profiles are single lines.
+
+    A pointer j into each side's corners is the first generator whose
+    corner l_j + r_j is not left of c: every generator before it is on its
+    slope-1 leg and every one after it is higher than r_j, so
+    g(c) = min(r_j, c - l_{j-1}), clamped to at least c // 2.  An empty side
+    reads +inf; the full corner is -inf, so j passes it and the full plane
+    reads c - INF = -inf.  A difference is an int, or +-inf against the
+    other side's proper region (nan for two empty sides or two full planes:
+    equal generators)."""
     cs = _merged_breaks(a[1], b[1])
-    su, sv = a[0], b[0]
-    cu, cv = _corners(su), _corners(sv)
+    su, _, cu = a
+    sv, _, cv = b
     ku, kv, i, j, d = len(su), len(sv), 0, 0, []
     for c in (cs[0] - 2, *cs, cs[-1] + 2):
         while i < ku and cu[i] < c:
@@ -332,8 +310,9 @@ def _gap(a, b, clamped: bool) -> int | float:
 def _gaps():
     """gap(a, b): the ``_gap`` of two interval staircases given as generator
     tuples on one scale (``on_scale`` of normalized generators), with each
-    distinct tuple's kinks found once and one ``_gap`` per unordered pair."""
-    on = cache(lambda gens: (gens, _breaks(gens, True)))
+    distinct tuple made a ``_side`` once and one ``_gap`` per unordered
+    pair."""
+    on = cache(lambda gens: _side(gens, True))
     pair = cache(lambda a, b: _gap(on(a), on(b), True))
     return lambda a, b: pair(a, b) if a <= b else pair(b, a)
 
@@ -395,8 +374,14 @@ class StepProfile:
     empty: bool = False
 
 
+# The side ``profile`` walks against, the same on every scale and with no
+# kink: the full interval poset (g = c // 2) and the half-plane b >= 0 (g = 0).
+_REFERENCE = {True: _side(_FULL, True), False: _side(((INF, 0),), False)}
+
+
 def profile(u: Staircase) -> StepProfile:
-    """Exact entry profile at the O(k) candidate kinks of ``_breaks``.
+    """Exact entry profile at the O(k) candidate kinks of ``_breaks``: the
+    ``_walk`` of u against the ``_REFERENCE`` side, plus that side's height.
 
     A breakpoint may still carry no slope change (a candidate that turns
     out not to be a kink); every true kink is listed.  The values are those
@@ -408,14 +393,16 @@ def profile(u: Staircase) -> StepProfile:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
     scale = common_scale(u.gens)
-    gens, kinks = _on(u, scale)
-    cs = _merged_breaks(kinks)
-    vals, lo, hi = _sweep(gens, u.clamped, cs)
-    inner = [
-        Fraction(v1 - v0, c1 - c0) for c0, c1, v0, v1 in zip(cs, cs[1:], vals, vals[1:])
-    ]
+    side = _on(u, scale)
+    cs = _merged_breaks(side[1])
+    pts = (cs[0] - 2, *cs, cs[-1] + 2)  # the points ``_walk`` reads
+    g = _walk(side, _REFERENCE[u.clamped], u.clamped)
+    if u.clamped:
+        g = [x + c // 2 for c, x in zip(pts, g)]
     return StepProfile(
         tuple([Fraction(c, scale) for c in cs]),
-        tuple([Fraction(v, scale) for v in vals]),
-        (Fraction(lo, 2), *inner, Fraction(hi, 2)),
+        tuple([Fraction(x, scale) for x in g[1:-1]]),
+        tuple([
+            Fraction(y - x, c1 - c0) for c0, c1, x, y in zip(pts, pts[1:], g, g[1:])
+        ]),
     )

@@ -259,6 +259,10 @@ def test_exit_codes(tmp_path, capsys):
     never = write(tmp_path, "never.json", {
         "vertices": ["a"], "simplices": [{"verts": ["a"], "birth": "inf"}]})
     disk = write(tmp_path, "disk.json", {"ambient": "disk", "generators": []})
+    short_gen = write(tmp_path, "short_gen.json", {"ambient": "int", "generators": [["0"]]})
+    short_bar = write(tmp_path, "short_bar.json", {"bars": [["0", "1"], "0"]})
+    vertex = write(tmp_path, "vertex.json", {
+        "vertices": ["a"], "simplices": [{"verts": ["a"], "birth": "0"}]})
     constants = []  # JSON constants, which json would read as floats
     for i, constant in enumerate(("Infinity", "-Infinity", "NaN")):
         path = tmp_path / f"constant{i}.json"
@@ -291,10 +295,16 @@ def test_exit_codes(tmp_path, capsys):
         (("formigram", "smooth", loop, "--epsilon", "-1/2"), "eps"),
         (("formigram", "smooth", loop, "--epsilon", "-inf"), "eps"),
         (("staircase", "profile", disk), 'ambient must be "int" or "plane"'),
+        (("staircase", "profile", short_gen), "each generator must be a [l, r] pair"),
+        (("erosion", short_bar, unit), "each bar must be a [birth, death] pair"),
         *constants,
         # an option's reading error names the option
         (("formigram", "smooth", loop, "--epsilon", "1/0"), "--epsilon: zero denominator"),
         (("lattice", "min-reps", good, "--max-size", "zz"), "--max-size: invalid literal"),
+        # a negative guard is an invalid option, not a guard exceeded
+        (("lattice", "min-reps", good, "--max-size", "-1"), "--max-size: -1 < 0"),
+        (("tripod", "--indexing", "r", vertex, vertex, "--max-size", "-1"), "--max-size: -1 < 0"),
+        (("formigram", "dgh", loop, loop, "--max-size", "-2"), "--max-size: -2 < 0"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and rule in err

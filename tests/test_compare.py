@@ -398,16 +398,21 @@ def test_int_cost_searches_compare_no_fraction(monkeypatch):
 
 def kernel_calls(monkeypatch):
     """Record, in the staircase kernel's module, the scaled generator list
-    of every staircase whose kinks are found (`_breaks`) and the scaled
-    generator lists of every `_gap` call; every staircase put on a scale
-    one at a time (`_on`, which every `hausdorff` call runs) goes to a
-    third list."""
-    conversions, gaps, calls = [], [], []
-    breaks, gap, on = staircase_module._breaks, staircase_module._gap, staircase_module._on
+    of every staircase whose kinks are found (`_breaks`), of every one
+    whose corners are listed (`_corners`) and the scaled generator lists of
+    every `_gap` call; every staircase put on a scale one at a time (`_on`,
+    which every `hausdorff` call runs) goes to a fourth list."""
+    conversions, corner_lists, gaps, calls = [], [], [], []
+    breaks, corners = staircase_module._breaks, staircase_module._corners
+    gap, on = staircase_module._gap, staircase_module._on
 
     def recording_breaks(gens, clamped):
         conversions.append(gens)
         return breaks(gens, clamped)
+
+    def recording_corners(gens):
+        corner_lists.append(gens)
+        return corners(gens)
 
     def recording_gap(a, b, clamped):
         gaps.append(frozenset((a[0], b[0])))
@@ -418,22 +423,23 @@ def kernel_calls(monkeypatch):
         return on(u, scale)
 
     monkeypatch.setattr(staircase_module, "_breaks", recording_breaks)
+    monkeypatch.setattr(staircase_module, "_corners", recording_corners)
     monkeypatch.setattr(staircase_module, "_gap", recording_gap)
     monkeypatch.setattr(staircase_module, "_on", recording_on)
-    return conversions, gaps, calls
+    return conversions, corner_lists, gaps, calls
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
 def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
     """GH between formigrams, the interval tripod distance, erosion and the
-    one-point tripod find the kinks of each distinct generator list on
-    their scale once and run the int kernel `_gap` once per distinct
-    (unordered) pair of them, with no `hausdorff` call, and agree with
-    their twins."""
+    one-point tripod find the kinks and the corners of each distinct
+    generator list on their scale once and run the int kernel `_gap` once
+    per distinct (unordered) pair of them, with no `hausdorff` call, and
+    agree with their twins."""
     from test_filtration import one_point_tripod_by_subsets, unpruned_tripod_int
     from test_persistence import oracle_erosion
 
-    conversions, gaps, calls = kernel_calls(monkeypatch)
+    conversions, corner_lists, gaps, calls = kernel_calls(monkeypatch)
     rng = random.Random(nx * 10 + ny)
     gx, gy = named_grounds(nx, ny)
     for _ in range(6):
@@ -453,10 +459,12 @@ def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
             (one_point_tripod, one_point_tripod_by_subsets, ix, point),
         ]:
             conversions.clear()
+            corner_lists.clear()
             gaps.clear()
             got = search(x, y)
             assert gaps and len(gaps) == len(set(gaps))
             assert conversions and len(conversions) == len(set(conversions))
+            assert corner_lists and len(corner_lists) == len(set(corner_lists))
             assert calls == []
             assert got == twin(x, y)
             calls.clear()

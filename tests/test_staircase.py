@@ -27,12 +27,12 @@ from stairdist.oracle import oracle_hausdorff
 from stairdist.rat import common_scale, from_scale
 from stairdist.staircase import (
     Staircase,
+    StepProfile,
     _contained,
     _g,
     _gap,
     _merged_breaks,
     _on,
-    _sweep,
     _walk,
     plane_generator,
 )
@@ -396,29 +396,54 @@ def test_normalize_matches_naive_dominance_filter(ambient):
         staircase([(F(0), INF)])
 
 
+def profile_at(prof, c):
+    """The piecewise-linear function a StepProfile describes, at c."""
+    bps, vals, slopes = prof.breakpoints, prof.values, prof.slopes
+    i = sum(1 for b in bps if b <= c)
+    if i == 0:
+        return vals[0] - slopes[0] * (bps[0] - c)
+    return vals[i - 1] + slopes[i] * (c - bps[i - 1])
+
+
 @pytest.mark.parametrize("ambient", ["int", "plane"])
 def test_sweep_matches_rescanning_reference(ambient):
-    """The one-pass integer walk equals _g, through the scale, at every
-    breakpoint, between breakpoints and in both tails.  On the scale 4 L
-    every breakpoint is a multiple of 4, so the midpoints stay even."""
+    """`profile`, one walk against a side of known height, equals _g at
+    every breakpoint, interpolated between breakpoints and in both tails,
+    and its breakpoints are the staircase's merged kinks.  The points are
+    the merged kinks of u and a second staircase w on the scale 4 L, where
+    every breakpoint is a multiple of 4, so the midpoints stay even, plus
+    the midpoints of the profile's own breakpoints.  The full staircase
+    is a case too: in the interval ambient g = c / 2, and the full plane
+    and the empty staircase keep their special forms."""
     rng = random.Random(43)
+    cases = []
     for _ in range(150):
         u = staircase(rand_gen_list(rng, rng.randint(1, 20)), ambient)
         if u.is_full() and ambient == "plane":
             continue
-        w = staircase(rand_gen_list(rng, 4), ambient)
+        cases.append((u, staircase(rand_gen_list(rng, 4), ambient)))
+    if ambient == "int":
+        cases.append((full(ambient), staircase(rand_gen_list(rng, 4), ambient)))
+    else:
+        assert profile(full(ambient)) == StepProfile((), (), (F(0),))
+    assert profile(empty(ambient)) == StepProfile((), (), (), empty=True)
+    for u, w in cases:
         scale = 2 * common_scale(u.gens, w.gens)
-        su, kinks = _on(u, scale)
-        cs = _merged_breaks(kinks, _on(w, scale)[1])
+        cs = _merged_breaks(_on(u, scale)[1], _on(w, scale)[1])
         assert all(c % 4 == 0 for c in cs)
         mids = ((a + b) // 2 for a, b in zip(cs, cs[1:]))
         pts = sorted({*cs, *mids, cs[0] - 3 * scale, cs[-1] + 3 * scale})
-        vals, lo, hi = _sweep(su, u.clamped, pts)
-        assert all(type(x) is int for x in (*vals, lo, hi))
-        real = [F(c, scale) for c in pts]
-        assert [F(x, scale) for x in vals] == [_g(u, c) for c in real]
-        assert F(lo, 2) == _g(u, real[0]) - _g(u, real[0] - 1)
-        assert F(hi, 2) == _g(u, real[-1] + 1) - _g(u, real[-1])
+        prof = profile(u)
+        bps = prof.breakpoints
+        assert list(bps) == [F(c, scale) for c in _merged_breaks(_on(u, scale)[1])]
+        assert all(type(x) is F for x in (*bps, *prof.values, *prof.slopes))
+        assert len(prof.values) == len(bps) and len(prof.slopes) == len(bps) + 1
+        assert list(prof.values) == [_g(u, c) for c in bps]
+        real = sorted({*(F(c, scale) for c in pts), *((a + b) / 2 for a, b in zip(bps, bps[1:]))})
+        assert [profile_at(prof, c) for c in real] == [_g(u, c) for c in real], u
+        for lo, hi in [(bps[0], bps[-1]), (real[0], real[-1])]:  # a unit step out
+            assert prof.slopes[0] == _g(u, lo) - _g(u, lo - 1)
+            assert prof.slopes[-1] == _g(u, hi + 1) - _g(u, hi)
 
 
 def special_staircases(ambient):
@@ -497,15 +522,9 @@ def test_profile_breakpoints_describe_the_same_function(ambient):
         if u.is_full():
             continue
         prof = profile(u)
-        bps, vals, slopes = prof.breakpoints, prof.values, prof.slopes
-        assert set(bps) <= pairwise_breaks(u) | {F(0)}
+        assert set(prof.breakpoints) <= pairwise_breaks(u) | {F(0)}
         for c in sorted(pairwise_breaks(u)):
-            i = sum(1 for b in bps if b <= c)
-            if i == 0:
-                expect = vals[0] - slopes[0] * (bps[0] - c)
-            else:
-                expect = vals[i - 1] + slopes[i] * (c - bps[i - 1])
-            assert expect == _g(u, c), (u, c)
+            assert profile_at(prof, c) == _g(u, c), (u, c)
 
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
