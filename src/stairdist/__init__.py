@@ -67,6 +67,7 @@ from .formigram import (
 from .compare import (
     GridClustering,
     enumerate_correspondences,
+    grid_code,
     grid_interleaving_distance,
     grid_upper_set,
     gromov_hausdorff_formigrams,

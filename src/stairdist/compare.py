@@ -23,9 +23,15 @@ so no Fraction is compared inside the search; the callers read each mask's
 cost from small lazy tables.  For staircase costs the scale is the common
 scale of every staircase of both inputs, and the kernel `staircase._gaps`
 costs each distinct pair of generator lists by one int `_gap`, with no
-Fraction made or compared.  The grid distance calls `hausdorff` once per
-pair key, and builds each grid up-set as its normalized antichain in
-O(rows + cols).
+Fraction made or compared.
+
+The grid distance takes the same join over pair keys as `d_F`: `grid_code`
+walks the boundary of each key's merging cells, O(rows + cols), into a
+run of (col, row) corner indices, and gives keys with equal runs one
+shared staircase, built as its normalized antichain, as `cosheaf_code`
+shares a formigram's parts.  `grid_interleaving_distance` then calls
+`hausdorff` once per pair key, and each shared part goes on its scale
+once (`staircase._on`).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from functools import cache
 from typing import Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
-from .formigram import Formigram, Ultrametric, all_pair_keys, cosheaf_code
+from .formigram import Formigram, PairKey, Ultrametric, cosheaf_code
 from .lattice import GroundSet, SubPartition, _check_same_ground
 from .rat import (
     NEG_INF,
@@ -49,7 +55,7 @@ from .rat import (
     on_scale,
     rows_on_scale,
 )
-from .staircase import PLANE, Staircase, _antichain, _gaps, hausdorff, plane_generator
+from .staircase import PLANE, Staircase, _antichain, _gaps, hausdorff
 
 CORRESPONDENCE_GUARD = 12
 
@@ -301,47 +307,81 @@ class GridClustering:
         return self.cells[row][col]
 
 
-def grid_upper_set(f: GridClustering, key: frozenset) -> Staircase:
+def grid_upper_set(f: GridClustering, key: PairKey) -> Staircase:
     """Plane staircase of cells whose value merges the pair (or contains
-    the element, for singleton keys).
-
-    Cells are order-preserving, so the merging cells of row r are the
-    suffix of the row from some column c_r, and c_r does not increase with
-    r.  One walk moves c leftward row by row and offers the corner of
-    cell (r, c_r) only where c_r drops: exactly the minimal corners, met
-    with l = -x and r = y both increasing, so the list is the normalized
-    antichain and the staircase skips normalization (`_antichain`).
-    O(rows + cols) `same_block` calls.  A key that is not one or two
-    elements raises ValidationError, an element outside the ground
+    the element, for singleton keys): the one-key reader of the walk that
+    `grid_code` runs for every key.  A key that is not one or two elements
+    raises ValidationError, an element outside the ground
     GroundSetMismatch."""
     if not 1 <= len(key) <= 2:
         raise ValidationError(f"a key is one or two elements, got {sorted(key)}")
     for v in key:
         if v not in f.ground:
             raise GroundSetMismatch(f"{v!r} not in the clustering ground set")
-    x, y = (min(key), max(key))
-    gens = []
+    return _grid_parts(f)(_grid_run(f, min(key), max(key)))
+
+
+def _grid_run(f: GridClustering, x: str, y: str) -> tuple[tuple[int, int], ...]:
+    """The (col, row) index of every minimal corner of the cells whose
+    value merges x and y (contains x, when x == y).
+
+    Cells are order-preserving, so the merging cells of row r are the
+    suffix of the row from some column c_r, and c_r does not increase with
+    r.  One walk moves c leftward row by row and notes cell (r, c_r) only
+    where c_r drops: exactly the minimal corners, met with both generator
+    coordinates (minus the x cut, the y cut) increasing, so their
+    generators are the normalized antichain.  O(rows + cols) `same_block`
+    calls."""
+    run = []
     c = len(f.x_cuts) + 1
     for r, row in enumerate(f.cells):
         start = c
         while c > 0 and row[c - 1].same_block(x, y):
             c -= 1
         if c < start:
-            corner = (
-                f.x_cuts[c - 1] if c >= 1 else NEG_INF,
-                f.y_cuts[r - 1] if r >= 1 else NEG_INF,
-            )
-            gens.append(plane_generator(corner))
-    return _antichain(PLANE, tuple(gens))
+            run.append((c, r))
+    return tuple(run)
+
+
+def _grid_parts(f: GridClustering):
+    """part(run): the plane staircase of a `_grid_run` of f, built as the
+    normalized antichain the run is (`_antichain`), on the cuts negated
+    once: column c gives l = -x_cuts[c - 1] (INF for the unbounded column
+    0) and row i gives r = y_cuts[i - 1] (NEG_INF for the unbounded row 0)."""
+    lefts = (INF, *[-x for x in f.x_cuts])
+    rights = (NEG_INF, *f.y_cuts)
+    return lambda run: _antichain(PLANE, tuple([(lefts[c], rights[r]) for c, r in run]))
+
+
+def grid_code(f: GridClustering) -> dict[PairKey, Staircase]:
+    """`grid_upper_set` of every pair key, in the order of `all_pair_keys`,
+    with one (frozen) Staircase shared by the keys of equal corner runs, as
+    in `cosheaf_code`.  For n elements this is O(n^2 (rows + cols))
+    `same_block` calls."""
+    elements = f.ground.elements
+    part = _grid_parts(f)
+    shared: dict[tuple, Staircase] = {}
+    out: dict[PairKey, Staircase] = {}
+    for a, x in enumerate(elements):
+        for y in elements[a:]:
+            run = _grid_run(f, x, y)
+            u = shared.get(run)
+            if u is None:
+                u = shared[run] = part(run)
+            out[frozenset((x, y))] = u
+    return out
 
 
 def grid_interleaving_distance(f: GridClustering, g: GridClustering) -> RatX:
     """Largest pairwise plane-staircase Hausdorff distance (the diagonal
-    flow interleaving distance of the two clusterings)."""
+    flow interleaving distance of the two clusterings), one `hausdorff`
+    call per pair key of the two `grid_code`s."""
     _check_same_ground(f, g)
+    code_f = grid_code(f)
+    code_g = grid_code(g)
     best: RatX = Fraction(0)
-    for key in all_pair_keys(f.ground):
-        d = hausdorff(grid_upper_set(f, key), grid_upper_set(g, key))
+    for key in code_f:
+        d = hausdorff(code_f[key], code_g[key])
         if d > best:
             best = d
     return best

@@ -37,16 +37,22 @@ exact c // 2: it stores their kink set and corner sums, in O(k);
 same scale: ``_walk`` reads g_u - g_v at their merged kinks and past both
 ends in one pass, and ``_gap``, ``_contained`` and ``profile`` (against a
 side of known height) read that one list.  ``hausdorff`` and ``subset``
-take S = 2 lcm(L_u, L_v) of ``rat.common_scale`` (L the lcm of one side's
-finite denominators); callers that compare many staircases pick one scale
-for all of them, and those that take a join over pairs of parts read
-``_gaps``.  Fractions appear only at the boundary: ``hausdorff`` returns
-the largest scaled gap over S, and ``profile`` converts each breakpoint,
-value and slope.  The O(k log k) counts above are integer operations on
-ints of the bit size of S.
+take S = lcm(S_u, S_v) of the two own scales, S_u = 2 L_u for L_u the lcm
+of u's finite denominators (``rat.common_scale`` of u alone), which is the
+common scale of the two.  A staircase is frozen, so it keeps what is
+derived from its generators in its ``__dict__``, where ``==``, ``hash``
+and ``repr`` do not look: its own scale, worked out once, and the last
+scale ``_on`` put it on with that side.  A part that many pair keys share
+(the cosheaf code, the grid code) is put on its scale once, not once per
+key.  Callers that compare many staircases pick one scale for all of
+them, and those that take a join over pairs of parts read ``_gaps``.
+Fractions appear only at the boundary: ``hausdorff`` returns the
+largest scaled gap over S, and ``profile`` converts each breakpoint, value
+and slope.  The O(k log k) counts above are integer operations on ints of
+the bit size of S.
 
 Constructions that emit the normalized antichain by design (the cosheaf
-code, the grid up-sets and the sublevel sweep) skip the normalizing
+code, the grid code and the sublevel sweep) skip the normalizing
 constructor through ``_antichain``.
 """
 
@@ -55,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient, ValidationError
@@ -205,10 +212,29 @@ def _g(u: Staircase, c: Fraction) -> RatX:
     return best
 
 
+def _scale(u: Staircase) -> int:
+    """u's own scale, ``common_scale`` of its generators (2 lcm of its
+    finite denominators), worked out once per object.  It is kept in u's
+    ``__dict__``, as ``cached_property`` keeps a value, where ``==``,
+    ``hash`` and ``repr`` do not look: it is derived from the frozen gens."""
+    scale = u.__dict__.get("_scale")
+    if scale is None:
+        scale = u.__dict__["_scale"] = common_scale(u.gens)
+    return scale
+
+
 def _on(u: Staircase, scale: int) -> _Side:
-    """The ``_side`` of u's generators on ``scale``, a multiple of twice
-    every denominator of u.  O(k) for k generators."""
-    return _side(on_scale(u.gens, scale), u.clamped)
+    """The ``_side`` of u's generators on ``scale``, a multiple of u's own
+    scale.  u keeps the last scale it was put on and that side in its
+    ``__dict__`` (as ``_scale`` does), so a second call on the same scale
+    is O(1); otherwise O(k) for k generators.  One slot is enough: a part
+    that many pair keys share almost always meets one scale."""
+    last = u.__dict__.get("_scaled")
+    if last is not None and last[0] == scale:
+        return last[1]
+    side = _side(on_scale(u.gens, scale), u.clamped)
+    u.__dict__["_scaled"] = scale, side
+    return side
 
 
 def _side(gens: tuple[_IntGen, ...], clamped: bool) -> _Side:
@@ -340,7 +366,7 @@ def hausdorff(u: Staircase, v: Staircase) -> RatX:
     ``_gap`` on the common scale of the two, taken back by ``from_scale``.
     """
     _check_ambient(u, v)
-    scale = common_scale(u.gens, v.gens)
+    scale = lcm(_scale(u), _scale(v))
     return from_scale(_gap(_on(u, scale), _on(v, scale), u.clamped), scale)
 
 
@@ -348,7 +374,7 @@ def subset(u: Staircase, v: Staircase) -> bool:
     """True iff u is contained in v, i.e. g_v <= g_u on every flow line:
     ``_contained`` on the common scale of the two."""
     _check_ambient(u, v)
-    scale = common_scale(u.gens, v.gens)
+    scale = lcm(_scale(u), _scale(v))
     return _contained(_on(u, scale), _on(v, scale), u.clamped)
 
 
@@ -392,7 +418,7 @@ def profile(u: Staircase) -> StepProfile:
     if u.is_full() and not u.clamped:
         # full plane: the profile is identically -inf; represent as one piece
         return StepProfile((), (), (Fraction(0),))
-    scale = common_scale(u.gens)
+    scale = _scale(u)
     side = _on(u, scale)
     cs = _merged_breaks(side[1])
     pts = (cs[0] - 2, *cs, cs[-1] + 2)  # the points ``_walk`` reads

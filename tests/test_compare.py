@@ -22,6 +22,7 @@ from stairdist import (
     barcode,
     enumerate_correspondences,
     erosion_distance,
+    grid_code,
     grid_interleaving_distance,
     grid_upper_set,
     gromov_hausdorff_formigrams,
@@ -48,13 +49,19 @@ from stairdist.filtration import (
     tripod_distance_int,
     tripod_distance_r,
 )
-from stairdist.formigram import Ultrametric, all_pair_keys, cosheaf_code
-from stairdist.oracle import grid_interleaved, oracle_grid_distance
+from stairdist.formigram import (
+    Ultrametric,
+    all_pair_keys,
+    cosheaf_code,
+    interleaving_distance_with_witness,
+)
+from stairdist.oracle import grid_interleaved, oracle_formigram_distance, oracle_grid_distance
 from conftest import (
     full_r_filtration,
     ground,
     rand_barcode,
     rand_formigram,
+    rand_formigram_pair,
     rand_grid,
     rand_grid_pair,
     rand_int_filtration,
@@ -66,6 +73,7 @@ F = Fraction
 
 # the package exports a function named `staircase`, so fetch the module
 staircase_module = importlib.import_module("stairdist.staircase")
+formigram_module = importlib.import_module("stairdist.formigram")
 
 
 def fs(*xs):
@@ -468,6 +476,80 @@ def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
             assert calls == []
             assert got == twin(x, y)
             calls.clear()
+
+
+def on_integers(rng, h):
+    """h, a formigram or a grid, with its critical points or cuts moved to
+    distinct integers in the same order: every staircase built from it has
+    the own scale 2, so every pair of them meets on that one scale."""
+
+    def ints(ts):
+        return tuple([F(t) for t in sorted(rng.sample(range(-9, 10), len(ts)))])
+
+    if isinstance(h, Formigram):
+        return Formigram(h.ground, ints(h.crit), h.values)
+    return GridClustering(h.ground, ints(h.x_cuts), ints(h.y_cuts), h.cells)
+
+
+def test_d_F_and_grid_put_each_part_on_its_scale_once(monkeypatch):
+    """d_F and the grid distance make one `hausdorff` call per pair key, on
+    the parts of `cosheaf_code` and `grid_code`, in code order.  Where every
+    pair meets on one scale, each distinct part object is put on it once:
+    its kinks are found (`_breaks`) once, however many keys share it,
+    while `_on` still runs twice per call.  The answers are those of the
+    oracles, and the witness is the first attaining key in code order."""
+    conversions, _, _, calls = kernel_calls(monkeypatch)
+    met = []
+    for module in (formigram_module, compare):
+        def recording(u, v, hausdorff=module.hausdorff):
+            met.append((u, v))
+            return hausdorff(u, v)
+
+        monkeypatch.setattr(module, "hausdorff", recording)
+
+    def run(distance, code, x, y):
+        conversions.clear()
+        calls.clear()
+        met.clear()
+        got = distance(x, y)
+        code_x, code_y = code(x), code(y)
+        assert [(u.gens, v.gens) for u, v in met] == [
+            (code_x[key].gens, code_y[key].gens) for key in code_x
+        ]
+        assert len(calls) == 2 * len(met)
+        assert len(conversions) == len({id(u) for pair in met for u in pair})
+        saved.append(len(calls) - len(conversions))
+        return got, list(code_x)
+
+    rng = random.Random(191)
+    saved = []
+    for _ in range(30):
+        g = ground(rng.randint(1, 4))
+        f1, f2 = (on_integers(rng, f) for f in rand_formigram_pair(rng, g, max_crit=3))
+        (d, witness), keys = run(interleaving_distance_with_witness, cosheaf_code, f1, f2)
+        assert d == oracle_formigram_distance(f1, f2)
+        ds = [hausdorff(u, v) for u, v in met]
+        assert witness == (keys[ds.index(d)] if d > 0 else fs(g.elements[0]))
+        h1, h2 = (on_integers(rng, h) for h in rand_grid_pair(rng, ground(rng.randint(1, 3))))
+        d, _ = run(grid_interleaving_distance, grid_code, h1, h2)
+        assert d == oracle_grid_distance(h1, h2)
+    # conversions saved by the sharing: d_F, then grid
+    assert sum(saved[::2]) > 50 and sum(saved[1::2]) > 50
+
+
+def test_grid_code_shares_one_part_per_corner_run():
+    """`grid_code` gives every pair key, in the order of `all_pair_keys`,
+    the staircase that `grid_upper_set` and the all-cells scan give it, and
+    one shared object per distinct corner run."""
+    rng = random.Random(197)
+    for _ in range(100):
+        g = ground(rng.randint(1, 5))
+        f = rand_edged_grid(rng, g)
+        code = grid_code(f)
+        assert list(code) == all_pair_keys(g)
+        for key, u in code.items():
+            assert u.gens == grid_upper_set(f, key).gens == referee_grid_upper_set(f, key).gens
+        assert len({id(u) for u in code.values()}) == len({u.gens for u in code.values()})
 
 
 # --- Gromov-Hausdorff between formigrams ------------------------------------------

@@ -1,6 +1,8 @@
 """Staircase engine: examples, profile shape, flow laws, oracle agreement."""
 
+from dataclasses import asdict
 from fractions import Fraction
+import pickle
 import random
 import time
 
@@ -28,6 +30,7 @@ from stairdist.rat import common_scale, from_scale
 from stairdist.staircase import (
     Staircase,
     StepProfile,
+    _antichain,
     _contained,
     _g,
     _gap,
@@ -541,9 +544,10 @@ def test_merged_breaks_are_linear_in_generators(ambient):
 
 
 def test_hausdorff_growth_band():
-    """Hausdorff cost grows no faster than c * k (4x band): the unit is a
-    batch at k = 40; k = 320 must stay within 4 * unit * k.  Near-linear
-    growth is about 8x here, quadratic growth would be 64x and fail."""
+    """Hausdorff cost, conversion to the scale and walk, grows no faster
+    than c * k (4x band): the unit is a batch at k = 40; k = 320 must stay
+    within 4 * unit * k.  Near-linear growth is about 8x here, quadratic
+    growth would be 64x and fail."""
     rng = random.Random(1313)
 
     def antichain(k):
@@ -559,8 +563,12 @@ def test_hausdorff_growth_band():
         pairs = [(antichain(k), antichain(k)) for _ in range(5)]
         best = INF
         for _ in range(3):
+            # fresh copies each round: a staircase keeps its scale and side,
+            # and the band covers putting both on their scale, not the walk
+            # alone
+            fresh = [(Staircase("int", u.gens), Staircase("int", v.gens)) for u, v in pairs]
             t0 = time.perf_counter()
-            for u, v in pairs:
+            for u, v in fresh:
                 hausdorff(u, v)
             best = min(best, time.perf_counter() - t0)
         return best
@@ -571,3 +579,52 @@ def test_hausdorff_growth_band():
     assert t <= 4 * unit * k, (
         f"hausdorff batch at k={k} took {t:.4f}s, band allows {4 * unit * k:.4f}s"
     )
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_scale_memo_is_invisible_and_follows_the_scale(ambient):
+    """A staircase keeps its own scale and the last scale and side it was
+    put on (`_on`).  Met by partners on denominators 3, then 5, then 3
+    again, it gives every `hausdorff` and `subset` the answer of fresh
+    copies and of `oracle_hausdorff`, whether built by the normalizing
+    constructor or by `_antichain`; ==, hash, repr, asdict and a pickle
+    round trip do not see what it keeps."""
+    rng = random.Random(211)
+
+    def on(den, pinned):
+        def x():
+            return rand_fraction(rng, dens=(den,))
+
+        gens = [(INF, x()), (x(), NEG_INF)] if pinned else []
+        gens += [(x(), x()) for _ in range(rng.randint(0, 4))]
+        return staircase(gens, ambient)
+
+    def fresh(u):
+        return Staircase(u.ambient, u.gens)
+
+    us = special_staircases(ambient)
+    for _ in range(40):
+        u = on(rng.choice((1, 2)), rng.random() < 0.5)
+        us += [u, _antichain(ambient, u.gens)]
+    finite = 0
+    for u in us:
+        before = repr(u), hash(u), asdict(u)
+        pinned = rng.random() < 0.5
+        for den in (3, 5, 3):
+            v = on(den, pinned)
+            d = hausdorff(u, v)
+            assert d == hausdorff(fresh(u), fresh(v)) == oracle_hausdorff(fresh(u), fresh(v))
+            assert hausdorff(v, u) == d
+            for a, b in [(u, v), (v, u)]:
+                inside = subset(fresh(a), fresh(b))
+                assert subset(a, b) == inside
+                if ambient == "plane":
+                    assert inside == plane_subset_by_generators(a, b)
+            assert (d == 0) == (subset(u, v) and subset(v, u))
+            finite += d != INF
+        assert "_scaled" in vars(u)
+        assert u == fresh(u) and (repr(u), hash(u), asdict(u)) == before
+        back = pickle.loads(pickle.dumps(u))
+        assert back == fresh(u) and (repr(back), hash(back), asdict(back)) == before
+        assert hausdorff(back, u) == 0
+    assert finite > 40
