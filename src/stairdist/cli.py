@@ -119,8 +119,9 @@ def _lookup(name: str):
 
 
 def _distance(dist):
-    """The op giving the distance named `dist` between the two inputs; an op
-    that reads --max-size passes the size guard third."""
+    """The op giving the distance named `dist` between the two inputs (every
+    distance op is one); an op that reads --max-size passes the size guard
+    third."""
     return lambda a, b, *max_size: io_json.distance_to_json(
         _lookup(dist)(a, b, *[_guard(m) for m in max_size])
     )
@@ -190,6 +191,7 @@ OPS = {
     ("staircase", "hausdorff"): ("staircase", 2, (), _distance("staircase_hausdorff")),
     ("staircase", "profile"): ("staircase", 1, (), lambda s: io_json.profile_to_json(s)),
 }
+# the reader of each option's text (an option not given reads None)
 _OPTIONS = {"--epsilon": parse_rat, "--max-size": _size}
 _NEGATIVE = re.compile(r"-\.?\d|-inf$")
 

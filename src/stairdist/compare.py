@@ -3,8 +3,9 @@ clusterings.
 
 A correspondence is a relation between two ground sets covering both; it
 carries exactly the information of a tripod (the apex can be taken to be
-the relation itself).  The searches are exact and guarded: exceeding the
-guard raises instead of approximating.
+the relation itself).  The searches are exact and guarded: past
+|X| * |Y| = `CORRESPONDENCE_GUARD` (12) they raise SizeGuardExceeded
+instead of approximating.
 
 Both searched objectives (the worst pair-key mismatch of GH and the worst
 realizable image pair of the tripod distances) only grow when the relation
@@ -20,16 +21,17 @@ creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
 item already reaches the best cover so far is dropped with every cover
 below it.  The costs are ints on one scale that the caller picks, or INF,
 so no Fraction is compared inside the search; the callers read each mask's
-cost from small lazy tables.  For staircase costs the scale is the common
-scale of every staircase of both inputs, and the kernel `staircase._gaps`
-costs each distinct pair of generator lists by one int `_gap`, with no
-Fraction made or compared.
+cost from small lazy tables.  Both searches with staircase costs (GH
+between formigrams, the interval tripod distance) run through one setup,
+`_staircase_search`: the scale is the common scale of every staircase of
+both inputs, and the kernel `staircase._gaps` costs each distinct pair of
+generator lists by one int `_gap`, with no Fraction made or compared.
 
 The grid distance takes the same join over pair keys as `d_F`: `grid_code`
 walks the boundary of each key's merging cells, O(rows + cols), into a
-run of (col, row) corner indices, and gives keys with equal runs one
-shared staircase, built as its normalized antichain, as `cosheaf_code`
-shares a formigram's parts.  `grid_interleaving_distance` then calls
+run of (col, row) corner indices, and `formigram._code`, the builder of
+`cosheaf_code`, gives keys with equal runs one shared staircase, built as
+its normalized antichain.  `grid_interleaving_distance` then calls
 `hausdorff` once per pair key, and each shared part goes on its scale
 once (`staircase._on`).
 """
@@ -40,10 +42,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .errors import GroundSetMismatch, SizeGuardExceeded, ValidationError
-from .formigram import Formigram, PairKey, Ultrametric, cosheaf_code
+from .formigram import Formigram, PairKey, Ultrametric, _code, cosheaf_code
 from .lattice import GroundSet, SubPartition, _check_same_ground
 from .rat import (
     NEG_INF,
@@ -55,9 +58,11 @@ from .rat import (
     on_scale,
     rows_on_scale,
 )
-from .staircase import PLANE, Staircase, _antichain, _gaps, hausdorff
+from .staircase import INT, PLANE, Staircase, _gaps, empty, hausdorff
 
 CORRESPONDENCE_GUARD = 12
+
+_EMPTY = empty(INT)  # the part of an element set that a part map lacks
 
 Pair = tuple[str, str]
 Correspondence = tuple[Pair, ...]
@@ -218,33 +223,34 @@ def _key_items(
     return pairs, items
 
 
-def _hausdorff_costs(stair_x, stair_y, scale: int):
-    """cost(mx, my) = `hausdorff(stair_x(mx), stair_y(my))` times `scale`
-    (a multiple of twice every generator denominator on both sides), as an
-    int or INF, for interval staircases (merge staircases and supports).
-    Each mask's staircase goes on the scale once, and `staircase._gaps`
-    costs each distinct pair of generator lists."""
-    gap = _gaps()
-    at_x = cache(lambda m: on_scale(stair_x(m).gens, scale))
-    at_y = cache(lambda m: on_scale(stair_y(m).gens, scale))
-    return lambda mx, my: gap(at_x(mx), at_y(my))
+def _staircase_search(x: GroundSet, y: GroundSet, parts_x, parts_y, grow, guard: int):
+    """(best, S): `min_max_over_correspondences` with the cost of an item
+    (mx, my) the Hausdorff distance between the parts (interval
+    staircases) of its element sets, times S, the `common_scale` of every
+    part of both maps: each such distance is a multiple of 1 / S, so the
+    search compares ints.  An element set that a map lacks reads as the
+    empty staircase.  Each mask's part goes on S once, and
+    `staircase._gaps` costs each distinct pair of generator lists."""
+    scale = common_scale(*[u.gens for parts in (parts_x, parts_y) for u in parts.values()])
+
+    def on(ground: GroundSet, parts):
+        elements = ground.elements
+        return cache(lambda m: on_scale(parts.get(_names(elements, m), _EMPTY).gens, scale))
+
+    gap, at_x, at_y = _gaps(), on(x, parts_x), on(y, parts_y)
+    best = min_max_over_correspondences(x, y, grow, lambda mx, my: gap(at_x(mx), at_y(my)), guard)
+    return best, scale
 
 
 def gromov_hausdorff_formigrams(
     fx: Formigram, fy: Formigram, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
     """Half the smallest worst mismatch, over correspondences, between the
-    merge staircases of related pairs.  Every Hausdorff value is a multiple
-    of 1 / S, for S the `common_scale` of every merge staircase of both
-    sides, so the search compares ints and the answer is the best over 2 S."""
-    code_x = cosheaf_code(fx)
-    code_y = cosheaf_code(fy)
-    scale = common_scale(*[u.gens for code in (code_x, code_y) for u in code.values()])
-    xs, ys = fx.ground.elements, fy.ground.elements
-    cost = _hausdorff_costs(
-        lambda m: code_x[_names(xs, m)], lambda m: code_y[_names(ys, m)], scale
+    merge staircases of related pairs: the best of `_staircase_search` over
+    2 S."""
+    best, scale = _staircase_search(
+        fx.ground, fy.ground, cosheaf_code(fx), cosheaf_code(fy), _key_items, guard
     )
-    best = min_max_over_correspondences(fx.ground, fy.ground, _key_items, cost, guard)
     return from_scale(best, 2 * scale)
 
 
@@ -318,7 +324,7 @@ def grid_upper_set(f: GridClustering, key: PairKey) -> Staircase:
     for v in key:
         if v not in f.ground:
             raise GroundSetMismatch(f"{v!r} not in the clustering ground set")
-    return _grid_parts(f)(_grid_run(f, min(key), max(key)))
+    return _grid_code(f, [(min(key), max(key))])[frozenset(key)]
 
 
 def _grid_run(f: GridClustering, x: str, y: str) -> tuple[tuple[int, int], ...]:
@@ -343,33 +349,22 @@ def _grid_run(f: GridClustering, x: str, y: str) -> tuple[tuple[int, int], ...]:
     return tuple(run)
 
 
-def _grid_parts(f: GridClustering):
-    """part(run): the plane staircase of a `_grid_run` of f, built as the
-    normalized antichain the run is (`_antichain`), on the cuts negated
-    once: column c gives l = -x_cuts[c - 1] (INF for the unbounded column
-    0) and row i gives r = y_cuts[i - 1] (NEG_INF for the unbounded row 0)."""
-    lefts = (INF, *[-x for x in f.x_cuts])
-    rights = (NEG_INF, *f.y_cuts)
-    return lambda run: _antichain(PLANE, tuple([(lefts[c], rights[r]) for c, r in run]))
-
-
 def grid_code(f: GridClustering) -> dict[PairKey, Staircase]:
     """`grid_upper_set` of every pair key, in the order of `all_pair_keys`,
     with one (frozen) Staircase shared by the keys of equal corner runs, as
     in `cosheaf_code`.  For n elements this is O(n^2 (rows + cols))
     `same_block` calls."""
-    elements = f.ground.elements
-    part = _grid_parts(f)
-    shared: dict[tuple, Staircase] = {}
-    out: dict[PairKey, Staircase] = {}
-    for a, x in enumerate(elements):
-        for y in elements[a:]:
-            run = _grid_run(f, x, y)
-            u = shared.get(run)
-            if u is None:
-                u = shared[run] = part(run)
-            out[frozenset((x, y))] = u
-    return out
+    return _grid_code(f, combinations_with_replacement(f.ground.elements, 2))
+
+
+def _grid_code(f: GridClustering, pairs) -> dict[PairKey, Staircase]:
+    """`formigram._code` of the `_grid_run`s of the element pairs, read on
+    the cuts negated once: column c gives l = -x_cuts[c - 1] (INF for the
+    unbounded column 0) and row i gives r = y_cuts[i - 1] (NEG_INF for the
+    unbounded row 0)."""
+    lefts = (INF, *[-x for x in f.x_cuts])
+    rights = (NEG_INF, *f.y_cuts)
+    return _code(pairs, lambda x, y: _grid_run(f, x, y), PLANE, lefts, rights)
 
 
 def grid_interleaving_distance(f: GridClustering, g: GridClustering) -> RatX:

@@ -21,10 +21,11 @@ from itertools import combinations
 from typing import Mapping
 
 from .compare import (
+    _EMPTY,
     CORRESPONDENCE_GUARD,
     Item,
-    _hausdorff_costs,
     _names,
+    _staircase_search,
     min_max_over_correspondences,
 )
 from .errors import (
@@ -35,12 +36,11 @@ from .errors import (
 )
 from .lattice import GroundSet, Surjection
 from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
-from .staircase import INT, Staircase, _contained, _gaps, _on, _side, empty, staircase
+from .staircase import INT, Staircase, _contained, _gaps, _on, _side, staircase
 
 Simplex = frozenset
 
-_EMPTY = empty(INT)  # the support of every absent simplex
-_EMPTY_ON = _side((), True)  # its side on every scale: no generator, no kink
+_EMPTY_ON = _side((), True)  # the empty support on every scale: no generator, no kink
 
 
 def _check_simplices(ground: GroundSet, keys) -> None:
@@ -73,7 +73,9 @@ class RFiltration:
 
 @dataclass(frozen=True)
 class IntFiltration:
-    """Interval-indexed filtration: a staircase support per simplex."""
+    """Interval-indexed filtration: a staircase support per simplex.  A
+    support that is not a Staircase of the interval ambient raises
+    ValidationError naming the simplex."""
 
     ground: GroundSet
     supports: Mapping[Simplex, Staircase]
@@ -240,17 +242,10 @@ def tripod_distance_int(
 ) -> RatX:
     """Interval-indexed tripod distance: worst support-staircase Hausdorff
     distance over realizable image pairs, minimized over correspondences.
-    Every Hausdorff value is a multiple of 1 / S, for S the `common_scale`
-    of every support of both sides, so the search compares ints and the
-    answer is the best over S."""
-    scale = common_scale(*[u.gens for h in (f, g) for u in h.supports.values()])
-    xs, ys = f.ground.elements, g.ground.elements
-    cost = _hausdorff_costs(
-        lambda m: f.supports.get(_names(xs, m), _EMPTY),
-        lambda m: g.supports.get(_names(ys, m), _EMPTY),
-        scale,
+    The best of `_staircase_search` on the supports, over S."""
+    best, scale = _staircase_search(
+        f.ground, g.ground, f.supports, g.supports, _image_items, guard
     )
-    best = min_max_over_correspondences(f.ground, g.ground, _image_items, cost, guard)
     return from_scale(best, scale)
 
 

@@ -57,6 +57,11 @@ PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
 
 @dataclass(frozen=True)
 class Formigram:
+    """Critical points are read by ``rat.increasing_rats`` (finite and
+    strictly increasing, else ValidationError); 2m + 1 values are needed
+    (else ValidationError), each on the formigram's ground (else
+    GroundSetMismatch)."""
+
     ground: GroundSet
     crit: tuple[Fraction, ...]
     values: tuple[SubPartition, ...]
@@ -146,7 +151,8 @@ def smooth(f: Formigram, eps: Fraction) -> Formigram:
 
     The result is again a formigram with critical points among
     {t_i - eps, t_i + eps}; smoothing by a then b equals smoothing by a+b.
-    eps is read through ``rat``, and must be finite and >= 0.
+    eps is read through ``rat``; a negative eps raises NegativeEpsilon and
+    an infinite one ValidationError.
     """
     eps = rat(eps)
     if eps < 0:
@@ -229,12 +235,11 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     element's singleton key is noted where the element first appears.  A
     pair's first merging piece does not decrease with i, so each key's
     index pairs arrive sorted in both coordinates, and dropping an entry
-    whose left or right index equals its neighbour's leaves the antichain.
-    Keys with equal index lists share one (frozen) Staircase, built on its
-    already normalized antichain without the normalizing sweep
-    (`_antichain`).  For n elements and m critical points this is
-    O(m n (m + n)): O(m) starts, each reading O(m n) block members and
-    noting O(n^2) pairs.
+    whose left or right index equals its neighbour's leaves the antichain,
+    which `_code` reads into one shared Staircase per distinct index list,
+    keys in the order of `all_pair_keys`.  For n elements and m critical
+    points this is O(m n (m + n)): O(m) starts, each reading O(m n) block
+    members and noting O(n^2) pairs.
     """
     elements = f.ground.elements
     index = f.ground.index
@@ -281,19 +286,28 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
                     unions += 1
             if unions == n - 1 and len(present) == n:
                 break  # one block of everything: no later piece adds a run
-    lefts = (*f.crit, INF)
-    rights = (*f.crit, NEG_INF)  # rights[-1] is NEG_INF
+    return _code(
+        combinations_with_replacement(elements, 2),
+        lambda x, y: tuple(runs[index[x]][index[y]]),
+        INT, (*f.crit, INF), (*f.crit, NEG_INF),  # index -1 reads NEG_INF on the right
+    )
+
+
+def _code(pairs, run, ambient: str, lefts, rights) -> dict[PairKey, Staircase]:
+    """{frozenset((x, y)): staircase} for the element pairs (x, y), in
+    their order, from `run(x, y)`: the (i, j) index pairs of the normalized
+    antichain sorted by l, whose generators are (lefts[i], rights[j]).  Keys
+    with equal runs share one (frozen) Staircase, built without the
+    normalizing sweep (`_antichain`).  `cosheaf_code` and the grid code of
+    `compare` both build through it."""
     shared: dict[tuple, Staircase] = {}
     out: dict[PairKey, Staircase] = {}
-    for a in range(n):  # the order of all_pair_keys
-        for b in range(a, n):
-            run = tuple(runs[a][b])
-            u = shared.get(run)
-            if u is None:
-                u = shared[run] = _antichain(
-                    INT, tuple([(lefts[l], rights[r]) for l, r in run])
-                )
-            out[frozenset((elements[a], elements[b]))] = u
+    for x, y in pairs:
+        ij = run(x, y)
+        u = shared.get(ij)
+        if u is None:
+            u = shared[ij] = _antichain(ambient, tuple([(lefts[i], rights[j]) for i, j in ij]))
+        out[frozenset((x, y))] = u
     return out
 
 

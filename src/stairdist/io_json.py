@@ -97,8 +97,8 @@ def representations_to_json(ground: GroundSet, reps):
 
 
 def _pairs(obj, key, what: str) -> list[tuple[Fraction, Fraction]]:
-    """The list at obj[key] as pairs of numbers; what is the error for an
-    entry that is not a two-element list."""
+    """The list at obj[key] as pairs of numbers (staircase generators and
+    bars); what is the error for an entry that is not a two-element list."""
     out = []
     for pair in _require(obj, key, list):
         if not isinstance(pair, list) or len(pair) != 2:

@@ -48,7 +48,9 @@ class GroundSet:
 
 def find(parent, x):
     """Root of x in a union-find forest stored as a list or dict of parents
-    (a root is its own parent), halving the path on the way up."""
+    (a root is its own parent), halving the path on the way up.  The one
+    union-find of the library: joins, spanning trees, single linkage, the
+    cosheaf code, ``ultrametric`` and the elder rule read it."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -56,6 +58,9 @@ def find(parent, x):
 
 
 def _check_same_ground(a, b):
+    """The one same-ground check (lattice operations, the d_F and grid
+    distances, ``pointwise_refines`` and the value checks of Formigram and
+    GridClustering): GroundSetMismatch naming both ground sets."""
     if a.ground != b.ground:
         raise GroundSetMismatch(
             f"ground sets differ: {a.ground.elements} vs {b.ground.elements}"

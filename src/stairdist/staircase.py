@@ -40,12 +40,13 @@ side of known height) read that one list.  ``hausdorff`` and ``subset``
 take S = lcm(S_u, S_v) of the two own scales, S_u = 2 L_u for L_u the lcm
 of u's finite denominators (``rat.common_scale`` of u alone), which is the
 common scale of the two.  A staircase is frozen, so it keeps what is
-derived from its generators in its ``__dict__``, where ``==``, ``hash``
-and ``repr`` do not look: its own scale, worked out once, and the last
-scale ``_on`` put it on with that side.  A part that many pair keys share
-(the cosheaf code, the grid code) is put on its scale once, not once per
-key.  Callers that compare many staircases pick one scale for all of
-them, and those that take a join over pairs of parts read ``_gaps``.
+derived from its generators in its ``__dict__``, where ``==``, ``hash``,
+``repr`` and ``asdict`` do not look and which a pickle or a copy leaves
+behind: its own scale, worked out once, and the last scale ``_on`` put it
+on with that side.  A part that many pair keys share (the cosheaf code,
+the grid code) is put on its scale once, not once per key.  Callers that
+compare many staircases pick one scale for all of them, and those that
+take a join over pairs of parts read ``_gaps``.
 Fractions appear only at the boundary: ``hausdorff`` returns the
 largest scaled gap over S, and ``profile`` converts each breakpoint, value
 and slope.  The O(k log k) counts above are integer operations on ints of
@@ -78,7 +79,12 @@ _FULL = ((INF, NEG_INF),)
 
 @dataclass(frozen=True)
 class Staircase:
-    """A finitely generated upper set, normalized to a generator antichain."""
+    """A finitely generated upper set, normalized to a generator antichain.
+
+    Coordinates go through ``rat``: an int is read as a Fraction, and any
+    float other than an infinity on its own side raises ValueError, as
+    does a generator of an empty region; an ambient other than ``"int"``
+    or ``"plane"`` raises ValidationError."""
 
     ambient: str
     gens: tuple[Gen, ...]
@@ -119,6 +125,11 @@ class Staircase:
 
     def is_full(self) -> bool:
         return _is_full(self.gens)
+
+    def __getstate__(self):
+        # a pickle or a copy carries the generators, not what ``_scale`` and
+        # ``_on`` keep of them
+        return {"ambient": self.ambient, "gens": self.gens}
 
 
 def _is_full(gens) -> bool:

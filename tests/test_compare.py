@@ -690,6 +690,8 @@ def rand_edged_grid(rng, g):
 
 
 def test_grid_upper_set_matches_all_cells_scan():
+    """The corner walk of `grid_upper_set` gives every pair key the
+    generators that a scan of every cell gives it."""
     rng = random.Random(163)
     for _ in range(200):
         g = ground(rng.randint(1, 4))

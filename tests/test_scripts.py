@@ -1,9 +1,12 @@
 """The scripts run end to end: the oracle sweep agrees on every family, and
 the two example scripts print JSON.  The sweep imports random builders and
-twins from the test modules by name, so this also catches a renamed twin."""
+twins from the test modules by name, so this also catches a renamed twin.
+README's library example runs too, and its module table and the tests it
+names match the tree."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +35,33 @@ def test_example_prints_json(name):
     done = run_script(name)
     assert done.returncode == 0, done.stderr
     assert isinstance(json.loads(done.stdout), dict)
+
+
+def readme():
+    return (ROOT / "README.md").read_text()
+
+
+def test_readme_library_example_runs():
+    example = readme().split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_has_one_short_row_per_module():
+    """One row per module of the package, each at most two lines of a page
+    (180 characters): the mechanism belongs in the module's docstring."""
+    rows = [line for line in readme().splitlines() if line.startswith("| `stairdist.")]
+    names = [row.split("`")[1] for row in rows]
+    modules = [f"stairdist.{p.stem}" for p in (ROOT / "src" / "stairdist").glob("*.py")]
+    assert sorted(names) == sorted(set(modules) - {"stairdist.__init__"})
+    assert all(len(row.split(" | ", 1)[1]) <= 180 for row in rows), rows
+
+
+def test_readme_names_only_tests_that_exist():
+    named = set(re.findall(r"`(test_\w+)`", readme()))
+    defined = {
+        name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for name in re.findall(r"^def (test_\w+)", path.read_text(), re.M)
+    }
+    assert named and named <= defined, named - defined

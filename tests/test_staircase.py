@@ -2,6 +2,7 @@
 
 from dataclasses import asdict
 from fractions import Fraction
+import copy
 import pickle
 import random
 import time
@@ -588,7 +589,8 @@ def test_scale_memo_is_invisible_and_follows_the_scale(ambient):
     again, it gives every `hausdorff` and `subset` the answer of fresh
     copies and of `oracle_hausdorff`, whether built by the normalizing
     constructor or by `_antichain`; ==, hash, repr, asdict and a pickle
-    round trip do not see what it keeps."""
+    round trip do not see what it keeps, and neither a pickle nor a copy
+    carries it: the pickle's bytes are a fresh copy's."""
     rng = random.Random(211)
 
     def on(den, pinned):
@@ -624,6 +626,8 @@ def test_scale_memo_is_invisible_and_follows_the_scale(ambient):
             finite += d != INF
         assert "_scaled" in vars(u)
         assert u == fresh(u) and (repr(u), hash(u), asdict(u)) == before
+        assert pickle.dumps(u) == pickle.dumps(fresh(u))
+        assert vars(copy.copy(u)) == vars(fresh(u))
         back = pickle.loads(pickle.dumps(u))
         assert back == fresh(u) and (repr(back), hash(back), asdict(back)) == before
         assert hausdorff(back, u) == 0
