@@ -17,15 +17,32 @@ than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
 The search is one branch and bound that walks the minimal covers itself,
 one star at a time on one explicit stack; the library makes the covers
 nowhere else and never lists them.  Each star adds only the items it
-creates, as (x-mask, y-mask) ints, and a partial choice whose known worst
-item already reaches the best cover so far is dropped with every cover
-below it.  The costs are ints on one scale that the caller picks, or INF,
-so no Fraction is compared inside the search; the callers read each mask's
-cost from small lazy tables.  Both searches with staircase costs (GH
-between formigrams, the interval tripod distance) run through one setup,
-`_staircase_search`: the scale is the common scale of every staircase of
-both inputs, and the kernel `staircase._gaps` costs each distinct pair of
-generator lists by one int `_gap`, with no Fraction made or compared.
+creates, and a partial choice whose known worst item already reaches the
+best cover so far is dropped with every cover below it.  An item, a pair
+(A, B) of element sets of the ground set walked as X and the one walked as
+Y, is one packed int: bit k stands for xs[k] and bit nx + k for ys[k], so
+`grow` joins items with `|`, dedupes ints and the memo keys on ints; the
+search splits an item into its x-mask and y-mask only to cost it.  The
+costs are ints on one scale that the caller picks, or INF, so no Fraction
+is compared inside the search; the callers read each mask's cost from
+small lazy tables.
+
+Orientation: the four public searches walk the larger ground set as X,
+except that a side of one element is always X (one frame).  Both
+objectives are symmetric in the two inputs, so this changes the tree
+walked and never the value.  The rule is set on counts of `grow` items,
+which do not depend on the machine: over 4 seeded instances of each kind,
+at 2 x 5 the larger side as X grows 756, 631, 2612 and 1988 items (GH
+formigrams, GH ultrametrics, tripod r, tripod int) against 1339, 1742, 3844
+and 3324, and at 3 x 4 1018, 1132, 2756 and 1632 against 1414, 1842, 3512
+and 2784; at 1 x k both ways grow the same items, and one frame is faster.
+It is measured up to the guard only.
+
+Both searches with staircase costs (GH between formigrams, the interval
+tripod distance) run through one setup, `_staircase_search`: the scale is
+the common scale of every staircase of both inputs, and the kernel
+`staircase._gaps` costs each distinct pair of generator lists by one int
+`_gap`, with no Fraction made or compared.
 
 The grid distance takes the same join over pair keys as `d_F`: `grid_code`
 walks the boundary of each key's merging cells, O(rows + cols), into a
@@ -95,11 +112,13 @@ def _iter_correspondences(x: GroundSet, y: GroundSet) -> Iterator[Correspondence
 
 
 def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
-    """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], in the
-    order the search tries them: the high bits of the mask that
-    `enumerate_correspondences` counts up.  stars: elements of an N(a) of
-    size >= 2, which no other N(a) may name; leaves: elements some
-    N(a) = {b} names; full: every element of y."""
+    """The choices of N(xs[i]) once N(a) is chosen for xs[i + 1:], as masks
+    over y, in the order the search tries them: the high bits of the mask
+    that `enumerate_correspondences(x, y)` counts up, for the x and y that
+    the search walks as X and Y (a public search may have swapped its
+    arguments).  stars: elements of an N(a) of size >= 2, which no other
+    N(a) may name; leaves: elements some N(a) = {b} names; full: every
+    element of y."""
     free = full & ~(stars | leaves)
     if i == 0:  # the last choice must cover what is left
         return [free] if free else [1 << k for k in range(full.bit_length()) if leaves >> k & 1]
@@ -109,31 +128,32 @@ def _options(i: int, stars: int, leaves: int, full: int) -> list[int]:
     ]
 
 
-Item = tuple[int, int]  # (x-mask, y-mask): bit k stands for elements[k]
+Item = int  # packed, as the module docstring lays out
 
 
 def min_max_over_correspondences(
     x: GroundSet, y: GroundSet, grow, cost, guard: int
 ) -> int | float:
     """min over correspondences R of the max of `cost` over the items of R,
-    by a depth-first branch and bound over the minimal covers.
+    by a depth-first branch and bound over the minimal covers of x (as X)
+    and y (as Y).
 
     A minimal cover is a choice of a nonempty N(a), a bitmask over y, for
     every a in x, where each N(a) of two or more elements is disjoint from
     all the others and together they cover y.  The search chooses N(xs[i])
     from i = nx - 1 down to 0 among `_options`, so it completes the covers
-    in the order of `enumerate_correspondences`.  It keeps one explicit
-    stack with one frame per level, so nx is not bounded by the recursion
-    limit.
+    of x and y in the order of `enumerate_correspondences(x, y)`.  It keeps
+    one explicit stack with one frame per level, so nx is not bounded by
+    the recursion limit.
 
-    Items are (x-mask, y-mask) ints.  `grow(state, i, c)` returns the new
-    state and the items that the choice N(xs[i]) = c adds to the choices
-    for xs[i + 1:], which left `state` (() at the root); the items of a
-    cover are those of its choices.  The objective must be monotone (a
-    sub-relation yields a subset of the items), so the minimum is attained
-    on a minimal cover (e.g. 62 of the 4095 relations at 2 x 6).  `cost`
-    maps an item to an int on the caller's scale, or to INF, and runs at
-    most once per item.
+    Items are packed ints (module docstring).  `grow(state, i, c)` gets
+    the choice N(xs[i]) = c in item coordinates and returns the new state
+    and the items that it adds to the choices for xs[i + 1:], which left
+    `state` (() at the root); the items of a cover are those of its
+    choices.  The objective must be monotone (a sub-relation yields a
+    subset of the items), so the minimum is attained on a minimal cover
+    (e.g. 62 of the 4095 relations at 2 x 6).  `cost(mx, my)` maps the x-mask and the y-mask of an item to an int on
+    the caller's scale, or to INF, and runs at most once per item.
 
     The bound reads memoized costs only: a choice is dropped, with every
     cover below it, as soon as the worst memoized cost among its items
@@ -148,6 +168,7 @@ def min_max_over_correspondences(
     memo: dict[Item, int | float] = {}
     best: int | float = INF
     nx, full = len(x), (1 << len(y)) - 1
+    low = (1 << nx) - 1  # the x bits of an item
     # a frame chooses N(xs[i]), i = nx - len(stack): its untried choices,
     # then the stars, leaves, state, worst known cost and items of unknown
     # cost that the choices for xs[i + 1:] left
@@ -159,7 +180,7 @@ def min_max_over_correspondences(
             stack.pop()
             continue
         i = nx - len(stack)
-        state, new = grow(state, i, c)
+        state, new = grow(state, i, c << nx)
         worst, new = _known(memo, worst, new)
         if worst >= best:
             continue
@@ -179,7 +200,7 @@ def min_max_over_correspondences(
                 break
             v = memo.get(item)
             if v is None:
-                v = memo[item] = cost(*item)
+                v = memo[item] = cost(item & low, item >> nx)
             if v > worst:
                 worst = v
         if worst < best:
@@ -202,6 +223,13 @@ def _known(memo: dict, worst, items) -> tuple[int | float, tuple[Item, ...]]:
     return worst, tuple(unknown)
 
 
+def _flipped(x: GroundSet, y: GroundSet) -> bool:
+    """Whether a public search of x and y walks y as X, by the orientation
+    rule of the module docstring."""
+    nx, ny = len(x), len(y)
+    return 1 < nx < ny or nx > ny == 1
+
+
 def _names(elements: tuple[str, ...], mask: int) -> frozenset[str]:
     return frozenset([e for k, e in enumerate(elements) if mask >> k & 1])
 
@@ -211,15 +239,16 @@ def _key_items(
 ) -> tuple[tuple[Item, ...], list[Item]]:
     """`grow` for GH: the choice N(xs[i]) = c relates xs[i] to each b in
     c, and adds the pair key of each new pair with itself, with the new
-    pairs before it and with every pair so far.  The state is the related
-    pairs, as one-bit masks."""
+    pairs before it and with every pair so far, each the | of two pairs.
+    The state is the related pairs, as packed items of two bits."""
     xb = 1 << i
     items: list[Item] = []
     while c:
         b = c & -c
         c ^= b
-        pairs += ((xb, b),)
-        items += [(xb | px, b | py) for px, py in pairs]
+        pair = xb | b
+        pairs += (pair,)
+        items += [pair | p for p in pairs]
     return pairs, items
 
 
@@ -231,6 +260,8 @@ def _staircase_search(x: GroundSet, y: GroundSet, parts_x, parts_y, grow, guard:
     search compares ints.  An element set that a map lacks reads as the
     empty staircase.  Each mask's part goes on S once, and
     `staircase._gaps` costs each distinct pair of generator lists."""
+    if _flipped(x, y):
+        x, y, parts_x, parts_y = y, x, parts_y, parts_x
     scale = common_scale(*[u.gens for parts in (parts_x, parts_y) for u in parts.values()])
 
     def on(ground: GroundSet, parts):
@@ -267,6 +298,8 @@ def gromov_hausdorff_ultrametrics(
     S, so the search compares int costs; the answer is the best over 2 S.
     A key's cost reads entry (lo, hi) of its two indices, which the
     symmetric matrices make independent of the element names."""
+    if _flipped(ux.ground, uy.ground):
+        ux, uy = uy, ux
     scale = common_scale(ux.entries, uy.entries)
     ex, ey = rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale)
 

@@ -24,6 +24,7 @@ from .compare import (
     _EMPTY,
     CORRESPONDENCE_GUARD,
     Item,
+    _flipped,
     _names,
     _staircase_search,
     min_max_over_correspondences,
@@ -124,6 +125,10 @@ def validate_filtration(f) -> str | None:
     (simplex, face) pair that fails, in the order of the stored simplices
     and of their vertices.
 
+    A line-indexed filtration is read once into one table from each
+    simplex's vertex bitmask to its birth on the common scale of every
+    birth; the face of a simplex m without the vertex of bit v is then the
+    entry of m ^ v, and each check is one lookup and one int comparison.
     An interval-indexed filtration puts all of its N supports on one
     integer scale, the common scale of every support, and converts each
     once (`staircase._on`, O(K) for K generators in all); each of the
@@ -131,17 +136,22 @@ def validate_filtration(f) -> str | None:
     converted supports, O((k_s + k_f) log(k_s + k_f)) operations on ints of
     the bit size of that scale."""
     if isinstance(f, RFiltration):
-        for s, b in f.births.items():
+        bit = {v: 1 << k for k, v in enumerate(f.ground.elements)}
+        scale = common_scale([f.births.values()])
+        born = {sum([bit[v] for v in s]): to_scale(b, scale) for s, b in f.births.items()}
+        for s, m in zip(f.births, born):
             if len(s) == 1:
                 continue
+            b = born[m]
             for v in s:
-                face = s - {v}
-                if face not in f.births:
-                    return f"face {sorted(face)} of simplex {sorted(s)} is absent"
-                if not f.births[face] <= b:
+                face_born = born.get(m ^ bit[v])
+                if face_born is None:
+                    return f"face {sorted(s - {v})} of simplex {sorted(s)} is absent"
+                if face_born > b:
+                    face = s - {v}
                     return (
                         f"face {sorted(face)} born at {f.births[face]} after its "
-                        f"coface {sorted(s)} born at {b}"
+                        f"coface {sorted(s)} born at {f.births[s]}"
                     )
         return None
     if isinstance(f, IntFiltration):
@@ -197,16 +207,20 @@ def _image_items(
 ) -> tuple[tuple[Item, ...], list[Item]]:
     """`grow` for the tripod searches: the images (A, B) of the
     sub-relations that relate xs[i] to a nonempty B' within c, that is
-    ({xs[i]}, B') and every image so far joined with it, as masks and each
-    once.  No earlier image names xs[i], so none of these is old.  The state
-    is every image so far."""
+    ({xs[i]}, B') and every image so far joined with it, as packed items
+    and each once: for each image so far, in the order grown (({xs[i]}, B')
+    first), the submasks B' of c in decreasing order.  xs and c are of the
+    ground sets the search walks as X and Y, which a public search may have
+    swapped, and the walk chooses N(xs[i]) from the last x to the first.  No
+    earlier image names xs[i], so none of these is old.  The state is every
+    image so far."""
     xb = 1 << i
     subs = []
     s = c
-    while s:  # every nonempty submask of c
-        subs.append(s)
+    while s:  # every nonempty submask of c, with xs[i]
+        subs.append(xb | s)
         s = (s - 1) & c
-    new = list(dict.fromkeys([(xb | a, b | s) for a, b in ((0, 0), *images) for s in subs]))
+    new = list(dict.fromkeys([a | s for a in (0, *images) for s in subs]))
     return images + tuple(new), new
 
 
@@ -219,6 +233,8 @@ def tripod_distance_r(
     an infinite discrepancy.  The births of both sides go on one integer
     scale S, so the search compares ints; the answer is the best over S.
     """
+    if _flipped(f.ground, g.ground):
+        f, g = g, f
     scale = common_scale([f.births.values(), g.births.values()])
 
     def birth_table(h: RFiltration):

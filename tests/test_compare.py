@@ -74,6 +74,7 @@ F = Fraction
 # the package exports a function named `staircase`, so fetch the module
 staircase_module = importlib.import_module("stairdist.staircase")
 formigram_module = importlib.import_module("stairdist.formigram")
+filtration_module = importlib.import_module("stairdist.filtration")
 
 
 def fs(*xs):
@@ -163,12 +164,20 @@ def named_grounds(nx, ny):
     return tuple(GroundSet(tuple(f"{c}{i}" for i in range(n))) for c, n in (("x", nx), ("y", ny)))
 
 
+def split(item, nx):
+    """A packed item of a search with nx elements in X as (x-mask, y-mask):
+    x bits below bit nx, y bits from bit nx up."""
+    return item & ((1 << nx) - 1), item >> nx
+
+
 def grown_items(grow, rows):
-    """The items `grow` adds over the rows N(xs[i]) of a relation (bitmasks
-    over y), from the last row to the first, in order."""
+    """The packed items `grow` adds over the rows N(xs[i]) of a relation
+    (bitmasks over y, handed to `grow` in item coordinates, as the search
+    does), from the last row to the first, in order."""
+    nx = len(rows)
     state, out = (), []
-    for i in reversed(range(len(rows))):
-        state, new = grow(state, i, rows[i])
+    for i in reversed(range(nx)):
+        state, new = grow(state, i, rows[i] << nx)
         out += new
     return out
 
@@ -176,16 +185,19 @@ def grown_items(grow, rows):
 def searched_covers(x, y, guard=12):
     """Every cover that `min_max_over_correspondences` completes, in its
     order, as named pairs.  `grow` keeps the rows N(xs[i]), and the last
-    choice adds one item naming the cover; `cost` records that item at
-    cost 1, so the search costs every cover once."""
+    choice adds one item naming the cover, its rows side by side in the
+    y-mask; `cost` records that item's rows at cost 1, so the search costs
+    every cover once."""
+    nx, ny = len(x), len(y)
     covers = []
 
     def grow(rows, i, c):
-        rows = (c,) + rows
-        return rows, [] if i else [rows]
+        rows = (split(c, nx)[1],) + rows
+        return rows, [] if i else [sum(m << k * ny for k, m in enumerate(rows)) << nx]
 
-    def cost(*rows):
-        covers.append(rows)
+    def cost(mx, my):
+        assert mx == 0
+        covers.append([my >> k * ny & ((1 << ny) - 1) for k in range(nx)])
         return 1
 
     min_max_over_correspondences(x, y, grow, cost, guard)
@@ -218,7 +230,9 @@ def rows_of(rel, x, y):
 
 
 def named(items, x, y):
-    return [(_names(x.elements, mx), _names(y.elements, my)) for mx, my in items]
+    """Packed items as pairs of element sets."""
+    pairs = [split(item, len(x)) for item in items]
+    return [(_names(x.elements, mx), _names(y.elements, my)) for mx, my in pairs]
 
 
 # --- correspondences -------------------------------------------------------------
@@ -308,25 +322,48 @@ def test_key_items_are_the_key_pairs():
                 assert len(items) == len(set(items))
 
 
-def search_instances(rng, nx, ny):
-    """One random pair of each searched kind over nx and ny elements, with
-    the items and the Fraction cost by name that the unpruned twin reads,
-    and the library's `grow`: (kind, x, y, items, cost, grow)."""
-    from test_filtration import _realizable_pairs, tripod_cost_int, tripod_cost_r
+def search_inputs(rng, nx, ny):
+    """One random pair of inputs of each searched kind over nx and ny
+    elements, with the public search and its unpruned twin:
+    (kind, search, twin, a, b)."""
+    from test_filtration import unpruned_tripod_int, unpruned_tripod_r
 
     gx, gy = named_grounds(nx, ny)
     make = rand_formigram if rng.random() < 0.5 else rand_merged_tail_formigram
-    fx, fy = make(rng, gx, max_crit=2), make(rng, gy, max_crit=2)
-    yield "gh_formigrams", gx, gy, _key_pairs, gh_cost_formigrams(fx, fy), _key_items
-    ux, uy = (ultrametric(single_linkage(g, rand_metric(rng, g))) for g in (gx, gy))
-    yield "gh_ultrametrics", gx, gy, _key_pairs, gh_cost_ultrametrics(ux, uy), _key_items
-    rx, ry = full_r_filtration(rng, gx), full_r_filtration(rng, gy)
-    yield "tripod_r", gx, gy, _realizable_pairs, tripod_cost_r(rx, ry), _image_items
+    yield (
+        "gh_formigrams", gromov_hausdorff_formigrams, unpruned_gh_formigrams,
+        make(rng, gx, max_crit=2), make(rng, gy, max_crit=2),
+    )
+    yield (
+        "gh_ultrametrics", gromov_hausdorff_ultrametrics, unpruned_gh_ultrametrics,
+        *[ultrametric(single_linkage(g, rand_metric(rng, g))) for g in (gx, gy)],
+    )
+    yield (
+        "tripod_r", tripod_distance_r, unpruned_tripod_r,
+        full_r_filtration(rng, gx), full_r_filtration(rng, gy),
+    )
     if rng.random() < 0.5:
         ix, iy = (to_int_indexed(full_r_filtration(rng, g)) for g in (gx, gy))
     else:
         ix, iy = (rand_int_filtration(rng, g, pinned=True) for g in (gx, gy))
-    yield "tripod_int", gx, gy, _realizable_pairs, tripod_cost_int(ix, iy), _image_items
+    yield "tripod_int", tripod_distance_int, unpruned_tripod_int, ix, iy
+
+
+def search_instances(rng, nx, ny):
+    """The inputs of `search_inputs` as the search loop reads them, with the
+    items and the Fraction cost by name that the unpruned twin reads, and
+    the library's `grow`: (kind, x, y, items, cost, grow)."""
+    from test_filtration import _realizable_pairs, tripod_cost_int, tripod_cost_r
+
+    parts = {
+        "gh_formigrams": (_key_pairs, gh_cost_formigrams, _key_items),
+        "gh_ultrametrics": (_key_pairs, gh_cost_ultrametrics, _key_items),
+        "tripod_r": (_realizable_pairs, tripod_cost_r, _image_items),
+        "tripod_int": (_realizable_pairs, tripod_cost_int, _image_items),
+    }
+    for kind, _, _, a, b in search_inputs(rng, nx, ny):
+        items, cost, grow = parts[kind]
+        yield kind, a.ground, b.ground, items, cost(a, b), grow
 
 
 def counted(cost):
@@ -375,6 +412,76 @@ def test_pruned_search_costs_no_more_than_the_unpruned_twin(nx, ny):
     # per batch: on one instance the items of a cover are tried in another
     # order than the twin's, which can cost a call or two more there
     assert all(total[k, "new"] <= total[k, "twin"] for k, _ in total), total
+
+
+def test_argument_order_does_not_matter():
+    """Every shape up to the default guard with at most 6 elements a side:
+    each public search gives its unpruned twin's value with its arguments
+    in either order."""
+    rng = random.Random(179)
+    for nx in range(1, 7):
+        for ny in range(1, min(6, 12 // nx) + 1):
+            for kind, search, twin, a, b in search_inputs(rng, nx, ny):
+                assert search(a, b) == search(b, a) == twin(a, b), (kind, nx, ny)
+
+
+def recorded_walks(monkeypatch):
+    """Patch the search loop where the public searches call it: each walk
+    is recorded as (|X|, items grown, items grown by the same search with X
+    and Y swapped), and returns its own value."""
+    walks = []
+    search = compare.min_max_over_correspondences
+
+    def counting(grow, grown):
+        def wrapped(state, i, c):
+            state, new = grow(state, i, c)
+            grown.append(len(new))
+            return state, new
+
+        return wrapped
+
+    def recording(x, y, grow, cost, guard):
+        grown, other = [], []
+        best = search(x, y, counting(grow, grown), cost, guard)
+        assert search(y, x, counting(grow, other), lambda mx, my: cost(my, mx), guard) == best
+        walks.append((len(x), sum(grown), sum(other)))
+        return best
+
+    monkeypatch.setattr(compare, "min_max_over_correspondences", recording)
+    monkeypatch.setattr(filtration_module, "min_max_over_correspondences", recording)
+    return walks
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 5), (2, 6), (3, 4)])
+def test_searches_walk_the_larger_side_as_x(monkeypatch, nx, ny):
+    """Count band, not time: in either argument order, each public search
+    walks the larger ground set as X, and over a seeded batch of each kind
+    grows no more items than the walk with X and Y swapped."""
+    walks = recorded_walks(monkeypatch)
+    rng = random.Random(nx * 100 + ny + 7)
+    total = Counter()
+    for _ in range(4):
+        for kind, search, _, a, b in search_inputs(rng, nx, ny):
+            for args in ((a, b), (b, a)):
+                search(*args)
+                size, grown, other = walks.pop()
+                assert size == ny
+                total[kind, "walked"] += grown
+                total[kind, "swapped"] += other
+    assert all(total[k, "walked"] <= total[k, "swapped"] for k, _ in total), total
+
+
+def test_a_one_element_side_stays_x(monkeypatch):
+    """At 1 x k, in either argument order, each public search walks the
+    one-element side as X: a single frame."""
+    walks = recorded_walks(monkeypatch)
+    rng = random.Random(181)
+    for k in range(1, 7):
+        for kind, search, _, a, b in search_inputs(rng, 1, k):
+            search(a, b)
+            search(b, a)
+            assert [size for size, _, _ in walks] == [1, 1], (kind, k)
+            walks.clear()
 
 
 def test_int_cost_searches_compare_no_fraction(monkeypatch):

@@ -37,7 +37,13 @@ from stairdist import filtration
 from stairdist.compare import enumerate_correspondences
 from stairdist.filtration import Simplex, _image_items
 from stairdist.staircase import Staircase
-from conftest import ground, rand_fraction, rand_int_filtration, rand_r_filtration
+from conftest import (
+    full_r_filtration,
+    ground,
+    rand_fraction,
+    rand_int_filtration,
+    rand_r_filtration,
+)
 from test_compare import grown_items, named, rows_of, unpruned_min_max
 
 F = Fraction
@@ -177,6 +183,68 @@ def test_int_filtration_validation():
 def test_int_filtration_refuses_a_support_that_is_not_a_staircase():
     with pytest.raises(ValidationError, match=r"simplex \['a'\]"):
         IntFiltration(GroundSet(("a",)), {fs("a"): 3})
+
+
+def fraction_validate(f: RFiltration):
+    """The Fraction twin of `validate_filtration` on a line-indexed
+    filtration: one face set and one Fraction comparison per (simplex,
+    face)."""
+    for s, b in f.births.items():
+        if len(s) == 1:
+            continue
+        for v in s:
+            face = s - {v}
+            if face not in f.births:
+                return f"face {sorted(face)} of simplex {sorted(s)} is absent"
+            if not f.births[face] <= b:
+                return (
+                    f"face {sorted(face)} born at {f.births[face]} after its "
+                    f"coface {sorted(s)} born at {b}"
+                )
+    return None
+
+
+def broken_r_copies(rng, f: RFiltration):
+    """f, then for a face of some stored simplex: f with that face born
+    after the simplex, f with it born with its first coface (still valid),
+    f with another such face dropped, and f with some simplex born before
+    all of its faces (so the order of its vertices decides the report)."""
+    faces = [(s - {v}, s) for s in f.births if len(s) > 1 for v in s]
+    if not faces:
+        return [f]
+    (face, s), (gone, _), (_, early_s) = rng.choice(faces), rng.choice(faces), rng.choice(faces)
+    late, equal, early = dict(f.births), dict(f.births), dict(f.births)
+    late[face] = f.births[s] + rand_fraction(rng, lo=0, hi=2) + F(1, 4)
+    equal[face] = min(b for t, b in f.births.items() if face < t)
+    dropped = {t: b for t, b in f.births.items() if t != gone}
+    early[early_s] = min(f.births[early_s - {v}] for v in early_s) - F(1, 3)
+    return [f, *[RFiltration(f.ground, h) for h in (late, equal, dropped, early)]]
+
+
+def test_validate_r_matches_the_fraction_twin():
+    """The mask-and-int face check reports exactly what one Fraction
+    comparison per (simplex, face) reports, None included, on valid random
+    line-indexed filtrations and on copies with a late face, a face born
+    with its first coface, an absent face and a simplex born before all of
+    its faces."""
+    rng = random.Random(37)
+    reports = []
+    for _ in range(80):
+        g = ground(rng.randint(1, 5))
+        if rng.random() < 0.5:
+            f = full_r_filtration(rng, g)
+        else:
+            f = rand_r_filtration(rng, g, edge_prob=rng.random(), tri_prob=rng.choice((0, 0.5, 1)))
+        copies = broken_r_copies(rng, f)
+        got = [validate_filtration(h) for h in copies]
+        assert got == [fraction_validate(h) for h in copies]
+        assert got[0] is None
+        if len(got) > 1:
+            assert got[1] and got[2] is None and got[3] and got[4]
+        reports += got[1:]
+    assert any("absent" in r for r in reports if r)
+    assert any("after its coface" in r for r in reports if r)
+    assert any(r and re.search(r"simplex \[[^]]*,[^]]*,[^]]*\]", r) for r in reports)  # a triangle
 
 
 def per_face_validate(f: IntFiltration):
