@@ -11,8 +11,8 @@ merge times of dendrograms built directly (`um`: idle critical points and
 several merges at one time included, against the `same_block` scan), the
 pruned correspondence search (`search`: both Gromov-Hausdorff distances
 and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
-oracles, in both argument orders, against the unpruned search over every
-minimal cover), the
+oracles, in both argument orders, one ground's canonical order not
+sorted, against the unpruned search over every minimal cover), the
 validation of interval-indexed filtrations (`validate`: valid ones and
 copies with one face's support shrunk or dropped, against one `subset`
 per (simplex, face), comparing the report strings or None), the one-point
@@ -145,11 +145,13 @@ SEARCHES = {
 
 
 def large_search_instance(r):
-    """A kind of search and two inputs over a shape of LARGE_SEARCH_SIZES."""
+    """A kind of search and two inputs over a shape of LARGE_SEARCH_SIZES.
+    The second ground's canonical order, which numbers the bits of its
+    masks, is the reverse of its sorted order."""
     kind = r.choice(sorted(SEARCHES))
     nx, ny = r.choice(LARGE_SEARCH_SIZES)
     make = SEARCHES[kind][0]
-    return kind, make(r, ground(nx)), make(r, ground(ny))
+    return kind, make(r, ground(nx)), make(r, GroundSet(ground(ny).elements[::-1]))
 
 
 def slhc_merge_times(g, d):

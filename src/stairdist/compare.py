@@ -18,14 +18,17 @@ The search is one branch and bound that walks the minimal covers itself,
 one star at a time on one explicit stack; the library makes the covers
 nowhere else and never lists them.  Each star adds only the items it
 creates, and a partial choice whose known worst item already reaches the
-best cover so far is dropped with every cover below it.  An item, a pair
-(A, B) of element sets of the ground set walked as X and the one walked as
-Y, is one packed int: bit k stands for xs[k] and bit nx + k for ys[k], so
-`grow` joins items with `|`, dedupes ints and the memo keys on ints; the
-search splits an item into its x-mask and y-mask only to cost it.  The
-costs are ints on one scale that the caller picks, or INF, so no Fraction
-is compared inside the search; the callers read each mask's cost from
-small lazy tables.
+best cover so far is dropped with every cover below it.
+
+Masks: an element set of a ground set is one int, bit k for
+`ground.elements[k]`.  An item, a pair (A, B) of element sets of the
+ground set walked as X and the one walked as Y, is one packed int: the
+mask of A in bits 0 to nx - 1 and that of B shifted up by nx.  So `grow`
+joins items with `|`, dedupes ints and the memo keys on ints; the search
+splits an item into its x-mask and y-mask only to cost it, and each
+caller's tables key on the masks of the same layout.  The costs are ints
+on one scale that the caller picks, or INF, so no Fraction is compared
+inside the search.
 
 Orientation: the four public searches walk the larger ground set as X,
 except that a side of one element is always X (one frame).  Both
@@ -38,11 +41,18 @@ and 3324, and at 3 x 4 1018, 1132, 2756 and 1632 against 1414, 1842, 3512
 and 2784; at 1 x k both ways grow the same items, and one frame is faster.
 It is measured up to the guard only.
 
-Both searches with staircase costs (GH between formigrams, the interval
-tripod distance) run through one setup, `_staircase_search`: the scale is
-the common scale of every staircase of both inputs, and the kernel
-`staircase._gaps` costs each distinct pair of generator lists by one int
-`_gap`, with no Fraction made or compared.
+The four public searches run through one setup, `_search`.  Its caller
+hands it, per side, one table {mask of an element set: its value on the
+caller's scale}, the value of a set the table lacks, and the gap between
+two values; `_search` applies the orientation rule, swapping the tables
+with the grounds, and costs an item (mx, my) as the gap of the two values
+that its masks read.  `_by_mask` builds every table from a map keyed by
+element sets, except the ultrametric one, which reads its matrix by
+index.  The staircase searches (GH between formigrams, the interval tripod
+distance, `_staircase_search`) put every generator list of both inputs on
+their common scale and cost each distinct pair of lists once by one int
+`_gap` (`staircase._gaps`), with no Fraction made or compared; the other
+two take `_diff` of two ints or infinities.
 
 The grid distance takes the same join over pair keys as `d_F`: `grid_code`
 walks the boundary of each key's merging cells, O(rows + cols), into a
@@ -58,7 +68,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -75,11 +84,9 @@ from .rat import (
     on_scale,
     rows_on_scale,
 )
-from .staircase import INT, PLANE, Staircase, _gaps, empty, hausdorff
+from .staircase import PLANE, Staircase, _gaps, hausdorff
 
 CORRESPONDENCE_GUARD = 12
-
-_EMPTY = empty(INT)  # the part of an element set that a part map lacks
 
 Pair = tuple[str, str]
 Correspondence = tuple[Pair, ...]
@@ -152,8 +159,9 @@ def min_max_over_correspondences(
     `state` (() at the root); the items of a cover are those of its
     choices.  The objective must be monotone (a sub-relation yields a
     subset of the items), so the minimum is attained on a minimal cover
-    (e.g. 62 of the 4095 relations at 2 x 6).  `cost(mx, my)` maps the x-mask and the y-mask of an item to an int on
-    the caller's scale, or to INF, and runs at most once per item.
+    (e.g. 62 of the 4095 relations at 2 x 6).  `cost(mx, my)` maps the
+    x-mask and the y-mask of an item to an int on the caller's scale, or to
+    INF, and runs at most once per item.
 
     The bound reads memoized costs only: a choice is dropped, with every
     cover below it, as soon as the worst memoized cost among its items
@@ -223,17 +231,6 @@ def _known(memo: dict, worst, items) -> tuple[int | float, tuple[Item, ...]]:
     return worst, tuple(unknown)
 
 
-def _flipped(x: GroundSet, y: GroundSet) -> bool:
-    """Whether a public search of x and y walks y as X, by the orientation
-    rule of the module docstring."""
-    nx, ny = len(x), len(y)
-    return 1 < nx < ny or nx > ny == 1
-
-
-def _names(elements: tuple[str, ...], mask: int) -> frozenset[str]:
-    return frozenset([e for k, e in enumerate(elements) if mask >> k & 1])
-
-
 def _key_items(
     pairs: tuple[Item, ...], i: int, c: int
 ) -> tuple[tuple[Item, ...], list[Item]]:
@@ -252,25 +249,46 @@ def _key_items(
     return pairs, items
 
 
+def _by_mask(ground: GroundSet, values, read) -> dict[int, object]:
+    """{mask of s: read(v)} for each element set s of ground and its value
+    v in values, the mask as the module docstring lays out."""
+    index = ground.index
+    return {sum([1 << index[e] for e in s]): read(v) for s, v in values.items()}
+
+
+def _diff(a: int | float, b: int | float) -> int | float:
+    """|a - b| for two ints or infinities on one scale, 0 for two equal
+    infinities (whose difference is nan)."""
+    return 0 if a == b else abs(a - b)
+
+
+def _search(x: GroundSet, y: GroundSet, at_x, at_y, missing, gap, grow, guard: int):
+    """`min_max_over_correspondences` of x and y, walked by the orientation
+    rule of the module docstring, with an item (mx, my) costing
+    gap(at_x.get(mx, missing), at_y.get(my, missing)): at_x and at_y are
+    the tables of x and y, and are swapped with them."""
+    nx, ny = len(x), len(y)
+    if 1 < nx < ny or nx > ny == 1:
+        x, y, at_x, at_y = y, x, at_y, at_x
+    return min_max_over_correspondences(
+        x, y, grow, lambda mx, my: gap(at_x.get(mx, missing), at_y.get(my, missing)), guard
+    )
+
+
 def _staircase_search(x: GroundSet, y: GroundSet, parts_x, parts_y, grow, guard: int):
-    """(best, S): `min_max_over_correspondences` with the cost of an item
-    (mx, my) the Hausdorff distance between the parts (interval
-    staircases) of its element sets, times S, the `common_scale` of every
-    part of both maps: each such distance is a multiple of 1 / S, so the
-    search compares ints.  An element set that a map lacks reads as the
-    empty staircase.  Each mask's part goes on S once, and
+    """(best, S): `_search` with the cost of an item (mx, my) the Hausdorff
+    distance between the parts (interval staircases) of its element sets,
+    times S, the `common_scale` of every part of both maps: each such
+    distance is a multiple of 1 / S, so the search compares ints.  An
+    element set that a map lacks reads as the empty staircase, no
+    generator.  Each element set's part goes on S once, and
     `staircase._gaps` costs each distinct pair of generator lists."""
-    if _flipped(x, y):
-        x, y, parts_x, parts_y = y, x, parts_y, parts_x
     scale = common_scale(*[u.gens for parts in (parts_x, parts_y) for u in parts.values()])
-
-    def on(ground: GroundSet, parts):
-        elements = ground.elements
-        return cache(lambda m: on_scale(parts.get(_names(elements, m), _EMPTY).gens, scale))
-
-    gap, at_x, at_y = _gaps(), on(x, parts_x), on(y, parts_y)
-    best = min_max_over_correspondences(x, y, grow, lambda mx, my: gap(at_x(mx), at_y(my)), guard)
-    return best, scale
+    at_x, at_y = [
+        _by_mask(g, parts, lambda u: on_scale(u.gens, scale))
+        for g, parts in ((x, parts_x), (y, parts_y))
+    ]
+    return _search(x, y, at_x, at_y, (), _gaps(), grow, guard), scale
 
 
 def gromov_hausdorff_formigrams(
@@ -285,29 +303,21 @@ def gromov_hausdorff_formigrams(
     return from_scale(best, 2 * scale)
 
 
-def _ends(mask: int) -> tuple[int, int]:
-    """The lowest and the highest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-
-
 def gromov_hausdorff_ultrametrics(
     ux: Ultrametric, uy: Ultrametric, guard: int = CORRESPONDENCE_GUARD
 ) -> RatX:
     """Half the smallest correspondence distortion between two ultrametric
     (or plain metric) matrices.  Both matrices are put on one integer scale
     S, so the search compares int costs; the answer is the best over 2 S.
-    A key's cost reads entry (lo, hi) of its two indices, which the
-    symmetric matrices make independent of the element names."""
-    if _flipped(ux.ground, uy.ground):
-        ux, uy = uy, ux
+    A side's table maps the mask of the pair key {i, j} to S times entry
+    (i, j), which the symmetric matrices make independent of the order of
+    i and j."""
     scale = common_scale(ux.entries, uy.entries)
-    ex, ey = rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale)
-
-    def cost(mx, my):
-        (i, j), (k, m) = _ends(mx), _ends(my)
-        return abs(ex[i][j] - ey[k][m])
-
-    best = min_max_over_correspondences(ux.ground, uy.ground, _key_items, cost, guard)
+    at_x, at_y = [
+        {1 << i | 1 << j: d for i, row in enumerate(rows) for j, d in enumerate(row)}
+        for rows in (rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale))
+    ]
+    best = _search(ux.ground, uy.ground, at_x, at_y, INF, _diff, _key_items, guard)
     return from_scale(best, 2 * scale)
 
 

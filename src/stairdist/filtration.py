@@ -16,19 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from typing import Mapping
 
-from .compare import (
-    _EMPTY,
-    CORRESPONDENCE_GUARD,
-    Item,
-    _flipped,
-    _names,
-    _staircase_search,
-    min_max_over_correspondences,
-)
+from .compare import CORRESPONDENCE_GUARD, Item, _by_mask, _diff, _search, _staircase_search
 from .errors import (
     EmptySimplex,
     GroundSetMismatch,
@@ -37,10 +28,11 @@ from .errors import (
 )
 from .lattice import GroundSet, Surjection
 from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
-from .staircase import INT, Staircase, _contained, _gaps, _on, _side, staircase
+from .staircase import INT, Staircase, _contained, _gaps, _on, _side, empty, staircase
 
 Simplex = frozenset
 
+_EMPTY = empty(INT)  # the support of an absent simplex
 _EMPTY_ON = _side((), True)  # the empty support on every scale: no generator, no kink
 
 
@@ -126,9 +118,10 @@ def validate_filtration(f) -> str | None:
     and of their vertices.
 
     A line-indexed filtration is read once into one table from each
-    simplex's vertex bitmask to its birth on the common scale of every
-    birth; the face of a simplex m without the vertex of bit v is then the
-    entry of m ^ v, and each check is one lookup and one int comparison.
+    simplex's vertex mask (`compare._by_mask`) to its birth on the common
+    scale of every birth; the face of a simplex m without the vertex of bit
+    v is then the entry of m ^ v, and each check is one lookup and one int
+    comparison.
     An interval-indexed filtration puts all of its N supports on one
     integer scale, the common scale of every support, and converts each
     once (`staircase._on`, O(K) for K generators in all); each of the
@@ -136,15 +129,15 @@ def validate_filtration(f) -> str | None:
     converted supports, O((k_s + k_f) log(k_s + k_f)) operations on ints of
     the bit size of that scale."""
     if isinstance(f, RFiltration):
-        bit = {v: 1 << k for k, v in enumerate(f.ground.elements)}
+        index = f.ground.index
         scale = common_scale([f.births.values()])
-        born = {sum([bit[v] for v in s]): to_scale(b, scale) for s, b in f.births.items()}
+        born = _by_mask(f.ground, f.births, lambda b: to_scale(b, scale))
         for s, m in zip(f.births, born):
             if len(s) == 1:
                 continue
             b = born[m]
             for v in s:
-                face_born = born.get(m ^ bit[v])
+                face_born = born.get(m ^ 1 << index[v])
                 if face_born is None:
                     return f"face {sorted(s - {v})} of simplex {sorted(s)} is absent"
                 if face_born > b:
@@ -233,23 +226,9 @@ def tripod_distance_r(
     an infinite discrepancy.  The births of both sides go on one integer
     scale S, so the search compares ints; the answer is the best over S.
     """
-    if _flipped(f.ground, g.ground):
-        f, g = g, f
     scale = common_scale([f.births.values(), g.births.values()])
-
-    def birth_table(h: RFiltration):
-        elements = h.ground.elements
-        return cache(lambda m: to_scale(h.births.get(_names(elements, m), INF), scale))
-
-    at_x, at_y = birth_table(f), birth_table(g)
-
-    def cost(mx, my):
-        a, b = at_x(mx), at_y(my)
-        if isinstance(a, float) or isinstance(b, float):
-            return 0 if a == b else INF
-        return abs(a - b)
-
-    best = min_max_over_correspondences(f.ground, g.ground, _image_items, cost, guard)
+    at_x, at_y = [_by_mask(h.ground, h.births, lambda b: to_scale(b, scale)) for h in (f, g)]
+    best = _search(f.ground, g.ground, at_x, at_y, INF, _diff, _image_items, guard)
     return from_scale(best, scale)
 
 

@@ -35,11 +35,7 @@ from stairdist import (
     ultrametric,
 )
 from stairdist import compare
-from stairdist.compare import (
-    _key_items,
-    _names,
-    min_max_over_correspondences,
-)
+from stairdist.compare import _key_items, min_max_over_correspondences
 from stairdist.rat import NEG_INF
 from stairdist.staircase import PLANE, Staircase, hausdorff, plane_generator, staircase
 from stairdist.filtration import (
@@ -67,6 +63,7 @@ from conftest import (
     rand_int_filtration,
     rand_merged_tail_formigram,
     rand_metric,
+    rand_r_filtration,
 )
 
 F = Fraction
@@ -74,7 +71,6 @@ F = Fraction
 # the package exports a function named `staircase`, so fetch the module
 staircase_module = importlib.import_module("stairdist.staircase")
 formigram_module = importlib.import_module("stairdist.formigram")
-filtration_module = importlib.import_module("stairdist.filtration")
 
 
 def fs(*xs):
@@ -162,6 +158,17 @@ def unpruned_gh_ultrametrics(ux, uy, guard=12):
 
 def named_grounds(nx, ny):
     return tuple(GroundSet(tuple(f"{c}{i}" for i in range(n))) for c, n in (("x", nx), ("y", ny)))
+
+
+def reversed_grounds(nx, ny):
+    """`named_grounds` with each canonical order the reverse of the sorted
+    one, so a mask numbered by sorted names misreads them."""
+    return tuple(GroundSet(g.elements[::-1]) for g in named_grounds(nx, ny))
+
+
+def _names(elements, mask):
+    """The element set of a mask: bit k stands for elements[k]."""
+    return frozenset([e for k, e in enumerate(elements) if mask >> k & 1])
 
 
 def split(item, nx):
@@ -322,13 +329,13 @@ def test_key_items_are_the_key_pairs():
                 assert len(items) == len(set(items))
 
 
-def search_inputs(rng, nx, ny):
-    """One random pair of inputs of each searched kind over nx and ny
-    elements, with the public search and its unpruned twin:
-    (kind, search, twin, a, b)."""
+def search_inputs(rng, nx, ny, grounds=named_grounds):
+    """One random pair of inputs of each searched kind over the nx and ny
+    elements of `grounds(nx, ny)`, with the public search and its unpruned
+    twin: (kind, search, twin, a, b)."""
     from test_filtration import unpruned_tripod_int, unpruned_tripod_r
 
-    gx, gy = named_grounds(nx, ny)
+    gx, gy = grounds(nx, ny)
     make = rand_formigram if rng.random() < 0.5 else rand_merged_tail_formigram
     yield (
         "gh_formigrams", gromov_hausdorff_formigrams, unpruned_gh_formigrams,
@@ -417,18 +424,21 @@ def test_pruned_search_costs_no_more_than_the_unpruned_twin(nx, ny):
 def test_argument_order_does_not_matter():
     """Every shape up to the default guard with at most 6 elements a side:
     each public search gives its unpruned twin's value with its arguments
-    in either order."""
+    in either order, over grounds named in sorted order and over grounds
+    whose canonical order, which numbers the mask bits, is not sorted."""
     rng = random.Random(179)
-    for nx in range(1, 7):
-        for ny in range(1, min(6, 12 // nx) + 1):
-            for kind, search, twin, a, b in search_inputs(rng, nx, ny):
-                assert search(a, b) == search(b, a) == twin(a, b), (kind, nx, ny)
+    for grounds in (named_grounds, reversed_grounds):
+        for nx in range(1, 7):
+            for ny in range(1, min(6, 12 // nx) + 1):
+                for kind, search, twin, a, b in search_inputs(rng, nx, ny, grounds):
+                    assert search(a, b) == search(b, a) == twin(a, b), (kind, nx, ny)
 
 
 def recorded_walks(monkeypatch):
-    """Patch the search loop where the public searches call it: each walk
-    is recorded as (|X|, items grown, items grown by the same search with X
-    and Y swapped), and returns its own value."""
+    """Patch the search loop in `compare`, where `_search`, the one setup
+    of the four public searches, calls it: each walk is recorded as (|X|,
+    items grown, items grown by the same search with X and Y swapped), and
+    returns its own value."""
     walks = []
     search = compare.min_max_over_correspondences
 
@@ -448,7 +458,6 @@ def recorded_walks(monkeypatch):
         return best
 
     monkeypatch.setattr(compare, "min_max_over_correspondences", recording)
-    monkeypatch.setattr(filtration_module, "min_max_over_correspondences", recording)
     return walks
 
 
@@ -456,7 +465,9 @@ def recorded_walks(monkeypatch):
 def test_searches_walk_the_larger_side_as_x(monkeypatch, nx, ny):
     """Count band, not time: in either argument order, each public search
     walks the larger ground set as X, and over a seeded batch of each kind
-    grows no more items than the walk with X and Y swapped."""
+    grows no more items than the walk with X and Y swapped.  Each call of
+    each of the four kinds records one walk, so all four go through the one
+    loop."""
     walks = recorded_walks(monkeypatch)
     rng = random.Random(nx * 100 + ny + 7)
     total = Counter()
@@ -464,11 +475,13 @@ def test_searches_walk_the_larger_side_as_x(monkeypatch, nx, ny):
         for kind, search, _, a, b in search_inputs(rng, nx, ny):
             for args in ((a, b), (b, a)):
                 search(*args)
+                assert len(walks) == 1, kind
                 size, grown, other = walks.pop()
                 assert size == ny
                 total[kind, "walked"] += grown
                 total[kind, "swapped"] += other
     assert all(total[k, "walked"] <= total[k, "swapped"] for k, _ in total), total
+    assert {k for k, _ in total} == {"gh_formigrams", "gh_ultrametrics", "tripod_r", "tripod_int"}
 
 
 def test_a_one_element_side_stays_x(monkeypatch):
@@ -482,6 +495,32 @@ def test_a_one_element_side_stays_x(monkeypatch):
             search(b, a)
             assert [size for size, _, _ in walks] == [1, 1], (kind, k)
             walks.clear()
+
+
+def test_searches_cost_items_as_ints_or_inf(monkeypatch):
+    """Every cost that the four public searches hand the loop is an int or
+    INF, as `min_max_over_correspondences` asks: in particular a simplex
+    absent from both sides of the line-indexed tripod distance costs 0,
+    not the nan of INF - INF."""
+    search = compare.min_max_over_correspondences
+    costs = []
+
+    def recording(x, y, grow, cost, guard):
+        def wrapped(mx, my):
+            costs.append(cost(mx, my))
+            return costs[-1]
+
+        return search(x, y, grow, wrapped, guard)
+
+    monkeypatch.setattr(compare, "min_max_over_correspondences", recording)
+    rng = random.Random(191)
+    gx, gy = named_grounds(3, 3)
+    for _ in range(6):
+        for _, search_fn, _, a, b in search_inputs(rng, 2, 3):
+            search_fn(a, b)
+        tripod_distance_r(*[rand_r_filtration(rng, g, edge_prob=0.5, tri_prob=0.5) for g in (gx, gy)])
+    assert INF in costs
+    assert all(type(v) is int or v == INF for v in costs)
 
 
 def test_int_cost_searches_compare_no_fraction(monkeypatch):

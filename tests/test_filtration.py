@@ -247,6 +247,18 @@ def test_validate_r_matches_the_fraction_twin():
     assert any(r and re.search(r"simplex \[[^]]*,[^]]*,[^]]*\]", r) for r in reports)  # a triangle
 
 
+def test_validate_r_reads_a_ground_out_of_sorted_order():
+    """Over grounds whose canonical order, which numbers the bits of the
+    vertex masks, is the reverse of the sorted one, the face check still
+    reports what the Fraction twin reports."""
+    rng = random.Random(41)
+    for _ in range(40):
+        g = GroundSet(ground(rng.randint(2, 5)).elements[::-1])
+        f = rand_r_filtration(rng, g, edge_prob=rng.random(), tri_prob=rng.choice((0, 0.5, 1)))
+        copies = broken_r_copies(rng, f)
+        assert [validate_filtration(h) for h in copies] == [fraction_validate(h) for h in copies]
+
+
 def per_face_validate(f: IntFiltration):
     """The per-face twin of `validate_filtration` on an interval-indexed
     filtration: one `subset` per (simplex, face), each on the pair's own
