@@ -18,15 +18,17 @@ copies with one face's support shrunk or dropped, against one `subset`
 per (simplex, face), comparing the report strings or None), the one-point
 tripod shortcut (`one-point`: interval-indexed filtrations over 1 to 4
 vertices against a one-vertex filtration, against the search
-`tripod_distance_int`) and, last, staircases of the plane (`plane`:
-Hausdorff against the candidate scan; `subset`: containment, where half
-the second staircases hold the first's generators or are its thickening,
-against containment generator by generator), on freshly sampled
-instances, and reports per-family counts (including how many infinite
-values were hit).  Disagreements abort with the offending instance
-printed for replay, and so does a fast answer that is not a Fraction or
-+-inf (or, for the cosheaf code, a SubPartition; for validation, a report
-string or None; for containment, a bool).
+`tripod_distance_int`), staircases of the plane (`plane`: Hausdorff
+against the candidate scan; `subset`: containment, where half the second
+staircases hold the first's generators or are its thickening, against
+containment generator by generator) and, last, the pruned search past the
+default guard (`search16`: as `search`, at 4 x 4 with guard 16 on the
+search and on the twin), on freshly sampled instances, and reports
+per-family counts (including how many infinite values were hit).
+Disagreements abort with the offending instance printed for replay, and
+so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
+code, a SubPartition; for validation, a report string or None; for
+containment, a bool).
 """
 
 import argparse
@@ -144,12 +146,12 @@ SEARCHES = {
 }
 
 
-def large_search_instance(r):
-    """A kind of search and two inputs over a shape of LARGE_SEARCH_SIZES.
-    The second ground's canonical order, which numbers the bits of its
-    masks, is the reverse of its sorted order."""
+def large_search_instance(r, sizes=LARGE_SEARCH_SIZES):
+    """A kind of search and two inputs over a shape of `sizes`.  The second
+    ground's canonical order, which numbers the bits of its masks, is the
+    reverse of its sorted order."""
     kind = r.choice(sorted(SEARCHES))
-    nx, ny = r.choice(LARGE_SEARCH_SIZES)
+    nx, ny = r.choice(sizes)
     make = SEARCHES[kind][0]
     return kind, make(r, ground(nx)), make(r, GroundSet(ground(ny).elements[::-1]))
 
@@ -392,6 +394,14 @@ def main():
         rng,
         args.iterations,
         exact=lambda x: type(x) is bool,
+    )
+    sweep(
+        "search16",
+        lambda r: large_search_instance(r, [(4, 4)]),
+        lambda kind, a, b: (SEARCHES[kind][1](a, b, 16), SEARCHES[kind][1](b, a, 16)),
+        lambda kind, a, b: (SEARCHES[kind][2](a, b, 16),) * 2,
+        rng,
+        args.iterations,
     )
     print("all families agree")
 

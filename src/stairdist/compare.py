@@ -17,8 +17,9 @@ than relations (30 against 1023 masks at 2 x 5, 48 against 4095 at 3 x 4).
 The search is one branch and bound that walks the minimal covers itself,
 one star at a time on one explicit stack; the library makes the covers
 nowhere else and never lists them.  Each star adds only the items it
-creates, and a partial choice whose known worst item already reaches the
-best cover so far is dropped with every cover below it.
+creates, and they are costed when the star is chosen: a partial choice
+whose worst item reaches the best cover so far is dropped with every cover
+below it, so every cover the search completes is a new best.
 
 Masks: an element set of a ground set is one int, bit k for
 `ground.elements[k]`.  An item, a pair (A, B) of element sets of the
@@ -148,8 +149,8 @@ def min_max_over_correspondences(
     A minimal cover is a choice of a nonempty N(a), a bitmask over y, for
     every a in x, where each N(a) of two or more elements is disjoint from
     all the others and together they cover y.  The search chooses N(xs[i])
-    from i = nx - 1 down to 0 among `_options`, so it completes the covers
-    of x and y in the order of `enumerate_correspondences(x, y)`.  It keeps
+    from i = nx - 1 down to 0 among `_options`, so it reaches the covers of
+    x and y in the order of `enumerate_correspondences(x, y)`.  It keeps
     one explicit stack with one frame per level, so nx is not bounded by
     the recursion limit.
 
@@ -163,14 +164,12 @@ def min_max_over_correspondences(
     x-mask and the y-mask of an item to an int on the caller's scale, or to
     INF, and runs at most once per item.
 
-    The bound reads memoized costs only: a choice is dropped, with every
-    cover below it, as soon as the worst memoized cost among its items
-    (read when the choice is made) reaches the best cover so far, and a
-    frame is popped once the choices above it reach the best.  Unknown
-    costs are computed only at a complete cover, after every cost found
-    since, and the cover is abandoned at the first that reaches the best.
-    The search stops at 0 and returns the best cost; the caller turns it
-    back into a Fraction.
+    The items of a choice are costed when the choice is made, so a frame's
+    worst cost is exact: the choice is dropped, with every cover below it,
+    at the first of its costs that reaches the best cover so far, and a
+    frame is popped once the choices above it reach the best.  A cover
+    that is completed is therefore a new best.  The search stops at 0 and
+    returns the best cost; the caller turns it back into a Fraction.
     """
     _check_guard(x, y, guard)
     memo: dict[Item, int | float] = {}
@@ -178,18 +177,25 @@ def min_max_over_correspondences(
     nx, full = len(x), (1 << len(y)) - 1
     low = (1 << nx) - 1  # the x bits of an item
     # a frame chooses N(xs[i]), i = nx - len(stack): its untried choices,
-    # then the stars, leaves, state, worst known cost and items of unknown
-    # cost that the choices for xs[i + 1:] left
-    stack = [(iter(_options(nx - 1, 0, 0, full)), 0, 0, (), 0, ())]
+    # then the stars, leaves, state and worst cost that the choices for
+    # xs[i + 1:] left
+    stack = [(iter(_options(nx - 1, 0, 0, full)), 0, 0, (), 0)]
     while stack:
-        untried, stars, leaves, state, worst, unknown = stack[-1]
+        untried, stars, leaves, state, worst = stack[-1]
         c = next(untried, None)
         if c is None or worst >= best:
             stack.pop()
             continue
         i = nx - len(stack)
         state, new = grow(state, i, c << nx)
-        worst, new = _known(memo, worst, new)
+        for item in new:
+            v = memo.get(item)
+            if v is None:
+                v = memo[item] = cost(item & low, item >> nx)
+            if v > worst:
+                worst = v
+                if worst >= best:
+                    break
         if worst >= best:
             continue
         if i:
@@ -198,37 +204,12 @@ def min_max_over_correspondences(
             else:
                 leaves |= c
             options = iter(_options(i - 1, stars, leaves, full))
-            stack.append((options, stars, leaves, state, worst, unknown + new))
+            stack.append((options, stars, leaves, state, worst))
             continue
-        # a complete cover: the costs found since its choices were made
-        # first, then the unknown ones until one reaches the best
-        worst, unknown = _known(memo, worst, unknown + new)
-        for item in unknown:
-            if worst >= best:
-                break
-            v = memo.get(item)
-            if v is None:
-                v = memo[item] = cost(item & low, item >> nx)
-            if v > worst:
-                worst = v
-        if worst < best:
-            best = worst
-            if best == 0:
-                break
+        best = worst  # a complete cover below the best: the new best
+        if best == 0:
+            break
     return best
-
-
-def _known(memo: dict, worst, items) -> tuple[int | float, tuple[Item, ...]]:
-    """worst raised to the memoized costs of items, and the items whose
-    cost is not known yet."""
-    unknown = []
-    for item in items:
-        v = memo.get(item)
-        if v is None:
-            unknown.append(item)
-        elif v > worst:
-            worst = v
-    return worst, tuple(unknown)
 
 
 def _key_items(

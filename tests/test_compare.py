@@ -384,24 +384,28 @@ def counted(cost):
 
 
 def test_pruned_search_agrees_with_the_unpruned_twin():
-    """Every shape up to the default guard with at most 6 elements a side:
-    the branch and bound and the unpruned search give the same value."""
+    """Every shape up to the default guard with at most 6 elements a side,
+    and 4 x 4 past it (guard 16, where the twin still lists its covers by
+    brute force): the branch and bound and the unpruned search give the
+    same value."""
     rng = random.Random(167)
-    for nx in range(1, 7):
-        for ny in range(1, min(6, 12 // nx) + 1):
-            for kind, x, y, items, cost, grow in search_instances(rng, nx, ny):
-                xs, ys = x.elements, y.elements
-                got = min_max_over_correspondences(
-                    x, y, grow, lambda mx, my: cost(_names(xs, mx), _names(ys, my)), 12
-                )
-                assert got == unpruned_min_max(x, y, items, cost), (kind, nx, ny)
+    shapes = [(nx, ny, 12) for nx in range(1, 7) for ny in range(1, min(6, 12 // nx) + 1)]
+    for nx, ny, guard in shapes + [(4, 4, 16)]:
+        for kind, x, y, items, cost, grow in search_instances(rng, nx, ny):
+            xs, ys = x.elements, y.elements
+            got = min_max_over_correspondences(
+                x, y, grow, lambda mx, my: cost(_names(xs, mx), _names(ys, my)), guard
+            )
+            assert got == unpruned_min_max(x, y, items, cost, guard), (kind, nx, ny)
 
 
 @pytest.mark.parametrize("nx, ny", [(3, 4), (2, 6)])
-def test_pruned_search_costs_no_more_than_the_unpruned_twin(nx, ny):
-    """Count band, not time, at 48 and 62 covers: over a seeded batch of
-    each search, the branch and bound calls `cost` no more often than the
-    unpruned twin over the same covers, and gives the same values."""
+def test_pruned_search_reaches_no_more_covers_than_the_unpruned_twin(nx, ny):
+    """Count band, not time, at 48 and 62 covers: on each instance of a
+    seeded batch of each search, the branch and bound reaches (grows the
+    last choice of) no more covers than the unpruned twin scans, over each
+    kind's batch strictly fewer, never calls `cost` twice on one item, and
+    gives the twin's value."""
     assert compare.CORRESPONDENCE_GUARD == 12
     rng = random.Random(nx * 100 + ny)
     total = Counter()
@@ -411,14 +415,24 @@ def test_pruned_search_costs_no_more_than_the_unpruned_twin(nx, ny):
             new_cost, new_calls = counted(
                 lambda mx, my: cost(_names(xs, mx), _names(ys, my))
             )
-            twin_cost, twin_calls = counted(cost)
-            got = min_max_over_correspondences(x, y, grow, new_cost, 12)
-            assert got == unpruned_min_max(x, y, items, twin_cost)
-            total[kind, "new"] += len(new_calls)
-            total[kind, "twin"] += len(twin_calls)
-    # per batch: on one instance the items of a cover are tried in another
-    # order than the twin's, which can cost a call or two more there
-    assert all(total[k, "new"] <= total[k, "twin"] for k, _ in total), total
+            reached, scanned = [], []
+
+            def last_choices(state, i, c):
+                if i == 0:
+                    reached.append(c)
+                return grow(state, i, c)
+
+            def twin_items(rel):
+                scanned.append(rel)
+                return items(rel)
+
+            got = min_max_over_correspondences(x, y, last_choices, new_cost, 12)
+            assert got == unpruned_min_max(x, y, twin_items, cost)
+            assert len(reached) <= len(scanned), kind
+            assert len(set(new_calls)) == len(new_calls), kind
+            total[kind, "new"] += len(reached)
+            total[kind, "twin"] += len(scanned)
+    assert all(total[k, "new"] < total[k, "twin"] for k, _ in total), total
 
 
 def test_argument_order_does_not_matter():
