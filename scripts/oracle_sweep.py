@@ -21,10 +21,14 @@ vertices against a one-vertex filtration, against the search
 `tripod_distance_int`), staircases of the plane (`plane`: Hausdorff
 against the candidate scan; `subset`: containment, where half the second
 staircases hold the first's generators or are its thickening, against
-containment generator by generator) and, last, the pruned search past the
-default guard (`search16`: as `search`, at 4 x 4 with guard 16 on the
-search and on the twin), on freshly sampled instances, and reports
-per-family counts (including how many infinite values were hit).
+containment generator by generator), the pruned search past the default
+guard (`search16`: as `search`, at 4 x 4 with guard 16 on the search and on
+the twin) and, last, the tripod searches where most answers are finite
+(`tripod-full`: tripod r and tripod int on full filtrations, built as the
+tests' `search_inputs` builds them, at the `search` shapes, in both
+argument orders, against the unpruned twins), on freshly sampled
+instances, and reports per-family counts (including how many infinite
+values were hit).
 Disagreements abort with the offending instance printed for replay, and
 so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
 code, a SubPartition; for validation, a report string or None; for
@@ -87,6 +91,7 @@ from conftest import (
 )
 from test_compare import (
     oracle_gh_via_pullbacks,
+    search_inputs,
     unpruned_gh_formigrams,
     unpruned_gh_ultrametrics,
 )
@@ -154,6 +159,27 @@ def large_search_instance(r, sizes=LARGE_SEARCH_SIZES):
     nx, ny = r.choice(sizes)
     make = SEARCHES[kind][0]
     return kind, make(r, ground(nx)), make(r, GroundSet(ground(ny).elements[::-1]))
+
+
+def full_tripod_instance(r):
+    """Tripod r or tripod int and two full filtrations over a shape of
+    LARGE_SEARCH_SIZES, drawn by `search_inputs` (whose interval-indexed
+    pair is pinned instead half the time)."""
+    nx, ny = r.choice(LARGE_SEARCH_SIZES)
+    tripods = [
+        (kind.replace("_", "-"), a, b)
+        for kind, _, _, a, b in search_inputs(r, nx, ny)
+        if kind.startswith("tripod")
+    ]
+    return r.choice(tripods)
+
+
+def both_orders(kind, a, b):
+    return SEARCHES[kind][1](a, b), SEARCHES[kind][1](b, a)
+
+
+def twin_both_orders(kind, a, b):
+    return (SEARCHES[kind][2](a, b),) * 2
 
 
 def slhc_merge_times(g, d):
@@ -356,8 +382,8 @@ def main():
     sweep(
         "search",
         large_search_instance,
-        lambda kind, a, b: (SEARCHES[kind][1](a, b), SEARCHES[kind][1](b, a)),
-        lambda kind, a, b: (SEARCHES[kind][2](a, b),) * 2,
+        both_orders,
+        twin_both_orders,
         rng,
         args.iterations,
     )
@@ -400,6 +426,14 @@ def main():
         lambda r: large_search_instance(r, [(4, 4)]),
         lambda kind, a, b: (SEARCHES[kind][1](a, b, 16), SEARCHES[kind][1](b, a, 16)),
         lambda kind, a, b: (SEARCHES[kind][2](a, b, 16),) * 2,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "tripod-full",
+        full_tripod_instance,
+        both_orders,
+        twin_both_orders,
         rng,
         args.iterations,
     )

@@ -2,8 +2,9 @@
 
 A subpartition is a partition of a subset of the ground set, ordered by
 refinement (P <= Q iff every block of P sits inside a block of Q).  The empty
-subpartition is the zero element and the one-block partition the unit.  Joins
-merge via connected components, meets intersect blocks pairwise.
+subpartition is the zero element and the one-block partition the unit.  A
+join of any number of parts is one union-find pass over all their blocks
+(`join_all`); meets intersect blocks pairwise.
 """
 
 from __future__ import annotations
@@ -158,28 +159,8 @@ class SubPartition:
         return other.refines(self)
 
     def join(self, other: "SubPartition") -> "SubPartition":
-        """Finest common coarsening: components of the union of block graphs.
-
-        Each block contributes a star of edges, so the union-find touches
-        O(n) edges rather than the O(n^2) of the complete block graphs.
-        """
-        _check_same_ground(self, other)
-        if not self.blocks:  # the unit of join, where join_all starts
-            return other
-        idx = self.ground.index
-        parent = list(range(len(idx)))
-        members = set()
-        for part in (self, other):
-            for blk in part.blocks:
-                i0 = idx[blk[0]]
-                members.add(i0)
-                for x in blk[1:]:
-                    i = idx[x]
-                    members.add(i)
-                    ri, r0 = find(parent, i), find(parent, i0)
-                    if ri != r0:
-                        parent[ri] = r0
-        return SubPartition.from_forest(self.ground, parent, sorted(members))
+        """Finest common coarsening: the two-part `join_all`, O(members) finds."""
+        return join_all(self.ground, (self, other))
 
     def meet(self, other: "SubPartition") -> "SubPartition":
         """Coarsest common refinement: nonempty pairwise block intersections."""
@@ -198,10 +179,28 @@ class SubPartition:
 
 
 def join_all(ground: GroundSet, parts: Iterable[SubPartition]) -> SubPartition:
-    acc = SubPartition.empty(ground)
-    for p in parts:
-        acc = acc.join(p)
-    return acc
+    """Finest common coarsening of the parts, in one pass: each block adds a
+    star of edges (its first member to each other one) to one union-find
+    over the ground indices, so the pass makes O(total block members) `find`
+    calls however many parts there are, and `from_forest` reads the trees
+    back over the members seen.  No parts give the empty subpartition."""
+    zero = SubPartition.empty(ground)
+    idx = ground.index
+    parent = list(range(len(idx)))
+    members = set()
+    for part in parts:
+        _check_same_ground(zero, part)
+        for blk in part.blocks:
+            i0 = idx[blk[0]]
+            members.add(i0)
+            r0 = find(parent, i0)
+            for x in blk[1:]:
+                i = idx[x]
+                members.add(i)
+                r = find(parent, i)
+                if r != r0:
+                    parent[r] = r0
+    return SubPartition.from_forest(ground, parent, sorted(members))
 
 
 def is_join_irreducible(p: SubPartition) -> bool:

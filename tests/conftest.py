@@ -32,11 +32,12 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
-NAMES = ("a", "b", "c", "d", "e", "f")
-
 
 def ground(n: int) -> GroundSet:
-    return GroundSet(NAMES[:n])
+    """n distinct names whose string order is their index order: a to y,
+    then za to zy, zza to zzy and so on."""
+    letters = "abcdefghijklmnopqrstuvwxy"
+    return GroundSet(tuple("z" * (i // 25) + letters[i % 25] for i in range(n)))
 
 
 def rand_fraction(rng: random.Random, lo=-6, hi=6, dens=(1, 2, 3, 4)) -> Fraction:

@@ -32,9 +32,9 @@ def sp(g, *blocks):
 # --- brute-force lattice oracles -------------------------------------------
 
 
-def brute_least_upper_bound(p, q):
-    everything = enumerate_subpartitions(p.ground)
-    ubs = [s for s in everything if p.refines(s) and q.refines(s)]
+def brute_least_upper_bound(*parts):
+    everything = enumerate_subpartitions(parts[0].ground)
+    ubs = [s for s in everything if all(p.refines(s) for p in parts)]
     least = [s for s in ubs if all(s.refines(t) for t in ubs)]
     assert len(least) == 1, "join must be the unique minimum upper bound"
     return least[0]
@@ -84,8 +84,15 @@ def test_refines_examples():
 
 
 def test_refines_mismatched_grounds():
+    a, b = sp(XYZ, ("x",)), sp(GroundSet(("x", "y")), ("x",))
     with pytest.raises(GroundSetMismatch):
-        sp(XYZ, ("x",)).refines(sp(GroundSet(("x", "y")), ("x",)))
+        a.refines(b)
+    # join and join_all check every part, the last one too, with one message
+    message = r"ground sets differ: \('x', 'y', 'z'\) vs \('x', 'y'\)$"
+    with pytest.raises(GroundSetMismatch, match=message):
+        a.join(b)
+    with pytest.raises(GroundSetMismatch, match=message):
+        join_all(XYZ, (a, a, b))
 
 
 def test_refines_is_partial_order():
@@ -127,6 +134,9 @@ def test_join_meet_universal_properties_exhaustive_n3():
         for q in all3:
             assert p.join(q) == brute_least_upper_bound(p, q)
             assert p.meet(q) == brute_greatest_lower_bound(p, q)
+            for r in all3:
+                assert join_all(XYZ, (p, q, r)) == brute_least_upper_bound(p, q, r)
+    assert join_all(XYZ, ()) == SubPartition.empty(XYZ)
 
 
 @given(st.data())
