@@ -23,16 +23,19 @@ against the candidate scan; `subset`: containment, where half the second
 staircases hold the first's generators or are its thickening, against
 containment generator by generator), the pruned search past the default
 guard (`search16`: as `search`, at 4 x 4 with guard 16 on the search and on
-the twin) and, last, the tripod searches where most answers are finite
+the twin), the tripod searches where most answers are finite
 (`tripod-full`: tripod r and tripod int on full filtrations, built as the
 tests' `search_inputs` builds them, at the `search` shapes, in both
-argument orders, against the unpruned twins), on freshly sampled
-instances, and reports per-family counts (including how many infinite
-values were hit).
+argument orders, against the unpruned twins) and, last, the dendrogram
+check of `ultrametric`'s walk (`dendrogram-check`: mutated dendrograms
+and random formigrams, the merge-time matrix or the NotADendrogram
+message, against the tests' statement of the rule and the `same_block`
+scan), on freshly sampled instances, and reports per-family counts
+(including how many infinite values were hit).
 Disagreements abort with the offending instance printed for replay, and
 so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
 code, a SubPartition; for validation, a report string or None; for
-containment, a bool).
+containment, a bool; for the dendrogram check, a message string).
 """
 
 import argparse
@@ -48,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from stairdist import (
     INF,
     GroundSet,
+    NotADendrogram,
     SubPartition,
     bottleneck_distance,
     cosheaf_code,
@@ -103,7 +107,12 @@ from test_filtration import (
     unpruned_tripod_int,
     unpruned_tripod_r,
 )
-from test_formigram import brute_merge_time, ultrametric_scan
+from test_formigram import (
+    brute_merge_time,
+    dendrogram_mutant,
+    is_dendrogram_twin,
+    ultrametric_scan,
+)
 from test_persistence import oracle_bottleneck, oracle_erosion_direct
 from test_staircase import plane_subset_by_generators
 
@@ -200,6 +209,27 @@ def dendrogram_merge_times(f):
     return ultrametric(f).entries
 
 
+def dendrogram_check_instance(r):
+    """A mutated dendrogram (a valid one a third of the time) or, one time
+    in five, a random formigram, over 1 to 6 elements."""
+    g = ground(r.randint(1, 6))
+    if r.random() < 0.2:
+        return (rand_formigram(r, g),)
+    return (dendrogram_mutant(r, g),)
+
+
+def checked_merge_times(f):
+    try:
+        return ultrametric(f).entries
+    except NotADendrogram as e:
+        return str(e)
+
+
+def twin_checked_merge_times(f):
+    problem = is_dendrogram_twin(f)
+    return ultrametric_scan(f) if problem is None else problem
+
+
 def code_instance(r):
     """A formigram over 1 to 8 elements and an open interval whose ends
     avoid its critical points (the staircases are closed, the interval
@@ -281,7 +311,7 @@ def sweep(name, make, fast, slow, rng, iterations, exact=is_exact):
         if got in (INF, (INF, INF)):  # `search` answers in both argument orders
             infinite += 1
     dt = time.perf_counter() - t0
-    print(f"{name:<12} {iterations:>5} instances  {infinite:>4} infinite  {dt:6.2f}s")
+    print(f"{name:<16} {iterations:>5} instances  {infinite:>4} infinite  {dt:6.2f}s")
 
 
 def main():
@@ -436,6 +466,15 @@ def main():
         twin_both_orders,
         rng,
         args.iterations,
+    )
+    sweep(
+        "dendrogram-check",
+        dendrogram_check_instance,
+        checked_merge_times,
+        twin_checked_merge_times,
+        rng,
+        args.iterations,
+        exact=lambda x: type(x) is str or is_exact(x),
     )
     print("all families agree")
 

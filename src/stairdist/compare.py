@@ -322,7 +322,7 @@ class GridClustering:
             raise ValidationError(f"need {nrow} rows x {ncol} cols of cells")
         for row in self.cells:
             for v in row:
-                _check_same_ground(self, v)
+                _check_same_ground(self.ground, v.ground)
         for r in range(nrow):
             for c in range(ncol):
                 v = self.cells[r][c]
@@ -395,7 +395,7 @@ def grid_interleaving_distance(f: GridClustering, g: GridClustering) -> RatX:
     """Largest pairwise plane-staircase Hausdorff distance (the diagonal
     flow interleaving distance of the two clusterings), one `hausdorff`
     call per pair key of the two `grid_code`s."""
-    _check_same_ground(f, g)
+    _check_same_ground(f.ground, g.ground)
     code_f = grid_code(f)
     code_g = grid_code(g)
     best: RatX = Fraction(0)

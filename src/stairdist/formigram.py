@@ -9,17 +9,21 @@ structure only, `validate` reports maximality violations.
 The interleaving distance is computed by decomposing a formigram into its
 pair/singleton merge staircases (the cosheaf code) and taking the largest
 staircase Hausdorff distance.  The code is built in one pass: from each
-start piece one union-find grows to the right and records the first piece
-that merges each pair (or shows each element), which gives every
+open-interval piece one union-find grows to the right and records the
+first piece that merges each pair (or shows each element), which gives every
 staircase's generators already sorted; for n elements and m critical
 points that is O(m n (m + n)).  `CosheafTable`, the O(m^2) table of joins
 of consecutive runs of pieces, stays as a public reference object and is
 not used by the code.
 
-Dendrograms run on one integer scale: `single_linkage` sorts and groups
-int edges, and `ultrametric` reads every merge time from one union-find
-walk over the point values; `Fraction` appears only in the critical points
-and the ultrametric entries.
+Dendrograms run on one integer scale: `single_linkage` reads each matrix
+entry once (`_read_matrix`), sorts and groups int edges and reads each
+partition off its union-find, canonical by construction
+(`lattice._from_forest`).  `ultrametric` reads every merge time from one
+union-find walk over the point values, O(m n) `find` calls, and the same
+walk checks that its input is a dendrogram, so it owns that rule and
+`is_dendrogram` returns its message.  `Fraction` appears only in the
+critical points and the ultrametric entries.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
+from math import lcm
 from operator import itemgetter
 
 from .errors import (
@@ -39,12 +44,11 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
-from .lattice import _check_same_ground
+from .lattice import _check_same_ground, _from_forest
 from .rat import (
     INF,
     NEG_INF,
     RatX,
-    common_scale,
     increasing_rats,
     is_finite,
     rat,
@@ -74,7 +78,7 @@ class Formigram:
                 f"need {2 * m + 1} values for {m} critical points, got {len(self.values)}"
             )
         for v in self.values:
-            _check_same_ground(self, v)
+            _check_same_ground(self.ground, v.ground)
 
     @classmethod
     def constant(cls, value: SubPartition) -> "Formigram":
@@ -142,7 +146,7 @@ def _sample_points(*fs: Formigram) -> list[Fraction]:
 
 def pointwise_refines(f: Formigram, g: Formigram) -> bool:
     """f(t) <= g(t) for every t."""
-    _check_same_ground(f, g)
+    _check_same_ground(f.ground, g.ground)
     return all(f.evaluate(t).refines(g.evaluate(t)) for t in _sample_points(f, g))
 
 
@@ -229,17 +233,21 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     the generator (t_{i // 2}, t_{(j - 1) // 2}), where index m reads INF
     and index -1 reads NEG_INF.
 
-    For each start piece i one union-find over the ground indices grows
-    across pieces i, i + 1, ...: when two components merge at piece j,
-    every pair across them is noted with (i // 2, (j - 1) // 2), and an
-    element's singleton key is noted where the element first appears.  A
-    pair's first merging piece does not decrease with i, so each key's
-    index pairs arrive sorted in both coordinates, and dropping an entry
-    whose left or right index equals its neighbour's leaves the antichain,
-    which `_code` reads into one shared Staircase per distinct index list,
-    keys in the order of `all_pair_keys`.  For n elements and m critical
-    points this is O(m n (m + n)): O(m) starts, each reading O(m n) block
-    members and noting O(n^2) pairs.
+    For each interval piece i (even i; a run from the critical point after
+    it has the same left index and merges no earlier) one union-find over
+    the ground indices grows across pieces i, i + 1, ...: when two
+    components merge at piece j, every pair across them is noted with
+    (i // 2, (j - 1) // 2).  An element that first appears (presence is a
+    list of flags and a count) joins its block's tree at once and is
+    crossed with that tree, itself included, so its singleton key is noted
+    with its pairs, by the one inline update of a run.  Each start has its
+    own left index, and a pair's first merging piece does not decrease
+    with i, so each key's index pairs arrive sorted in both coordinates,
+    and an entry replaced by the next one when their right indices agree
+    leaves the antichain, which `_code` reads into one shared Staircase
+    per distinct index list, keys in the order of `all_pair_keys`.  For n elements and m critical points this
+    is O(m n (m + n)): m + 1 starts, each reading O(m n) block members and
+    noting O(n^2) pairs.
     """
     elements = f.ground.elements
     index = f.ground.index
@@ -250,41 +258,49 @@ def cosheaf_code(f: Formigram) -> dict[PairKey, Staircase]:
     for a in range(n):
         for b in range(a, n):
             runs[a][b] = runs[b][a] = []
-
-    def note(run, left, right):
-        if run and run[-1][1] == right:
-            run[-1] = (left, right)
-        elif not run or run[-1][0] != left:
-            run.append((left, right))
-
-    for i in range(len(pieces)):
+    # a start at critical point k (piece 2k + 1) shares left index k with
+    # the start at piece 2k, whose runs hold one piece more and so merge
+    # every pair no later: its notes would change no run, so it is skipped
+    for i in range(0, len(pieces), 2):
         left = i // 2
         parent = list(range(n))
         members = [[a] for a in range(n)]
-        present: set[int] = set()
-        unions = 0
+        present = [False] * n
+        shown = unions = 0
         for j in range(i, len(pieces)):
             right = (j - 1) // 2
+            lr = (left, right)
             for blk in pieces[j]:
-                for a in blk:
-                    if a not in present:
-                        present.add(a)
-                        note(runs[a][a], left, right)
                 r0 = find(parent, blk[0])
-                for a in blk[1:]:
-                    ra = find(parent, a)
-                    if ra == r0:
-                        continue
-                    for x in members[ra]:
+                for a in blk:
+                    if present[a]:
+                        ra = find(parent, a)
+                        if ra == r0:
+                            continue
+                        xs = members[ra]
+                    else:  # alone until now: a joins r0's tree, and meets itself too
+                        present[a] = True
+                        shown += 1
+                        if a != r0:
+                            parent[a] = r0
+                            members[r0].append(a)
+                            unions += 1
+                        ra, xs = r0, (a,)
+                    for x in xs:
                         row = runs[x]
                         for y in members[r0]:
-                            note(row[y], left, right)
-                    if len(members[ra]) > len(members[r0]):
-                        ra, r0 = r0, ra
-                    parent[ra] = r0
-                    members[r0] += members[ra]
-                    unions += 1
-            if unions == n - 1 and len(present) == n:
+                            run = row[y]
+                            if run and run[-1][1] == right:
+                                run[-1] = lr
+                            else:
+                                run.append(lr)
+                    if ra != r0:
+                        if len(xs) > len(members[r0]):
+                            ra, r0 = r0, ra
+                        parent[ra] = r0
+                        members[r0] += members[ra]
+                        unions += 1
+            if unions == n - 1 and shown == n:
                 break  # one block of everything: no later piece adds a run
     return _code(
         combinations_with_replacement(elements, 2),
@@ -315,7 +331,7 @@ def interleaving_distance_with_witness(
     f: Formigram, g: Formigram
 ) -> tuple[RatX, PairKey]:
     """Largest pairwise staircase Hausdorff distance, with an attaining pair."""
-    _check_same_ground(f, g)
+    _check_same_ground(f.ground, g.ground)
     code_f = cosheaf_code(f)
     code_g = cosheaf_code(g)
     best: RatX = Fraction(0)
@@ -339,21 +355,14 @@ def interleaving_distance(f: Formigram, g: Formigram) -> RatX:
 
 def is_dendrogram(f: Formigram) -> str | None:
     """None if f is a dendrogram (empty before 0, partitions from 0 on,
-    monotone, eventually one block, right-continuous); else a message."""
-    if not f.crit or f.crit[0] != 0:
-        return "first critical point must be 0"
-    if f.values[0].blocks != ():
-        return "value before time 0 must be the empty subpartition"
-    for k in range(len(f.crit)):
-        point, right = f.values[2 * k + 1], f.values[2 * k + 2]
-        if point != right:
-            return f"not right-continuous at critical point #{k}"
-        if not point.is_partition():
-            return f"value at critical point #{k} is not a partition of the ground set"
-        if k >= 1 and not f.values[2 * k].refines(point):
-            return f"not monotone at critical point #{k}"
-    if len(f.values[-1].blocks) != 1:
-        return "final value must be the one-block partition"
+    monotone, eventually one block, right-continuous); else the message
+    of the first check that fails.  The checks run in `ultrametric`'s one
+    union-find walk, O(m n) `find` calls, which owns the rule; this
+    returns the message it raises NotADendrogram with."""
+    try:
+        ultrametric(f)
+    except NotADendrogram as e:
+        return str(e)
     return None
 
 
@@ -386,16 +395,28 @@ class Ultrametric:
 
 def _read_matrix(ground: GroundSet, rows) -> tuple[list[list[Fraction]], list[list[int]], int]:
     """rows as a finite symmetric n x n matrix with a zero diagonal over
-    ground, both as read and on one integer scale S: (d, S * d, S).  The
-    entries are read through ``rat``: an inexact float raises ValueError,
-    anything else that breaks these rules InvalidMetric."""
+    ground, both as read and on one integer scale S: (d, S * d, S).  One
+    pass reads each entry through ``rat`` and takes its denominator or
+    notes it infinite: an inexact float raises ValueError, and anything
+    else that breaks these rules InvalidMetric (an infinity only once every
+    entry has passed ``rat``)."""
     n = len(ground)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise InvalidMetric(f"need a {n}x{n} matrix")
-    d = [[rat(x) for x in row] for row in rows]
-    if not all(is_finite(x) for row in d for x in row):
+    d, dens, finite = [], [], True
+    for row in rows:
+        out = []
+        for x in row:
+            x = rat(x)
+            if isinstance(x, float):  # an infinity, the one float `rat` passes
+                finite = False
+            else:
+                dens.append(x.denominator)
+            out.append(x)
+        d.append(out)
+    if not finite:
         raise InvalidMetric("not a finite metric: an entry is infinite")
-    scale = common_scale(d)
+    scale = 2 * lcm(*dens)  # as `common_scale` takes it
     on = rows_on_scale(d, scale)
     for i, row in enumerate(on):
         if row[i]:
@@ -440,7 +461,7 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
                 parent[ri] = rj
                 changed = True
         if changed:
-            part = SubPartition.from_forest(ground, parent, range(n))
+            part = _from_forest(ground, parent, range(n))
             crit.append(Fraction(t, scale))
             values.append(part)
             values.append(part)
@@ -448,23 +469,42 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
 
 
 def ultrametric(f: Formigram) -> Ultrametric:
-    """Merge-time matrix u(x, x') = min{t : x, x' share a block of f(t)}.
+    """Merge-time matrix u(x, x') = min{t : x, x' share a block of f(t)},
+    for a dendrogram f; NotADendrogram otherwise.
 
-    A dendrogram's point values only coarsen, so one union-find over the
-    ground indices walks them in order: when two components first share a
-    block of the value at critical point k, every pair across them merges
-    at t_k.  For n elements and m critical points that is O(m n) `find`
-    calls and O(n^2) entries written."""
-    problem = is_dendrogram(f)
-    if problem is not None:
-        raise NotADendrogram(problem)
+    One union-find over the ground indices walks the point values in
+    order: when two components first share a block of the value at
+    critical point k, every pair across them merges at t_k.  The walk
+    checks the dendrogram as it goes, message by message in this order:
+    before it, that the first critical point is 0 and the value before it
+    empty; at each critical point k, before uniting, that the point value
+    equals the value after it (right-continuous) and that its block sizes
+    sum to n (a partition); after uniting, that the forest has as many
+    components as the point value has blocks, which holds exactly when the
+    forest's partition, point k - 1, refines it (monotone); after the
+    walk, that the last value has one block.  For n elements and m
+    critical points that is O(m n) `find` calls and O(n^2) entries
+    written, with no `refines` call."""
+    crit, values = f.crit, f.values
+    if not crit or crit[0] != 0:
+        raise NotADendrogram("first critical point must be 0")
+    if values[0].blocks != ():
+        raise NotADendrogram("value before time 0 must be the empty subpartition")
     index = f.ground.index
     n = len(index)
     entries = [[Fraction(0)] * n for _ in range(n)]
     parent = list(range(n))
     members = [[a] for a in range(n)]
-    for k, t in enumerate(f.crit):
-        for blk in f.values[2 * k + 1].blocks:
+    components = n
+    for k, t in enumerate(crit):
+        point = values[2 * k + 1]
+        if point != values[2 * k + 2]:
+            raise NotADendrogram(f"not right-continuous at critical point #{k}")
+        if sum(map(len, point.blocks)) != n:
+            raise NotADendrogram(
+                f"value at critical point #{k} is not a partition of the ground set"
+            )
+        for blk in point.blocks:
             r0 = find(parent, index[blk[0]])
             for x in blk[1:]:
                 ra = find(parent, index[x])
@@ -478,6 +518,11 @@ def ultrametric(f: Formigram) -> Ultrametric:
                     ra, r0 = r0, ra
                 parent[ra] = r0
                 members[r0] += members[ra]
+                components -= 1
+        if components != len(point.blocks):
+            raise NotADendrogram(f"not monotone at critical point #{k}")
+    if len(values[-1].blocks) != 1:
+        raise NotADendrogram("final value must be the one-block partition")
     # the walk wrote a finite symmetric Fraction matrix with a zero
     # diagonal, so the result skips the constructor's reading and checks
     u = object.__new__(Ultrametric)

@@ -4,7 +4,11 @@ A subpartition is a partition of a subset of the ground set, ordered by
 refinement (P <= Q iff every block of P sits inside a block of Q).  The empty
 subpartition is the zero element and the one-block partition the unit.  A
 join of any number of parts is one union-find pass over all their blocks
-(`join_all`); meets intersect blocks pairwise.
+(`join_all`); meets intersect blocks pairwise.  A value the library builds
+canonical by design (the empty, discrete and one-block partitions, and the
+union-find reads of `join_all` and `single_linkage`) skips the
+constructor's checks through one door, `_canonical`; meets, and values
+from outside, are checked.
 """
 
 from __future__ import annotations
@@ -58,14 +62,13 @@ def find(parent, x):
     return x
 
 
-def _check_same_ground(a, b):
+def _check_same_ground(g: GroundSet, h: GroundSet):
     """The one same-ground check (lattice operations, the d_F and grid
     distances, ``pointwise_refines`` and the value checks of Formigram and
-    GridClustering): GroundSetMismatch naming both ground sets."""
-    if a.ground != b.ground:
-        raise GroundSetMismatch(
-            f"ground sets differ: {a.ground.elements} vs {b.ground.elements}"
-        )
+    GridClustering), given the two ground sets: GroundSetMismatch naming
+    both."""
+    if g != h:
+        raise GroundSetMismatch(f"ground sets differ: {g.elements} vs {h.elements}")
 
 
 @dataclass(frozen=True)
@@ -99,26 +102,15 @@ class SubPartition:
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubPartition":
-        return cls(ground, ())
+        return _canonical(ground, ())
 
     @classmethod
     def singletons(cls, ground: GroundSet) -> "SubPartition":
-        return cls(ground, tuple([(x,) for x in ground]))
+        return _canonical(ground, tuple([(x,) for x in ground.elements]))
 
     @classmethod
     def one_block(cls, ground: GroundSet) -> "SubPartition":
-        return cls(ground, (tuple(ground.elements),))
-
-    @classmethod
-    def from_forest(
-        cls, ground: GroundSet, parent: list[int], members: Iterable[int]
-    ) -> "SubPartition":
-        """Blocks are the union-find trees over the ground indices `members`
-        (in order), each block listed from its first member on."""
-        comps: dict[int, list[str]] = {}
-        for i in members:
-            comps.setdefault(find(parent, i), []).append(ground.elements[i])
-        return cls(ground, tuple([tuple(c) for c in comps.values()]))
+        return _canonical(ground, (ground.elements,))
 
     @cached_property
     def block_index(self) -> Mapping[str, int]:
@@ -142,7 +134,7 @@ class SubPartition:
 
     def refines(self, other: "SubPartition") -> bool:
         """True iff every block of self is contained in a block of other."""
-        _check_same_ground(self, other)
+        _check_same_ground(self.ground, other.ground)
         bi = other.block_index
         for blk in self.blocks:
             j = bi.get(blk[0])
@@ -164,7 +156,7 @@ class SubPartition:
 
     def meet(self, other: "SubPartition") -> "SubPartition":
         """Coarsest common refinement: nonempty pairwise block intersections."""
-        _check_same_ground(self, other)
+        _check_same_ground(self.ground, other.ground)
         out = []
         for b1 in self.blocks:
             s1 = set(b1)
@@ -182,14 +174,14 @@ def join_all(ground: GroundSet, parts: Iterable[SubPartition]) -> SubPartition:
     """Finest common coarsening of the parts, in one pass: each block adds a
     star of edges (its first member to each other one) to one union-find
     over the ground indices, so the pass makes O(total block members) `find`
-    calls however many parts there are, and `from_forest` reads the trees
-    back over the members seen.  No parts give the empty subpartition."""
-    zero = SubPartition.empty(ground)
+    calls however many parts there are, and `_from_forest` reads the trees
+    back over the members seen, in ascending order.  Each part's ground is
+    checked against `ground`.  No parts give the empty subpartition."""
     idx = ground.index
     parent = list(range(len(idx)))
     members = set()
     for part in parts:
-        _check_same_ground(zero, part)
+        _check_same_ground(ground, part.ground)
         for blk in part.blocks:
             i0 = idx[blk[0]]
             members.add(i0)
@@ -200,7 +192,33 @@ def join_all(ground: GroundSet, parts: Iterable[SubPartition]) -> SubPartition:
                 r = find(parent, i)
                 if r != r0:
                     parent[r] = r0
-    return SubPartition.from_forest(ground, parent, sorted(members))
+    return _from_forest(ground, parent, sorted(members))
+
+
+def _canonical(ground: GroundSet, blocks: tuple[tuple[str, ...], ...]) -> SubPartition:
+    """A SubPartition on blocks that its caller already built canonical
+    (nonempty, disjoint, on the ground, members in ground order, blocks in
+    the order of their first members), so the constructor's checks and
+    sorts are skipped.  O(1).  The one door past them: `empty`,
+    `singletons`, `one_block` and `_from_forest` build through it."""
+    p = object.__new__(SubPartition)
+    object.__setattr__(p, "ground", ground)
+    object.__setattr__(p, "blocks", blocks)
+    return p
+
+
+def _from_forest(ground: GroundSet, parent: list[int], members: Iterable[int]) -> SubPartition:
+    """Blocks are the union-find trees over the ground indices `members`,
+    each block listed from its first member on.  The callers (`join_all`
+    and `single_linkage`) pass ascending, distinct indices, so each block's
+    members come in ground order and the blocks in the order of their first
+    members: the value is canonical by construction and goes through
+    `_canonical`.  Private, since another order would break that."""
+    comps: dict[int, list[str]] = {}
+    elements = ground.elements
+    for i in members:
+        comps.setdefault(find(parent, i), []).append(elements[i])
+    return _canonical(ground, tuple([tuple(c) for c in comps.values()]))
 
 
 def is_join_irreducible(p: SubPartition) -> bool:

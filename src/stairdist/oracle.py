@@ -121,7 +121,7 @@ def grid_interleaved(f: GridClustering, g: GridClustering, eps: Fraction) -> boo
     """Direct diagonal-flow interleaving predicate for grid clusterings,
     checked on the interiors of the refined cells (cut-line values follow
     from their upper-right cells)."""
-    _check_same_ground(f, g)
+    _check_same_ground(f.ground, g.ground)
 
     def samples(cuts_f, cuts_g):
         cs = sorted(set(cuts_f) | {c - eps for c in cuts_g})

@@ -1,7 +1,9 @@
 """Formigrams: loop example, smoothing flow, cosheaf code, SLHC, dendrograms."""
 
+from collections import Counter
 from fractions import Fraction
 import random
+import re
 import time
 
 import pytest
@@ -469,7 +471,10 @@ def single_linkage_rescan(ground_set, d):
                         parent[ri] = rj
                         changed = True
         if changed:
-            part = SubPartition.from_forest(ground_set, parent, range(n))
+            comps = {}
+            for i in range(n):
+                comps.setdefault(find(parent, i), []).append(ground_set.elements[i])
+            part = SubPartition(ground_set, tuple(map(tuple, comps.values())))
             crit.append(t)
             values.extend((part, part))
     return Formigram(ground_set, tuple(crit), tuple(values))
@@ -631,6 +636,95 @@ def test_ultrametric_growth_band(monkeypatch):
         calls = 0
         assert ultrametric(f).entries == expected
         assert calls <= 2 * (m * n + n * n), (n, m, calls)
+
+
+def is_dendrogram_twin(f):
+    """The dendrogram rule stated on the values, by `refines` and
+    `is_partition`, check by check in the order of `is_dendrogram`'s
+    messages: the twin of `ultrametric`'s walk."""
+    if not f.crit or f.crit[0] != 0:
+        return "first critical point must be 0"
+    if f.values[0].blocks != ():
+        return "value before time 0 must be the empty subpartition"
+    for k in range(len(f.crit)):
+        point, right = f.values[2 * k + 1], f.values[2 * k + 2]
+        if point != right:
+            return f"not right-continuous at critical point #{k}"
+        if not point.is_partition():
+            return f"value at critical point #{k} is not a partition of the ground set"
+        if k >= 1 and not f.values[2 * k].refines(point):
+            return f"not monotone at critical point #{k}"
+    if len(f.values[-1].blocks) != 1:
+        return "final value must be the one-block partition"
+    return None
+
+
+def rand_partition(rng, g):
+    blocks = {}
+    for x in g:
+        blocks.setdefault(rng.randrange(len(g)), []).append(x)
+    return SubPartition(g, tuple(map(tuple, blocks.values())))
+
+
+def dendrogram_mutant(rng, g):
+    """A dendrogram built directly, or single linkage's, with at most one
+    mutation: the critical points shifted off 0 or gone, a value before 0,
+    a point value apart from its right value, a point value (with its
+    right value) that misses an element or is any partition, or the last
+    critical point dropped."""
+    if rng.random() < 0.5:
+        f = rand_dendrogram(rng, g)
+    else:
+        f = single_linkage(g, rand_metric(rng, g))
+    crit, values = list(f.crit), list(f.values)
+    k = rng.randrange(len(crit))
+    kind = rng.randrange(7)
+    if kind == 0:
+        if rng.random() < 0.2:
+            crit, values = [], values[:1]
+        else:
+            shift = rand_fraction(rng, lo=-2, hi=2) or F(1)
+            crit = [t + shift for t in crit]
+    elif kind == 1:
+        values[0] = rand_subpartition(rng, g)
+    elif kind == 2:
+        values[2 * k + 2] = rand_subpartition(rng, g)
+    elif kind == 3 and len(g) > 1:
+        x = rng.choice(g.elements)
+        blocks = [tuple(y for y in blk if y != x) for blk in values[2 * k + 1].blocks]
+        values[2 * k + 1] = values[2 * k + 2] = SubPartition(g, tuple(b for b in blocks if b))
+    elif kind == 4:
+        values[2 * k + 1] = values[2 * k + 2] = rand_partition(rng, g)
+    elif kind == 5 and len(crit) > 1:
+        crit, values = crit[:-1], values[:-2]
+    return Formigram(g, tuple(crit), tuple(values))
+
+
+def test_ultrametric_checks_dendrograms_as_the_twin_does(monkeypatch):
+    """`ultrametric`'s walk refuses a mutated dendrogram with the twin's
+    message word for word, and `is_dendrogram` returns that message (None
+    for a dendrogram), on mutants that reach each of the seven outcomes at
+    least 10 times; the walk makes no `refines` call."""
+    rng = random.Random(67)
+    cases = []
+    for _ in range(400):
+        f = dendrogram_mutant(rng, ground(rng.randint(1, 6)))
+        cases.append((f, is_dendrogram_twin(f)))
+    outcomes = Counter(re.sub(r"#\d+", "#k", str(problem)) for _, problem in cases)
+    assert len(outcomes) == 7 and min(outcomes.values()) >= 10, outcomes
+
+    def refuse(*_):
+        raise AssertionError("ultrametric called refines")
+
+    monkeypatch.setattr(SubPartition, "refines", refuse)
+    for f, problem in cases:
+        assert is_dendrogram(f) == problem, f
+        if problem is None:
+            ultrametric(f)
+        else:
+            with pytest.raises(NotADendrogram) as raised:
+                ultrametric(f)
+            assert str(raised.value) == problem, f
 
 
 def test_dendrogram_distance_is_ultrametric_sup_difference():

@@ -19,8 +19,9 @@ from stairdist import (
     join_all,
     minimal_join_representations,
     pullback,
+    single_linkage,
 )
-from conftest import ground, rand_subpartition
+from conftest import ground, rand_metric, rand_subpartition
 
 XYZ = GroundSet(("x", "y", "z"))
 
@@ -359,3 +360,25 @@ def test_canonical_form_and_validation():
         GroundSet(())
     with pytest.raises(ValidationError):
         GroundSet(("x", "x"))
+
+
+def test_built_subpartitions_need_no_normalization():
+    """The values built past the constructor's checks (`join_all`, `join`,
+    the values of `single_linkage`, `singletons`, `one_block` and `empty`)
+    equal, field for field, what the checking constructor makes of their
+    blocks; grounds whose string order differs from their canonical order
+    included."""
+    rng = random.Random(71)
+    for _ in range(150):
+        g = ground(rng.randint(1, 7))
+        if rng.random() < 0.5:
+            g = GroundSet(tuple(rng.sample(g.elements, len(g))))
+        parts = [rand_subpartition(rng, g) for _ in range(rng.randint(0, 4))]
+        built = [SubPartition.empty(g), SubPartition.singletons(g), SubPartition.one_block(g)]
+        built.append(join_all(g, parts))
+        built += [p.join(q) for p in parts for q in parts]
+        built += single_linkage(g, rand_metric(rng, g)).values
+        for p in built:
+            q = SubPartition(p.ground, p.blocks)
+            assert (p.ground, p.blocks) == (q.ground, q.blocks), p
+            assert type(p.blocks) is tuple and all(type(b) is tuple for b in p.blocks), p
