@@ -26,16 +26,20 @@ guard (`search16`: as `search`, at 4 x 4 with guard 16 on the search and on
 the twin), the tripod searches where most answers are finite
 (`tripod-full`: tripod r and tripod int on full filtrations, built as the
 tests' `search_inputs` builds them, at the `search` shapes, in both
-argument orders, against the unpruned twins) and, last, the dendrogram
-check of `ultrametric`'s walk (`dendrogram-check`: mutated dendrograms
-and random formigrams, the merge-time matrix or the NotADendrogram
-message, against the tests' statement of the rule and the `same_block`
-scan), on freshly sampled instances, and reports per-family counts
-(including how many infinite values were hit).
+argument orders, against the unpruned twins), the dendrogram check of
+`ultrametric`'s walk (`dendrogram-check`: mutated dendrograms and random
+formigrams, the merge-time matrix or the NotADendrogram message, against
+the tests' statement of the rule and the `same_block` scan) and, last,
+single linkage on ties (`linkage-ties`: the critical points and values
+of `single_linkage` over 1 to 12 points whose distances take few values,
+against the tests' rescan of every pair at every distinct distance), on
+freshly sampled instances, and reports per-family counts (including how
+many infinite values were hit).
 Disagreements abort with the offending instance printed for replay, and
 so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
 code, a SubPartition; for validation, a report string or None; for
-containment, a bool; for the dendrogram check, a message string).
+containment, a bool; for the dendrogram check, a message string; for
+single linkage, critical points and SubPartitions).
 """
 
 import argparse
@@ -111,6 +115,7 @@ from test_formigram import (
     brute_merge_time,
     dendrogram_mutant,
     is_dendrogram_twin,
+    single_linkage_rescan,
     ultrametric_scan,
 )
 from test_persistence import oracle_bottleneck, oracle_erosion_direct
@@ -228,6 +233,28 @@ def checked_merge_times(f):
 def twin_checked_merge_times(f):
     problem = is_dendrogram_twin(f)
     return ultrametric_scan(f) if problem is None else problem
+
+
+def tied_metric_instance(r):
+    """A symmetric matrix over 1 to 12 points whose distances take at most
+    eight values, so most weights are tied."""
+    g = ground(r.randint(1, 12))
+    n = len(g)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = Fraction(r.randint(1, 4), r.choice((1, 2)))
+    return g, d
+
+
+def linkage(g, d):
+    f = single_linkage(g, d)
+    return f.crit, f.values
+
+
+def rescan_linkage(g, d):
+    f = single_linkage_rescan(g, d)
+    return f.crit, f.values
 
 
 def code_instance(r):
@@ -475,6 +502,14 @@ def main():
         rng,
         args.iterations,
         exact=lambda x: type(x) is str or is_exact(x),
+    )
+    sweep(
+        "linkage-ties",
+        tied_metric_instance,
+        linkage,
+        rescan_linkage,
+        rng,
+        args.iterations,
     )
     print("all families agree")
 

@@ -292,11 +292,15 @@ def gromov_hausdorff_ultrametrics(
     S, so the search compares int costs; the answer is the best over 2 S.
     A side's table maps the mask of the pair key {i, j} to S times entry
     (i, j), which the symmetric matrices make independent of the order of
-    i and j."""
-    scale = common_scale(ux.entries, uy.entries)
+    i and j, so each table is built from the triangle j >= i alone, whose
+    rows `rows_on_scale` puts on S, both matrices' rows in one call."""
+    nx = len(ux.ground)
+    _, rows, scale = rows_on_scale(
+        [row[i:] for entries in (ux.entries, uy.entries) for i, row in enumerate(entries)]
+    )
     at_x, at_y = [
-        {1 << i | 1 << j: d for i, row in enumerate(rows) for j, d in enumerate(row)}
-        for rows in (rows_on_scale(ux.entries, scale), rows_on_scale(uy.entries, scale))
+        {1 << i | 1 << (i + k): d for i, row in enumerate(upper) for k, d in enumerate(row)}
+        for upper in (rows[:nx], rows[nx:])
     ]
     best = _search(ux.ground, uy.ground, at_x, at_y, INF, _diff, _key_items, guard)
     return from_scale(best, 2 * scale)

@@ -16,13 +16,17 @@ points that is O(m n (m + n)).  `CosheafTable`, the O(m^2) table of joins
 of consecutive runs of pieces, stays as a public reference object and is
 not used by the code.
 
-Dendrograms run on one integer scale: `single_linkage` reads each matrix
-entry once (`_read_matrix`), sorts and groups int edges and reads each
-partition off its union-find, canonical by construction
-(`lattice._from_forest`).  `ultrametric` reads every merge time from one
-union-find walk over the point values, O(m n) `find` calls, and the same
-walk checks that its input is a dendrogram, so it owns that rule and
-`is_dendrogram` returns its message.  `Fraction` appears only in the
+Dendrograms run on one integer scale.  `single_linkage` reads each matrix
+entry once (`_read_matrix`, through `rat.rows_on_scale`), takes a minimum
+spanning tree by an O(n^2) Prim scan of the int matrix (Gower and Ross:
+single linkage is read off that tree) and unites its n - 1 edges, sorted,
+one weight group at a time; each partition is the blocks kept per root,
+canonical by construction (`lattice._canonical`), so it costs
+2 (n - 1) `find` calls in all.  `ultrametric` reads every merge time from
+one union-find walk over the point values, O(m n) `find` calls, and the
+same walk checks that its input is a dendrogram, so it owns that rule and
+`is_dendrogram` returns its message.  Both build their result past its
+constructor's re-checks, through `_built`.  `Fraction` appears only in the
 critical points and the ultrametric entries.
 """
 
@@ -31,9 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
-from math import lcm
-from operator import itemgetter
+from itertools import combinations_with_replacement
 
 from .errors import (
     EmptyInterval,
@@ -44,16 +46,8 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
-from .lattice import _check_same_ground, _from_forest
-from .rat import (
-    INF,
-    NEG_INF,
-    RatX,
-    increasing_rats,
-    is_finite,
-    rat,
-    rows_on_scale,
-)
+from .lattice import _canonical, _check_same_ground
+from .rat import INF, NEG_INF, RatX, increasing_rats, is_finite, rat, rows_on_scale
 from .staircase import INT, Staircase, _antichain, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
@@ -395,29 +389,18 @@ class Ultrametric:
 
 def _read_matrix(ground: GroundSet, rows) -> tuple[list[list[Fraction]], list[list[int]], int]:
     """rows as a finite symmetric n x n matrix with a zero diagonal over
-    ground, both as read and on one integer scale S: (d, S * d, S).  One
-    pass reads each entry through ``rat`` and takes its denominator or
-    notes it infinite: an inexact float raises ValueError, and anything
-    else that breaks these rules InvalidMetric (an infinity only once every
-    entry has passed ``rat``)."""
+    ground, both as read and on one integer scale S: (d, S * d, S).
+    `rows_on_scale` reads each entry once: an inexact float raises
+    ValueError, and anything else that breaks these rules InvalidMetric (an
+    infinity only once every entry has passed ``rat``); the diagonal and
+    the symmetry are checked on the ints, row by row."""
     n = len(ground)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise InvalidMetric(f"need a {n}x{n} matrix")
-    d, dens, finite = [], [], True
-    for row in rows:
-        out = []
-        for x in row:
-            x = rat(x)
-            if isinstance(x, float):  # an infinity, the one float `rat` passes
-                finite = False
-            else:
-                dens.append(x.denominator)
-            out.append(x)
-        d.append(out)
-    if not finite:
-        raise InvalidMetric("not a finite metric: an entry is infinite")
-    scale = 2 * lcm(*dens)  # as `common_scale` takes it
-    on = rows_on_scale(d, scale)
+    try:
+        d, on, scale = rows_on_scale(rows)
+    except OverflowError:  # an infinity, the one entry with no ratio
+        raise InvalidMetric("not a finite metric: an entry is infinite") from None
     for i, row in enumerate(on):
         if row[i]:
             raise InvalidMetric("diagonal must be zero")
@@ -427,45 +410,55 @@ def _read_matrix(ground: GroundSet, rows) -> tuple[list[list[Fraction]], list[li
     return d, on, scale
 
 
-def _check_metric(ground: GroundSet, d) -> tuple[list[list[int]], int]:
-    """d on one integer scale S, as (S * d, S), if `_read_matrix` reads it
-    and every off-diagonal distance is positive; InvalidMetric otherwise."""
-    _, d, scale = _read_matrix(ground, d)
-    for i, row in enumerate(d):
-        for x in row[i + 1:]:
-            if x <= 0:
-                raise InvalidMetric("off-diagonal distances must be positive")
-    return d, scale
-
-
 def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
     """Single-linkage dendrogram: at scale t, blocks are the components of
     the 'distance <= t' graph (transitive closure of the threshold relation).
 
-    Kruskal on one integer scale S: the (S * distance, i, j) edges are
-    sorted once as ints and united in order; after the last edge of each
-    distinct weight the partition is emitted, with the weight over S as its
-    critical point, if that weight merged anything.  O(n^2 log n)."""
-    d, scale = _check_metric(ground, d)
-    n = len(ground)
-    edges = sorted([(d[i][j], i, j) for i in range(n) for j in range(i + 1, n)])
+    The matrix is read by `_read_matrix`; an off-diagonal distance that is
+    not positive then raises InvalidMetric.  Those components are the
+    components of a minimum spanning tree's edges of weight <= t, so a
+    Prim scan of the int matrix, O(n^2), finds the n - 1 tree edges, and
+    only they are sorted.  They are united one weight group at a time, and
+    after each group the partition is emitted, with the weight over S as
+    its critical point: every tree edge merges two blocks, so each distinct
+    weight gives one critical point.  Each root is its block's least index
+    and keeps the block's names in ground order, in a dict whose order is
+    that of the roots, so the partition is the dict's values, canonical by
+    construction: 2 (n - 1) `find` calls in all."""
+    _, d, scale = _read_matrix(ground, d)
+    n = len(d)
+    # best[p]: the least distance from rest[p] to the tree; via[p]: its end there
+    rest, best, via = list(range(1, n)), d[0][1:], [0] * (n - 1)
+    edges = []
+    while rest:
+        p = best.index(min(best))
+        v = rest.pop(p)
+        edges.append((best.pop(p), via.pop(p), v))
+        row = d[v]
+        for p, w in enumerate(rest):
+            if row[w] < best[p]:
+                best[p], via[p] = row[w], v
+    edges.sort()
+    # a tree edge of least weight has the least off-diagonal distance
+    if edges and edges[0][0] <= 0:
+        raise InvalidMetric("off-diagonal distances must be positive")
+    index = ground.index
     parent = list(range(n))
+    blocks = {i: (x,) for i, x in enumerate(ground.elements)}
     crit: list[Fraction] = [Fraction(0)]
     start = SubPartition.singletons(ground)
     values: list[SubPartition] = [SubPartition.empty(ground), start, start]
-    for t, same_weight in groupby(edges, key=itemgetter(0)):
-        changed = False
-        for _, i, j in same_weight:
-            ri, rj = find(parent, i), find(parent, j)
-            if ri != rj:
-                parent[ri] = rj
-                changed = True
-        if changed:
-            part = _from_forest(ground, parent, range(n))
+    for k, (t, a, b) in enumerate(edges):
+        ra, rb = find(parent, a), find(parent, b)
+        if ra > rb:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        blocks[ra] = tuple(sorted(blocks[ra] + blocks.pop(rb), key=index.__getitem__))
+        if k + 1 == len(edges) or edges[k + 1][0] != t:
+            part = _canonical(ground, tuple(blocks.values()))
             crit.append(Fraction(t, scale))
-            values.append(part)
-            values.append(part)
-    return Formigram(ground, tuple(crit), tuple(values))
+            values += (part, part)
+    return _built(Formigram, ground=ground, crit=tuple(crit), values=tuple(values))
 
 
 def ultrametric(f: Formigram) -> Ultrametric:
@@ -523,9 +516,16 @@ def ultrametric(f: Formigram) -> Ultrametric:
             raise NotADendrogram(f"not monotone at critical point #{k}")
     if len(values[-1].blocks) != 1:
         raise NotADendrogram("final value must be the one-block partition")
-    # the walk wrote a finite symmetric Fraction matrix with a zero
-    # diagonal, so the result skips the constructor's reading and checks
-    u = object.__new__(Ultrametric)
-    object.__setattr__(u, "ground", f.ground)
-    object.__setattr__(u, "entries", tuple([tuple(row) for row in entries]))
-    return u
+    # the walk wrote a finite symmetric Fraction matrix with a zero diagonal
+    return _built(Ultrametric, ground=f.ground, entries=tuple([tuple(row) for row in entries]))
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls on fields its caller built
+    valid by design, past the constructor's reading and checks: the one
+    door past them, for `single_linkage`'s Formigram and `ultrametric`'s
+    Ultrametric."""
+    value = object.__new__(cls)
+    for name, x in fields.items():
+        object.__setattr__(value, name, x)
+    return value

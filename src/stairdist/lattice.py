@@ -200,7 +200,8 @@ def _canonical(ground: GroundSet, blocks: tuple[tuple[str, ...], ...]) -> SubPar
     (nonempty, disjoint, on the ground, members in ground order, blocks in
     the order of their first members), so the constructor's checks and
     sorts are skipped.  O(1).  The one door past them: `empty`,
-    `singletons`, `one_block` and `_from_forest` build through it."""
+    `singletons`, `one_block`, `_from_forest` and `single_linkage`, whose
+    blocks are kept per root of its union-find, build through it."""
     p = object.__new__(SubPartition)
     object.__setattr__(p, "ground", ground)
     object.__setattr__(p, "blocks", blocks)
@@ -209,11 +210,11 @@ def _canonical(ground: GroundSet, blocks: tuple[tuple[str, ...], ...]) -> SubPar
 
 def _from_forest(ground: GroundSet, parent: list[int], members: Iterable[int]) -> SubPartition:
     """Blocks are the union-find trees over the ground indices `members`,
-    each block listed from its first member on.  The callers (`join_all`
-    and `single_linkage`) pass ascending, distinct indices, so each block's
-    members come in ground order and the blocks in the order of their first
-    members: the value is canonical by construction and goes through
-    `_canonical`.  Private, since another order would break that."""
+    each block listed from its first member on.  Its caller, `join_all`,
+    passes ascending, distinct indices, so each block's members come in
+    ground order and the blocks in the order of their first members: the
+    value is canonical by construction and goes through `_canonical`.
+    Private, since another order would break that."""
     comps: dict[int, list[str]] = {}
     elements = ground.elements
     for i in members:

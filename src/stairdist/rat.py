@@ -16,10 +16,11 @@ long, without changing that limit.
 The exact kernels (the staircase profile walk, the bottleneck search, single
 linkage and the Gromov-Hausdorff and tripod searches) run on ints:
 `common_scale` gives S = 2 lcm of the finite denominators of some lists of
-pairs (or of matrix rows), and `on_scale` puts a list of pairs on S, where
-every finite coordinate is an even int (`rows_on_scale` a finite matrix,
-`to_scale` one value, and `from_scale` turns an int on S back into a
-Fraction).
+pairs, and `on_scale` puts a list of pairs on S, where every finite
+coordinate is an even int (`to_scale` one value, and `from_scale` turns an
+int on S back into a Fraction).  A matrix is read and put on its scale in
+one step, `rows_on_scale`: each entry passes `rat` once and is split into
+its numerator and denominator once, with `as_integer_ratio`.
 """
 
 from fractions import Fraction
@@ -131,10 +132,17 @@ def from_scale(n: int | float, scale: int) -> RatX:
     return n if isinstance(n, float) else Fraction(n, scale)
 
 
-def rows_on_scale(rows, scale: int) -> list[list[int]]:
-    """The rows of finite Fractions times ``scale``, a multiple of their
-    denominators: a matrix of ints."""
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+def rows_on_scale(rows) -> tuple[list[list[Fraction]], list[list[int]], int]:
+    """The rows (of one matrix, or of several one after another) read
+    through ``rat`` and put on S = 2 lcm of their denominators, as
+    ``common_scale`` takes it: (d, S * d, S).  Each entry passes ``rat``
+    once, in row order, so the first it refuses raises its ValueError; then
+    each is split into its numerator and denominator once, where an
+    infinity, which no scale holds, raises OverflowError."""
+    d = [[rat(x) for x in row] for row in rows]
+    ratios = [[x.as_integer_ratio() for x in row] for row in d]
+    scale = 2 * math.lcm(*{q for row in ratios for _, q in row})
+    return d, [[p * (scale // q) for p, q in row] for row in ratios], scale
 
 
 def _decimal(n: int) -> str:

@@ -1,14 +1,14 @@
 """Shared random-instance builders and hypothesis configuration.
 
 Randomized agreement tests use `random.Random` with fixed seeds so failures
-reproduce; hypothesis drives the algebraic-law property tests.
+reproduce; hypothesis drives the algebraic-law property tests.  Its profile
+is registered when pytest configures, so the scripts that import these
+builders (`scripts/answer_digest.py`) need the standard library alone.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 import random
-
-from hypothesis import HealthCheck, settings
 
 from stairdist import (
     INF,
@@ -24,13 +24,17 @@ from stairdist import (
     staircase,
 )
 
-settings.register_profile(
-    "default",
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("default")
+
+def pytest_configure(config):
+    from hypothesis import HealthCheck, settings
+
+    settings.register_profile(
+        "default",
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    settings.load_profile("default")
 
 
 def ground(n: int) -> GroundSet:

@@ -377,3 +377,28 @@ def test_answer_digest_is_pinned():
         "seed 0: 3271 answers sha256 "
         "5e6ca84ac01871684dd67055f98e9497e97347b24044bc65114a1e4aba85f9db\n"
     )
+
+
+def test_answer_digest_needs_the_standard_library_alone():
+    """The digest imports the tests' builders, but not hypothesis or pytest:
+    it runs with no site-packages (`python -S`) and prints the pinned
+    seed-3 line, so it can be checked on any local Python."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-S", str(root / "scripts" / "answer_digest.py"), "--seed", "3"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == (
+        "seed 3: 3210 answers sha256 "
+        "31d3a487e15cfdb132aeef3ff50b7616b92703b74886d8fc496d1e31faea1ef1\n"
+    )
+
+
+def test_hypothesis_profile_is_loaded_under_pytest():
+    """`conftest.pytest_configure` loads the suite's profile: 60 examples a
+    property, no deadline."""
+    from hypothesis import settings
+
+    assert settings.default.max_examples == 60
+    assert settings.default.deadline is None

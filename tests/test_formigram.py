@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 import random
 import re
 import time
@@ -38,6 +39,7 @@ from stairdist import (
 )
 from stairdist.formigram import CosheafTable, all_pair_keys
 from stairdist.lattice import find
+from stairdist.rat import rat
 from stairdist.oracle import reconstruct
 from conftest import (
     ground,
@@ -519,6 +521,121 @@ def test_invalid_metrics():
         single_linkage(XY, [[F(0), F(0)], [F(0), F(0)]])  # zero off-diagonal
 
 
+def read_matrix_twin(ground_set, rows):
+    """The twin of `_read_matrix`, with no `rat.rows_on_scale`: one pass
+    through `rat` that takes each denominator, then numerator and
+    denominator read again to put the rows on the scale, and the diagonal
+    and symmetry checked on the ints, row by row."""
+    n = len(ground_set)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InvalidMetric(f"need a {n}x{n} matrix")
+    d, dens, finite = [], [], True
+    for row in rows:
+        out = []
+        for x in row:
+            x = rat(x)
+            if isinstance(x, float):  # an infinity, the one float `rat` passes
+                finite = False
+            else:
+                dens.append(x.denominator)
+            out.append(x)
+        d.append(out)
+    if not finite:
+        raise InvalidMetric("not a finite metric: an entry is infinite")
+    scale = 2 * lcm(*dens)
+    on = [[x.numerator * (scale // x.denominator) for x in row] for row in d]
+    for i, row in enumerate(on):
+        if row[i]:
+            raise InvalidMetric("diagonal must be zero")
+        for j in range(i):
+            if row[j] != on[j][i]:
+                raise InvalidMetric("matrix must be symmetric")
+    return d, on, scale
+
+
+def check_metric_twin(ground_set, rows):
+    """The twin of `single_linkage`'s input rule: the twin reader, then
+    every off-diagonal distance positive, entry by entry."""
+    _, d, scale = read_matrix_twin(ground_set, rows)
+    for i, row in enumerate(d):
+        for x in row[i + 1:]:
+            if x <= 0:
+                raise InvalidMetric("off-diagonal distances must be positive")
+    return d, scale
+
+
+def bad_matrix(rng, g):
+    """A random metric over g whose mirrored entries are one Fraction object
+    or two, with up to three changes: an inexact float or nan, a bool, an
+    int (which `rat` reads), an infinity, a nonzero diagonal entry, one
+    entry of either triangle changed, or a zero distance in both triangles;
+    then, one time in ten, a wrong shape."""
+    n = len(g)
+    d = rand_metric(rng, g)
+    if rng.random() < 0.5:
+        d = [[F(x.numerator, x.denominator) for x in row] for row in d]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(8)
+        if kind == 0:
+            d[i][j] = rng.choice((0.5, 1.0, float("nan")))
+        elif kind == 1:
+            d[i][j] = rng.choice((True, False))
+        elif kind == 2:
+            d[i][j] = d[j][i] = rng.randint(0, 3) if i != j else 0
+        elif kind == 3:
+            d[i][j] = rng.choice((INF, NEG_INF))
+        elif kind == 4:
+            d[i][i] = rand_fraction(rng, lo=1, hi=3) or F(1)
+        elif kind in (5, 6) and n > 1:
+            i, j = rng.sample(range(n), 2)
+            if (i < j) != (kind == 5):  # 5: the upper triangle, 6: the lower
+                i, j = j, i
+            d[i][j] += rng.choice((F(1, 3), F(-1, 8), F(5)))
+        elif kind == 7 and n > 1:
+            i, j = rng.sample(range(n), 2)
+            d[i][j] = d[j][i] = F(0)
+    if rng.random() < 0.1:  # last, since the faults above index every row
+        i = rng.randrange(n)
+        d = [d[:i] + d[i + 1:], d + [d[i]], d[:i] + [d[i][1:]] + d[i + 1:]][rng.randrange(3)]
+    return d
+
+
+def raised(read, *args):
+    """The type and message of what read(*args) raises, or None."""
+    try:
+        read(*args)
+    except (ValueError, InvalidMetric) as e:
+        return type(e), str(e)
+    return None
+
+
+def test_matrix_reader_agrees_with_its_twin():
+    """`_read_matrix`, and the reading of `single_linkage` and `Ultrametric`
+    through it, against the twin: the same exception with the same message,
+    word for word, on matrices with faults that reach each outcome at least
+    10 times, their mirrored entries one shared Fraction or two distinct
+    ones; on the others the same (d, S * d, S), d all Fractions."""
+    from stairdist.formigram import Ultrametric, _read_matrix
+
+    rng = random.Random(73)
+    seen = Counter()
+    for _ in range(600):
+        g = ground(rng.randint(1, 6))
+        d = bad_matrix(rng, g)
+        problem = raised(read_matrix_twin, g, d)
+        assert raised(_read_matrix, g, d) == raised(Ultrametric, g, d) == problem, d
+        if problem is None:
+            got = _read_matrix(g, d)
+            assert got == read_matrix_twin(g, d)
+            assert all(type(x) is Fraction for row in got[0] for x in row)
+            assert Ultrametric(g, d).entries == tuple(map(tuple, got[0]))
+        problem = raised(check_metric_twin, g, d)
+        assert raised(single_linkage, g, d) == problem, d
+        seen[problem and re.sub(r"\d+x\d+|: .*", "", problem[1])] += 1
+    assert len(seen) == 7 and min(seen.values()) >= 10, seen
+
+
 def test_ultrametric_requires_dendrogram():
     with pytest.raises(NotADendrogram):
         ultrametric(THETA_PRIME)
@@ -636,6 +753,43 @@ def test_ultrametric_growth_band(monkeypatch):
         calls = 0
         assert ultrametric(f).entries == expected
         assert calls <= 2 * (m * n + n * n), (n, m, calls)
+
+
+def test_single_linkage_growth_band(monkeypatch):
+    """Single linkage unites only the n - 1 edges of its spanning tree, two
+    `find` calls each, and builds its partitions from the blocks it keeps
+    per root, with no `_from_forest` pass over the points: at most
+    2 (n - 1) `find` calls at n = 8, 16 and 32, on metrics with ties and
+    without.  A union of every edge would make up to n (n - 1) calls and
+    leave the band."""
+    from stairdist import formigram, lattice
+
+    def refuse(*_):
+        raise AssertionError("single_linkage called _from_forest")
+
+    calls = 0
+
+    def counting_find(parent, x):
+        nonlocal calls
+        calls += 1
+        return find(parent, x)
+
+    rng = random.Random(79)
+    cases = []
+    for n in (8, 16, 32):
+        g = GroundSet(tuple(f"v{i}" for i in range(n)))
+        for d in (rand_metric(rng, g), [[F(min(i, j) % 3 + 1) * (i != j) for j in range(n)]
+                                        for i in range(n)]):
+            ref = single_linkage_rescan(g, d)
+            cases.append((n, g, d, (ref.crit, ref.values)))
+    monkeypatch.setattr(lattice, "_from_forest", refuse)
+    monkeypatch.setattr(formigram, "_from_forest", refuse, raising=False)
+    monkeypatch.setattr(formigram, "find", counting_find)
+    for n, g, d, expected in cases:
+        calls = 0
+        f = single_linkage(g, d)
+        assert (f.crit, f.values) == expected
+        assert calls <= 2 * (n - 1), (n, calls)
 
 
 def is_dendrogram_twin(f):
