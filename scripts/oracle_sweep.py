@@ -29,12 +29,16 @@ tests' `search_inputs` builds them, at the `search` shapes, in both
 argument orders, against the unpruned twins), the dendrogram check of
 `ultrametric`'s walk (`dendrogram-check`: mutated dendrograms and random
 formigrams, the merge-time matrix or the NotADendrogram message, against
-the tests' statement of the rule and the `same_block` scan) and, last,
-single linkage on ties (`linkage-ties`: the critical points and values
-of `single_linkage` over 1 to 12 points whose distances take few values,
-against the tests' rescan of every pair at every distinct distance), on
-freshly sampled instances, and reports per-family counts (including how
-many infinite values were hit).
+the tests' statement of the rule and the `same_block` scan), single
+linkage on ties (`linkage-ties`: the critical points and values of
+`single_linkage` over 1 to 12 points whose distances take few values,
+against the tests' rescan of every pair at every distinct distance) and,
+last, the answers decided up front (`infinite`: d_F with its witness on
+formigram pairs whose first or last values differ, against both codes
+walked key by key, and erosion on barcodes with unequal counts of
+infinite bars, against the per-grade oracle), on freshly sampled
+instances, and reports per-family counts (including how many infinite
+values were hit).
 Disagreements abort with the offending instance printed for replay, and
 so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
 code, a SubPartition; for validation, a report string or None; for
@@ -77,6 +81,7 @@ from stairdist import (
     ultrametric,
     validate_filtration,
 )
+from stairdist.formigram import interleaving_distance_with_witness
 from stairdist.oracle import (
     oracle_formigram_distance,
     oracle_grid_distance,
@@ -90,6 +95,7 @@ from conftest import (
     rand_dendrogram,
     rand_formigram,
     rand_formigram_pair,
+    rand_free_formigram,
     rand_grid_pair,
     rand_int_filtration,
     rand_merged_tail_formigram,
@@ -113,12 +119,13 @@ from test_filtration import (
 )
 from test_formigram import (
     brute_merge_time,
+    d_F_by_every_key,
     dendrogram_mutant,
     is_dendrogram_twin,
     single_linkage_rescan,
     ultrametric_scan,
 )
-from test_persistence import oracle_bottleneck, oracle_erosion_direct
+from test_persistence import essential, oracle_bottleneck, oracle_erosion, oracle_erosion_direct
 from test_staircase import plane_subset_by_generators
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
@@ -305,6 +312,35 @@ def subset_instance(r):
     return u, v
 
 
+def infinite_instance(r):
+    """Half the time `d_F` and two formigrams over 1 to 4 elements, drawn
+    as the `formigram` family draws them or with values drawn
+    independently, whose first or last values differ; else `erosion` and
+    two barcodes with unequal counts of infinite bars.  Draws that miss
+    are drawn again."""
+    while True:
+        if r.random() < 0.5:
+            g = ground(r.randint(1, 4))
+            if r.random() < 0.5:
+                f1, f2 = rand_formigram_pair(r, g, 5)
+            else:
+                f1, f2 = rand_free_formigram(r, g, 5), rand_free_formigram(r, g, 5)
+            if f1.values[0] != f2.values[0] or f1.values[-1] != f2.values[-1]:
+                return "d_F", f1, f2
+        else:
+            b1, b2 = rand_barcode(r, 4), rand_barcode(r, 4)
+            if essential(b1) != essential(b2):
+                return "erosion", b1, b2
+
+
+# kind -> (library answer, twin answer), each a (distance, witness) pair
+DECIDED = {
+    "d_F": (interleaving_distance_with_witness, d_F_by_every_key),
+    "erosion": (lambda b1, b2: (erosion_distance(b1, b2), None),
+                lambda b1, b2: (oracle_erosion(b1, b2), None)),
+}
+
+
 def is_report(x) -> bool:
     return x is None or type(x) is str
 
@@ -319,14 +355,17 @@ def is_exact(x) -> bool:
     return type(x) is Fraction or (type(x) is float and math.isinf(x))
 
 
-def sweep(name, make, fast, slow, rng, iterations, exact=is_exact):
+def sweep(name, make, fast, slow, rng, iterations, exact=is_exact, value=lambda got: got):
+    """Run `iterations` instances of `make`; `value` reads the distance
+    out of an answer, for the exactness check and the count of infinite
+    values."""
     t0 = time.perf_counter()
     infinite = 0
     for i in range(iterations):
         instance = make(rng)
         got = fast(*instance)
         expected = slow(*instance)
-        if not exact(got):
+        if not exact(value(got)):
             print(f"{name}: INEXACT answer {got!r} at iteration {i}")
             print(f"  instance: {instance!r}")
             sys.exit(1)
@@ -335,7 +374,7 @@ def sweep(name, make, fast, slow, rng, iterations, exact=is_exact):
             print(f"  instance: {instance!r}")
             print(f"  fast={got} slow={expected}")
             sys.exit(1)
-        if got in (INF, (INF, INF)):  # `search` answers in both argument orders
+        if value(got) in (INF, (INF, INF)):  # `search` answers in both argument orders
             infinite += 1
     dt = time.perf_counter() - t0
     print(f"{name:<16} {iterations:>5} instances  {infinite:>4} infinite  {dt:6.2f}s")
@@ -510,6 +549,15 @@ def main():
         rescan_linkage,
         rng,
         args.iterations,
+    )
+    sweep(
+        "infinite",
+        infinite_instance,
+        lambda kind, a, b: DECIDED[kind][0](a, b),
+        lambda kind, a, b: DECIDED[kind][1](a, b),
+        rng,
+        args.iterations,
+        value=lambda got: got[0],
     )
     print("all families agree")
 

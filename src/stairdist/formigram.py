@@ -16,6 +16,20 @@ points that is O(m n (m + n)).  `CosheafTable`, the O(m^2) table of joins
 of consecutive runs of pieces, stays as a public reference object and is
 not used by the code.
 
+The distance is infinite exactly when some key's two staircases lie
+infinitely far apart, and a staircase shows that in its tails.  Along the
+flow lines its profile has left-tail slope 1/2 iff the key is merged in
+v_0 (a generator with right end NEG_INF), right-tail slope 1/2 iff merged
+in v_m (a generator with left end INF), and is empty iff not merged in the
+join of all values; the key's two profiles stay a bounded distance apart
+iff its membership agrees in all three (merged meaning present, for a
+singleton key).  Two values differ iff some key's membership does, so
+unequal outer values decide INF before any code is built, and
+`_infinite_key` names the first key in code order whose membership
+differs in one of the three values, the key the walk over the codes would
+return.  A difference in the join alone is left to that walk: checking
+the joins up front costs every finite pair two more joins.
+
 Dendrograms run on one integer scale.  `single_linkage` reads each matrix
 entry once (`_read_matrix`, through `rat.rows_on_scale`), takes a minimum
 spanning tree by an O(n^2) Prim scan of the int matrix (Gower and Ross:
@@ -324,8 +338,14 @@ def _code(pairs, run, ambient: str, lefts, rights) -> dict[PairKey, Staircase]:
 def interleaving_distance_with_witness(
     f: Formigram, g: Formigram
 ) -> tuple[RatX, PairKey]:
-    """Largest pairwise staircase Hausdorff distance, with an attaining pair."""
+    """Largest pairwise staircase Hausdorff distance, with the first
+    attaining pair key in code order.  Unequal first or last values give
+    INF at once, with the key `_infinite_key` names, before any code is
+    built; otherwise both codes are built and every key's pair of
+    staircases meets in one `hausdorff` call."""
     _check_same_ground(f.ground, g.ground)
+    if f.values[0] != g.values[0] or f.values[-1] != g.values[-1]:
+        return INF, _infinite_key(f, g)
     code_f = cosheaf_code(f)
     code_g = cosheaf_code(g)
     best: RatX = Fraction(0)
@@ -335,6 +355,19 @@ def interleaving_distance_with_witness(
         if d > best:
             best, witness = d, key
     return best, witness
+
+
+def _infinite_key(f: Formigram, g: Formigram) -> PairKey:
+    """The first pair key, in code order, whose membership differs between
+    f and g in the first value, the last value or the join of all values:
+    the first key whose staircases lie at infinite distance."""
+    views = [(f.values[0], g.values[0]), (f.values[-1], g.values[-1]),
+             (join_all(f.ground, f.values), join_all(g.ground, g.values))]
+    return next(
+        frozenset((x, y))
+        for x, y in combinations_with_replacement(f.ground.elements, 2)
+        if any(p.same_block(x, y) != q.same_block(x, y) for p, q in views)
+    )
 
 
 def interleaving_distance(f: Formigram, g: Formigram) -> RatX:

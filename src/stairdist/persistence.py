@@ -6,11 +6,17 @@ sublevel staircase is the closed region where the rank stays <= n, and the
 erosion distance is the largest Hausdorff distance between matching
 sublevel staircases.  One sweep over the strips between births emits each
 grade's normalized antichain; erosion sweeps on the bars' integer scale
-and joins the grades by ``staircase._gaps``.  Degree-0 persistence of a
-line-indexed filtration is computed by the elder rule.  The bottleneck
-distance is the smallest integer eps, on a common scale of the
-coordinates, at which two covering searches on the B1 x B2 threshold
-graph succeed.
+and joins the grades by ``staircase._gaps``.  With k' < k bars of
+infinite death, the grade-k' staircases are infinitely far apart: once a
+passes every birth and b every finite death, the rank at (a, b) is k' for
+the first barcode, whose region reaches out there, and at least k for the
+second, whose region keeps a below the last birth of its infinite bars.
+So unequal counts decide INF before any scale is taken or any grade
+swept, as they do for the bottleneck distance (``_essential_cost``).
+Degree-0 persistence of a line-indexed filtration is computed by the
+elder rule.  The bottleneck distance is the smallest integer eps, on a
+common scale of the coordinates, at which two covering searches on the
+B1 x B2 threshold graph succeed.
 """
 
 from __future__ import annotations
@@ -108,9 +114,13 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:
     """max over grades n of the Hausdorff distance between the n-th
     sublevel staircases; beyond the larger bar count both are full.  Each
-    barcode is read (``barcode``), put on their common scale S and swept
-    once for all its grades; the answer is the largest ``_gaps`` over S."""
+    barcode is read (``barcode``); unequal counts of bars of infinite
+    death give INF at once, with no grade swept.  Otherwise each is put
+    on their common scale S and swept once for all its grades; the answer
+    is the largest ``_gaps`` over S."""
     b1, b2 = barcode(b1), barcode(b2)
+    if sum(not is_finite(d) for _, d in b1) != sum(not is_finite(d) for _, d in b2):
+        return INF
     scale, grades = common_scale(b1, b2), max(len(b1), len(b2))
     levels = [_sublevels(on_scale(b, scale), grades) for b in (b1, b2)]
     return from_scale(max(map(_gaps(), *levels), default=0), scale)

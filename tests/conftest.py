@@ -75,6 +75,14 @@ def rand_formigram(rng: random.Random, g: GroundSet, max_crit=5) -> Formigram:
     return Formigram(g, tuple(crit), tuple(values))
 
 
+def rand_free_formigram(rng: random.Random, g: GroundSet, max_crit=5) -> Formigram:
+    """Random formigram whose 2m + 1 values are drawn independently, so in
+    general it is not locally maximal."""
+    crit = sorted({rand_fraction(rng) for _ in range(rng.randint(0, max_crit))})
+    values = [rand_subpartition(rng, g) for _ in range(2 * len(crit) + 1)]
+    return Formigram(g, tuple(crit), tuple(values))
+
+
 def rand_formigram_pair(rng: random.Random, g: GroundSet, max_crit=5):
     """Two formigrams over g; half the time the outer interval values are
     matched, which forces every pair's merge staircases to share tail

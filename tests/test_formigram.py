@@ -37,7 +37,8 @@ from stairdist import (
     ultrametric,
     validate,
 )
-from stairdist.formigram import CosheafTable, all_pair_keys
+import stairdist.formigram as formigram_module
+from stairdist.formigram import CosheafTable, all_pair_keys, interleaving_distance_with_witness
 from stairdist.lattice import find
 from stairdist.rat import rat
 from stairdist.oracle import reconstruct
@@ -47,6 +48,8 @@ from conftest import (
     rand_formigram,
     rand_formigram_pair,
     rand_fraction,
+    rand_free_formigram,
+    rand_merged_tail_formigram,
     rand_metric,
     rand_subpartition,
 )
@@ -347,6 +350,57 @@ def test_interleaving_distance_loop():
 def test_interleaving_distance_infinite():
     late = Formigram(XY, (F(0), F(1)), (SPLIT, MERGED, MERGED, MERGED, SPLIT))
     assert interleaving_distance(THETA, late) == INF
+
+
+def d_F_by_every_key(f, g):
+    """d_F with its witness by the definition: both cosheaf codes, one
+    `hausdorff` per pair key in code order, the first attaining key."""
+    code_f, code_g = cosheaf_code(f), cosheaf_code(g)
+    best, witness = F(0), fs(f.ground.elements[0])
+    for key in code_f:
+        d = hausdorff(code_f[key], code_g[key])
+        if d > best:
+            best, witness = d, key
+    return best, witness
+
+
+def d_F_pair(rng, kind):
+    """Two formigrams over 1 to 4 elements of one of three kinds: `pair`
+    (`rand_formigram_pair`), `tail` (a merged-tail formigram against a
+    random one) or `free` (values drawn independently, in general not
+    locally maximal)."""
+    g = ground(rng.randint(1, 4))
+    if kind == "pair":
+        return rand_formigram_pair(rng, g, max_crit=4)
+    if kind == "tail":
+        return rand_merged_tail_formigram(rng, g, max_crit=4), rand_formigram(rng, g, max_crit=4)
+    return rand_free_formigram(rng, g, max_crit=4), rand_free_formigram(rng, g, max_crit=4)
+
+
+@pytest.mark.parametrize("kind", ["pair", "tail", "free"])
+def test_d_F_decides_unequal_outer_values_up_front(monkeypatch, kind):
+    """The library's d_F returns its twin's value, type and witness, in
+    both argument orders.  It builds no cosheaf code exactly when the
+    first or the last values differ (then the answer is INF), and both
+    codes otherwise; the draws of each kind meet both cases."""
+    built = []
+    code = formigram_module.cosheaf_code
+    monkeypatch.setattr(formigram_module, "cosheaf_code", lambda f: built.append(f) or code(f))
+    rng = random.Random(223)
+    decided = 0
+    for _ in range(100):
+        f1, f2 = d_F_pair(rng, kind)
+        outer = f1.values[0] != f2.values[0] or f1.values[-1] != f2.values[-1]
+        for x, y in ((f1, f2), (f2, f1)):
+            built.clear()
+            d, witness = interleaving_distance_with_witness(x, y)
+            d_twin, witness_twin = d_F_by_every_key(x, y)
+            assert (d, type(d), witness) == (d_twin, type(d_twin), witness_twin)
+            assert built == ([] if outer else [x, y])
+            if outer:
+                assert d == INF
+        decided += outer
+    assert 0 < decided < 100
 
 
 def test_interleaving_distance_ground_mismatch():

@@ -292,21 +292,56 @@ def counting_sublevels(monkeypatch):
     return built
 
 
+def essential(bars) -> int:
+    """The number of bars of infinite death."""
+    return sum(d == INF for _, d in bars)
+
+
 def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):
     """Erosion sweeps one generator list per grade per barcode, of at most
-    (distinct births + 1) generators."""
+    (distinct births + 1) generators; with unequal counts of infinite bars
+    it answers INF and sweeps none.  The draws meet both cases, and more
+    than 40 of them sweep."""
     built = counting_sublevels(monkeypatch)
     rng = random.Random(73)
-    for _ in range(40):
+    decided = 0
+    for _ in range(160):
         b1, b2 = rand_tied_barcode(rng, 8), rand_tied_barcode(rng, 8)
         built.clear()
-        erosion_distance(b1, b2)
+        got = erosion_distance(b1, b2)
+        if essential(b1) != essential(b2):
+            assert got == INF and built == []
+            decided += 1
+            continue
         grades = max(len(b1), len(b2))
         assert len(built) == 2 * grades
         strips1 = len({p for p, _ in b1}) + 1
         strips2 = len({p for p, _ in b2}) + 1
         assert all(k <= strips1 for k in built[:grades])
         assert all(k <= strips2 for k in built[grades:])
+    assert 0 < decided < 160 - 40
+
+
+def test_erosion_decides_unequal_infinite_counts_up_front(monkeypatch):
+    """Erosion agrees with `oracle_erosion`.  With unequal counts of
+    infinite bars it answers INF with no `_sublevels` call, and otherwise
+    it sweeps each barcode once; the draws meet both cases."""
+    swept = []
+    sublevels = persistence._sublevels
+    monkeypatch.setattr(persistence, "_sublevels", lambda *a: swept.append(a) or sublevels(*a))
+    rng = random.Random(89)
+    decided = 0
+    for i in range(200):
+        b1, b2 = (rand_tied_barcode(rng, 6) if i % 2 else rand_barcode(rng, 5) for _ in "12")
+        swept.clear()
+        got = erosion_distance(b1, b2)
+        unequal = essential(b1) != essential(b2)
+        assert len(swept) == (0 if unequal else 2)
+        assert got == oracle_erosion(b1, b2)
+        if unequal:
+            assert got == INF
+        decided += unequal
+    assert 0 < decided < 200
 
 
 def test_sublevel_staircase_builds_only_its_grade(monkeypatch):

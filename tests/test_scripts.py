@@ -25,9 +25,12 @@ def run_script(name, *args):
 
 
 def test_oracle_sweep_agrees():
+    """Every family agrees, the last, `infinite`, with every answer INF."""
     done = run_script("oracle_sweep.py", "--iterations", "3", "--seed", "0")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "all families agree"
+    *_, last, verdict = done.stdout.splitlines()
+    assert last.split()[:5] == ["infinite", "3", "instances", "3", "infinite"]
+    assert verdict == "all families agree"
 
 
 @pytest.mark.parametrize("name", ["dendrogram_pipeline.py", "loop_example.py"])
