@@ -14,10 +14,10 @@ and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
 oracles, in both argument orders, one ground's canonical order not
 sorted, against the unpruned search over every minimal cover), the
 validation of interval-indexed filtrations (`validate`: valid ones and
-copies with one face's support shrunk or dropped, against one `subset`
-per (simplex, face), comparing the report strings or None), the one-point
-tripod shortcut (`one-point`: interval-indexed filtrations over 1 to 4
-vertices against a one-vertex filtration, against the search
+copies with one face's support shrunk or dropped, against one walk-twin
+containment per (simplex, face), comparing the report strings or None),
+the one-point tripod shortcut (`one-point`: interval-indexed filtrations
+over 1 to 4 vertices against a one-vertex filtration, against the search
 `tripod_distance_int`), staircases of the plane (`plane`: Hausdorff
 against the candidate scan; `subset`: containment, where half the second
 staircases hold the first's generators or are its thickening, against

@@ -48,12 +48,13 @@ caller's scale}, the value of a set the table lacks, and the gap between
 two values; `_search` applies the orientation rule, swapping the tables
 with the grounds, and costs an item (mx, my) as the gap of the two values
 that its masks read.  `_by_mask` builds every table from a map keyed by
-element sets, except the ultrametric one, which reads its matrix by
-index.  The staircase searches (GH between formigrams, the interval tripod
-distance, `_staircase_search`) put every generator list of both inputs on
-their common scale and cost each distinct pair of lists once by one int
-`_gap` (`staircase._gaps`), with no Fraction made or compared; the other
-two take `_diff` of two ints or infinities.
+element sets, each mask in one OR loop over its set, except the
+ultrametric one, which reads its matrix by index.  The staircase searches
+(GH between formigrams, the interval tripod distance, `_staircase_search`)
+put every generator list of both inputs on their common scale and cost
+each distinct pair of lists once by one int `_gap` (`staircase._gaps`),
+with no Fraction made or compared; the other two take `_diff` of two ints
+or infinities.
 
 The grid distance takes the same join over pair keys as `d_F`: `grid_code`
 walks the boundary of each key's merging cells, O(rows + cols), into a
@@ -233,8 +234,13 @@ def _key_items(
 def _by_mask(ground: GroundSet, values, read) -> dict[int, object]:
     """{mask of s: read(v)} for each element set s of ground and its value
     v in values, the mask as the module docstring lays out."""
-    index = ground.index
-    return {sum([1 << index[e] for e in s]): read(v) for s, v in values.items()}
+    index, out = ground.index, {}
+    for s, v in values.items():
+        m = 0
+        for e in s:
+            m |= 1 << index[e]
+        out[m] = read(v)
+    return out
 
 
 def _diff(a: int | float, b: int | float) -> int | float:

@@ -28,12 +28,11 @@ from .errors import (
 )
 from .lattice import GroundSet, Surjection
 from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
-from .staircase import INT, Staircase, _contained, _gaps, _on, _side, empty, staircase
+from .staircase import INT, Staircase, _contained, _gaps, empty, staircase
 
 Simplex = frozenset
 
 _EMPTY = empty(INT)  # the support of an absent simplex
-_EMPTY_ON = _side((), True)  # the empty support on every scale: no generator, no kink
 
 
 def _check_simplices(ground: GroundSet, keys) -> None:
@@ -124,10 +123,10 @@ def validate_filtration(f) -> str | None:
     comparison.
     An interval-indexed filtration puts all of its N supports on one
     integer scale, the common scale of every support, and converts each
-    once (`staircase._on`, O(K) for K generators in all); each of the
-    (simplex, face) checks is then one `_contained` walk over the two
-    converted supports, O((k_s + k_f) log(k_s + k_f)) operations on ints of
-    the bit size of that scale."""
+    once (`rat.on_scale`, O(K) for K generators in all); each of the
+    (simplex, face) checks is then one `staircase._contained` sweep over the
+    two converted generator tuples, O(k_s + k_f) comparisons of ints of the
+    bit size of that scale (or infinities), with no arithmetic."""
     if isinstance(f, RFiltration):
         index = f.ground.index
         scale = common_scale([f.births.values()])
@@ -149,13 +148,13 @@ def validate_filtration(f) -> str | None:
         return None
     if isinstance(f, IntFiltration):
         scale = common_scale(*[u.gens for u in f.supports.values()])
-        on = {s: _on(u, scale) for s, u in f.supports.items()}
+        on = {s: on_scale(u.gens, scale) for s, u in f.supports.items()}
         for s, scaled in on.items():
             if len(s) == 1:
                 continue
             for v in s:
                 face = s - {v}
-                if not _contained(scaled, on.get(face, _EMPTY_ON), True):
+                if not _contained(scaled, on.get(face, ()), True):
                     return (
                         f"support of simplex {sorted(s)} is not contained in the "
                         f"support of its face {sorted(face)}"

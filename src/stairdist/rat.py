@@ -19,8 +19,9 @@ linkage and the Gromov-Hausdorff and tripod searches) run on ints:
 pairs, and `on_scale` puts a list of pairs on S, where every finite
 coordinate is an even int (`to_scale` one value, and `from_scale` turns an
 int on S back into a Fraction).  A matrix is read and put on its scale in
-one step, `rows_on_scale`: each entry passes `rat` once and is split into
-its numerator and denominator once, with `as_integer_ratio`.
+one step, `rows_on_scale`, where each entry passes `rat` once.  All three
+split each Fraction into its numerator and denominator once, with
+`as_integer_ratio`.
 """
 
 from fractions import Fraction
@@ -110,20 +111,28 @@ def common_scale(*pair_lists) -> int:
 def on_scale(pairs, scale: int) -> tuple[tuple[int | float, int | float], ...]:
     """The pairs times ``scale``, a multiple of their denominators: ints,
     with the infinities kept.  The only floats are the infinities, and
-    testing for a float is cheaper than comparing a Fraction with one."""
-    return tuple([
-        (
-            a if isinstance(a, float) else a.numerator * (scale // a.denominator),
-            b if isinstance(b, float) else b.numerator * (scale // b.denominator),
-        )
-        for a, b in pairs
-    ])
+    testing for a float is cheaper than comparing a Fraction with one; each
+    Fraction is split into its numerator and denominator once, with
+    ``as_integer_ratio``."""
+    out = []
+    for a, b in pairs:
+        if not isinstance(a, float):
+            p, q = a.as_integer_ratio()
+            a = p * (scale // q)
+        if not isinstance(b, float):
+            p, q = b.as_integer_ratio()
+            b = p * (scale // q)
+        out.append((a, b))
+    return tuple(out)
 
 
 def to_scale(x: RatX, scale: int) -> int | float:
     """One value times ``scale``, a multiple of its denominator: an int, or
-    the infinity itself (``on_scale`` does the same, inline, per pair)."""
-    return x if isinstance(x, float) else x.numerator * (scale // x.denominator)
+    the infinity itself (``on_scale`` does the same, per coordinate)."""
+    if isinstance(x, float):
+        return x
+    p, q = x.as_integer_ratio()
+    return p * (scale // q)
 
 
 def from_scale(n: int | float, scale: int) -> RatX:

@@ -25,20 +25,30 @@ sum l + r, so g can only kink at O(k) candidate points: the own corners
 l_i + r_i, the inner corners l_i + r_{i+1} and, when clamped, 2 l_i and
 2 r_i.  These are a subset of the pairwise line intersections, and one
 left-to-right walk over the generators reads g at all of them.  With k_u
-and k_v generators, ``hausdorff`` and ``subset`` cost
-O((k_u + k_v) log(k_u + k_v)) (the sort of the merged breakpoints), and
-normalizing k generators (a sort by l and one sweep) costs O(k log k).
+and k_v generators, ``hausdorff`` costs O((k_u + k_v) log(k_u + k_v)) (the
+sort of the merged breakpoints), ``subset`` O(k_u + k_v) and normalizing k
+generators (a sort by l and one sweep) O(k log k).
 
-The walk runs on Python ints, in two steps.  ``_side`` readies generators
-on an integer scale S, a multiple of twice every denominator, where every
-coordinate and every breakpoint is an even int, so the clamp c/2 is the
-exact c // 2: it stores their kink set and corner sums, in O(k);
-``_on(u, S)`` puts u on S first.  One kernel then walks two sides on the
-same scale: ``_walk`` reads g_u - g_v at their merged kinks and past both
-ends in one pass, and ``_gap``, ``_contained`` and ``profile`` (against a
-side of known height) read that one list.  ``hausdorff`` and ``subset``
-take S = lcm(S_u, S_v) of the two own scales, S_u = 2 L_u for L_u the lcm
-of u's finite denominators (``rat.common_scale`` of u alone), which is the
+Containment needs no profile: u is inside v iff each generator region of
+u is, and the same order lets ``_contained`` settle that for all of u in
+one sweep over both generator tuples, by comparisons alone.  A corner
+(l, r) with l < r, or any corner in the plane, lies in v iff the first
+generator of v with l' >= l has r' <= r.  A clamped region with l >= r
+has the diagonal points (t, t), t in [r, l], as its least points, so it
+lies in v iff v's diagonal pieces [r', l'] (its generators with l' >= r')
+cover that segment.
+
+Both run on Python ints.  The walk takes two steps.  ``_side`` readies
+generators on an integer scale S, a multiple of twice every denominator,
+where every coordinate and every breakpoint is an even int, so the clamp
+c/2 is the exact c // 2: it stores their kink set and corner sums, in
+O(k); ``_on(u, S)`` puts u on S first.  One kernel then walks two sides on
+the same scale: ``_walk`` reads g_u - g_v at their merged kinks and past
+both ends in one pass, and ``_gap`` and ``profile`` (against a side of
+known height) read that one list; ``_contained`` reads the generator
+tuples on S (``on_scale``) alone.  ``hausdorff`` and ``subset`` take
+S = lcm(S_u, S_v) of the two own scales, S_u = 2 L_u for L_u the lcm of
+u's finite denominators (``rat.common_scale`` of u alone), which is the
 common scale of the two.  A staircase is frozen, so it keeps what is
 derived from its generators in its ``__dict__``, where ``==``, ``hash``,
 ``repr`` and ``asdict`` do not look and which a pickle or a copy leaves
@@ -49,8 +59,8 @@ compare many staircases pick one scale for all of them, and those that
 take a join over pairs of parts read ``_gaps``.
 Fractions appear only at the boundary: ``hausdorff`` returns the
 largest scaled gap over S, and ``profile`` converts each breakpoint, value
-and slope.  The O(k log k) counts above are integer operations on ints of
-the bit size of S.
+and slope.  The counts above are integer operations on ints of the bit
+size of S.
 
 Constructions that emit the normalized antichain by design (the cosheaf
 code, the grid code and the sublevel sweep) skip the normalizing
@@ -354,14 +364,34 @@ def _gaps():
     return lambda a, b: pair(a, b) if a <= b else pair(b, a)
 
 
-def _contained(a, b, clamped: bool) -> bool:
-    """u inside v, i.e. g_v <= g_u on every flow line, for a = ``_on(u, S)``
-    and b = ``_on(v, S)``.  O((k_u + k_v) log(k_u + k_v)) int operations."""
-    if a[0] == b[0]:  # the same set, and the only sides read as nan
-        return True
-    d = _walk(a, b, clamped)
-    # g_u - g_v must stay >= 0 out in both tails as well
-    return d[1] <= d[0] and d[-1] >= d[-2] and min(d) >= 0
+def _contained(u, v, clamped: bool) -> bool:
+    """u inside v, i.e. g_v <= g_u on every flow line, for the generator
+    tuples u and v of two normalized staircases on one scale
+    (``on_scale``), by the two rules of the module docstring in one sweep
+    of u: i, the first generator of v with l' >= l, only moves right as l
+    grows, and j takes v's generators by their left ends r', as r grows,
+    into ``end``, the right end of the last run of diagonal pieces that
+    meet, so neither reads a generator of v twice.  O(k_u + k_v)
+    comparisons of ints and infinities, and no arithmetic."""
+    kv, i, j, end = len(v), 0, 0, NEG_INF
+    for l, r in u:
+        if clamped and r <= l:
+            # take the generators that start by r, then those that meet the
+            # run, until it reaches l; one off the diagonal (l' < r') leaves
+            # end < r' <= r, where no later generator meets it
+            while j < kv and end < l:
+                l2, r2 = v[j]
+                if r2 > r and r2 > end:
+                    break
+                end, j = l2, j + 1  # the right ends grow with j
+            if end < l:
+                return False
+        else:
+            while i < kv and v[i][0] < l:
+                i += 1
+            if i == kv or v[i][1] > r:
+                return False
+    return True
 
 
 def _check_ambient(u: Staircase, v: Staircase):
@@ -386,7 +416,7 @@ def subset(u: Staircase, v: Staircase) -> bool:
     ``_contained`` on the common scale of the two."""
     _check_ambient(u, v)
     scale = lcm(_scale(u), _scale(v))
-    return _contained(_on(u, scale), _on(v, scale), u.clamped)
+    return _contained(on_scale(u.gens, scale), on_scale(v.gens, scale), u.clamped)
 
 
 def upper_set_interleaved(u: Staircase, v: Staircase, eps: Fraction) -> bool:

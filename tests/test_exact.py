@@ -335,8 +335,9 @@ def coprime_antichain(k, dens, rng, ambient):
 
 
 def profile_route(u, v):
-    """hausdorff and subset read off _g at the kernel's breakpoints, taken
-    back through the scale, with the tails from unit steps."""
+    """What hausdorff and subset answer, read off _g at the walk's
+    breakpoints, taken back through the scale, with the tails from unit
+    steps."""
     cs = common_kinks(u, v)
     diff = [_g(u, c) - _g(v, c) for c in [cs[0] - 1, *cs, cs[-1] + 1]]
     lo, hi = diff[1] - diff[0], diff[-1] - diff[-2]

@@ -17,16 +17,17 @@ from stairdist import (
     NotOnePoint,
     RFiltration,
     Surjection,
+    Ultrametric,
     ValidationError,
     birth,
     bottleneck_distance,
     full,
+    gromov_hausdorff_ultrametrics,
     h0_barcode,
     hausdorff,
     one_point_tripod,
     pullback_filtration,
     staircase,
-    subset,
     support,
     to_int_indexed,
     tripod_distance_int,
@@ -44,7 +45,8 @@ from conftest import (
     rand_int_filtration,
     rand_r_filtration,
 )
-from test_compare import grown_items, named, rows_of, unpruned_min_max
+from test_compare import grown_items, named, named_grounds, rows_of, unpruned_min_max
+from test_staircase import subset_by_walk
 
 F = Fraction
 
@@ -261,14 +263,14 @@ def test_validate_r_reads_a_ground_out_of_sorted_order():
 
 def per_face_validate(f: IntFiltration):
     """The per-face twin of `validate_filtration` on an interval-indexed
-    filtration: one `subset` per (simplex, face), each on the pair's own
-    scale."""
+    filtration: one containment per (simplex, face) by the walk twin of
+    `staircase._contained`, each on the pair's own scale."""
     for s, u in f.supports.items():
         if len(s) == 1:
             continue
         for v in s:
             face = s - {v}
-            if not subset(u, support(f, face)):
+            if not subset_by_walk(u, support(f, face)):
                 return (
                     f"support of simplex {sorted(s)} is not contained in the "
                     f"support of its face {sorted(face)}"
@@ -296,9 +298,9 @@ def broken_copies(rng, f: IntFiltration):
 
 
 def test_validate_int_matches_per_face_twin():
-    """One scale for all supports reports exactly what one `subset` per
-    (simplex, face) reports, None included, on valid random filtrations
-    and on broken copies of them."""
+    """One scale for all supports and `_contained` report exactly what one
+    walk-twin containment per (simplex, face) reports, None included, on
+    valid random filtrations and on broken copies of them."""
     rng = random.Random(29)
     reports = []
     for _ in range(80):
@@ -318,19 +320,19 @@ def test_validate_int_puts_each_support_on_the_scale_once(monkeypatch):
     """Each stored support is converted once, whatever the number of faces
     checked against it."""
     converted = []
-    on = filtration._on
+    on = filtration.on_scale
 
-    def recording(u, scale):
-        converted.append(id(u))
-        return on(u, scale)
+    def recording(gens, scale):
+        converted.append(id(gens))
+        return on(gens, scale)
 
-    monkeypatch.setattr(filtration, "_on", recording)
+    monkeypatch.setattr(filtration, "on_scale", recording)
     rng = random.Random(31)
     for n in range(1, 7):
         f = rand_int_filtration(rng, ground(n), edge_prob=1, tri_prob=1)
         converted.clear()
         assert validate_filtration(f) is None
-        assert sorted(converted) == sorted(map(id, f.supports.values()))
+        assert sorted(converted) == sorted([id(u.gens) for u in f.supports.values()])
     # the last filtration checks more faces than it stores supports
     assert sum(len(s) for s in f.supports if len(s) > 1) > len(f.supports)
 
@@ -419,6 +421,52 @@ def test_tripod_with_triangles_matches_oracle_at_finite_values():
         assert d == oracle_tripod_r(f, g)
         finite += d != INF
     assert finite >= 6
+
+
+def rips(rng, g):
+    """A random metric on g, distances in [1, 2] (so every triangle
+    inequality holds), as the matrix value that GH reads (an `Ultrametric`,
+    whose constructor does not check the ultra-triangle inequality), and
+    its full Vietoris-Rips filtration: each vertex born at 0, every other
+    simplex at its diameter."""
+    n = len(g)
+    d = [[F(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = F(rng.randint(8, 16), 8)
+    births = {}
+    for k in range(1, n + 1):
+        for ix in combinations(range(n), k):
+            s = Simplex([g.elements[i] for i in ix])
+            births[s] = max([d[i][j] for i, j in combinations(ix, 2)], default=F(0))
+    return Ultrametric(g, d), RFiltration(g, births)
+
+
+def test_tripod_chain_on_rips_filtrations():
+    """bottleneck(h0(R_X), h0(R_Y)) <= tripod_distance_r(R_X, R_Y)
+    <= 2 * gromov_hausdorff_ultrametrics(d_X, d_Y) on the full Rips
+    filtrations R of seeded metrics d, in both argument orders, within the
+    guard.  The left bound is tripod stability: a tripod distance of eps
+    makes the persistent homology of the two filtrations eps-interleaved,
+    and the bottleneck distance of H0 barcodes is the interleaving distance
+    of their modules.  The right bound is Rips stability: the tripod
+    distance between Rips filtrations is at most twice the GH distance,
+    which is half the smallest distortion (`gromov_hausdorff_ultrametrics`
+    reads a plain metric too), while the diameters of related simplices
+    differ by up to the whole distortion, hence the factor of 2."""
+    rng = random.Random(173)
+    strict = past_gh = 0
+    for nx, ny in [(1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4)] * 3:
+        gx, gy = named_grounds(nx, ny)
+        (dx, fx), (dy, fy) = rips(rng, gx), rips(rng, gy)
+        for (da, fa), (db, fb) in [((dx, fx), (dy, fy)), ((dy, fy), (dx, fx))]:
+            low = bottleneck_distance(h0_barcode(fa), h0_barcode(fb))
+            t = tripod_distance_r(fa, fb)
+            high = 2 * gromov_hausdorff_ultrametrics(da, db)
+            assert low <= t <= high, (nx, ny)
+            strict += low < t
+            past_gh += 2 * t > high
+    # the chain is not read off equal values, and the factor of 2 is needed
+    assert strict > 10 and past_gh > 10
 
 
 def test_tripod_metric_properties():

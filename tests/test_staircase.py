@@ -2,6 +2,7 @@
 
 from dataclasses import asdict
 from fractions import Fraction
+from math import lcm
 import copy
 import pickle
 import random
@@ -27,7 +28,7 @@ from stairdist import (
     upper_set_interleaved,
 )
 from stairdist.oracle import oracle_hausdorff
-from stairdist.rat import common_scale, from_scale
+from stairdist.rat import common_scale, from_scale, on_scale
 from stairdist.staircase import (
     Staircase,
     StepProfile,
@@ -37,6 +38,7 @@ from stairdist.staircase import (
     _gap,
     _merged_breaks,
     _on,
+    _scale,
     _walk,
     plane_generator,
 )
@@ -482,10 +484,11 @@ def gap_and_containment_by_g(u, v, real):
 def test_walk_matches_rescanning_reference(ambient):
     """The one walk over both staircases reads g_u - g_v, as _g gives it
     through the scale, at every merged kink and one step past each end;
-    _gap and _contained equal the largest |g_u - g_v| and the containment
-    that _g gives there, and in the plane the containment by generators.
-    oracle_hausdorff reads `subset`, so it runs this same walk and cannot
-    stand in for this twin."""
+    _gap and the walk twin of `_contained` equal the largest |g_u - g_v|
+    and the containment that _g gives there, as does `subset`, and in the
+    plane the containment by generators.  oracle_hausdorff reads `subset`,
+    which compares generators and so shares nothing with the walk, but it
+    reads it only at candidate distances: this test is the walk's own."""
     rng = random.Random(59)
     specials = special_staircases(ambient)
     pairs = [(u, v) for u in specials for v in specials]
@@ -510,9 +513,115 @@ def test_walk_matches_rescanning_reference(ambient):
                 assert type(x) is int or x in (INF, NEG_INF)
         gap, inside = gap_and_containment_by_g(u, v, real)
         assert from_scale(_gap(a, b, u.clamped), scale) == gap, (u, v)
-        assert _contained(a, b, u.clamped) == inside == subset(u, v), (u, v)
+        assert contained_by_walk(a, b, u.clamped) == inside == subset(u, v), (u, v)
         if ambient == "plane":
             assert inside == plane_subset_by_generators(u, v), (u, v)
+
+
+def contained_by_walk(a, b, clamped):
+    """The walk twin of `_contained`: u inside v for a = ``_on(u, S)`` and
+    b = ``_on(v, S)``, read off g_u - g_v at the merged kinks and past both
+    ends (`_walk`), where it must be >= 0 and must not fall in either tail.
+    O((k_u + k_v) log(k_u + k_v)) int operations."""
+    if a[0] == b[0]:  # the same set, and the only sides read as nan
+        return True
+    d = _walk(a, b, clamped)
+    return d[1] <= d[0] and d[-1] >= d[-2] and min(d) >= 0
+
+
+def subset_by_walk(u, v):
+    """`subset` by the walk twin, on the common scale of u and v."""
+    scale = lcm(_scale(u), _scale(v))
+    return contained_by_walk(_on(u, scale), _on(v, scale), u.clamped)
+
+
+def moved(u, t):
+    """u with every finite coordinate moved by t: a translation along the
+    diagonal, which keeps both ambients' order and the clamp, and so every
+    containment."""
+    return Staircase(u.ambient, tuple([
+        tuple([x if isinstance(x, float) else x + t for x in g]) for g in u.gens
+    ]))
+
+
+@pytest.mark.parametrize("ambient", ["int", "plane"])
+def test_contained_matches_the_walk_twin(ambient):
+    """`_contained`, which compares generators, answers what the walk twin
+    reads off the profiles, on empty and full staircases, infinite tails,
+    generators on or across the diagonal (l >= r), thickened and shrunk
+    copies, copies with generators added or dropped, and the same pairs
+    moved past the float range.  The walk meets an infinity with float
+    arithmetic, which no int past that range survives, so the twin reads
+    each pair before the move: a translation keeps every containment."""
+    rng = random.Random(71)
+    specials = special_staircases(ambient)
+    pairs = [(u, v) for u in specials for v in specials]
+    for _ in range(400):
+        u = staircase(rand_gen_list(rng, rng.randint(0, 12)), ambient)
+        eps = rand_fraction(rng, lo=0, hi=3)
+        extra = rand_gen_list(rng, rng.randint(1, 3))
+        kept = [g for g in u.gens if rng.random() < 0.7]
+        pairs += [
+            (u, staircase(rand_gen_list(rng, rng.randint(0, 12)), ambient)),
+            (u, thicken(u, eps)),
+            (u, staircase([(l - eps, r + eps) for l, r in u.gens], ambient)),
+            (u, staircase([*u.gens, *extra], ambient)),
+            (u, staircase(kept, ambient)),
+            (u, rng.choice(specials)),
+        ]
+
+    def contained(a, b):
+        scale = lcm(_scale(a), _scale(b))
+        return _contained(on_scale(a.gens, scale), on_scale(b.gens, scale), a.clamped)
+
+    big = 10**400
+    inside = diagonal = 0
+    for u, v in pairs:
+        for a, b in [(u, v), (v, u)]:
+            want = subset_by_walk(a, b)
+            assert contained(a, b) == contained(moved(a, big), moved(b, big)) == want, (a, b)
+            inside += want
+            diagonal += any(l >= r for l, r in a.gens)
+    assert 1000 < inside < 2 * len(pairs) - 1000 and diagonal > 1000
+
+
+def test_contained_growth_band():
+    """The containment sweep grows no faster than c * k (4x band): the unit
+    is a batch at k = 40; k = 320 must stay within 4 * unit * k.  Each
+    generator's diagonal piece [r, l] reaches past the next four, and v, a
+    thickening of u, covers each piece of u only by a run of its own
+    pieces, so a rescan of v per generator would be quadratic, about 64x
+    here, and fail.  The sweep is timed on the generators already on their
+    scale: conversion is linear by construction and would hide it."""
+    rng = random.Random(1717)
+
+    def long_pieces(k):
+        rs = [F(0)]
+        for _ in range(k + 3):
+            rs.append(rs[-1] + F(rng.randint(1, 10**4), 1000))
+        return Staircase("int", tuple([(rs[i + 4] + F(1, 2), rs[i]) for i in range(k)]))
+
+    def batch_time(k):
+        pairs = []
+        for _ in range(10):
+            u = long_pieces(k)
+            v = thicken(u, F(1, 7))
+            scale = lcm(_scale(u), _scale(v))
+            pairs.append((on_scale(u.gens, scale), on_scale(v.gens, scale)))
+        best = INF
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for a, b in pairs:
+                assert _contained(a, b, True)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    unit = batch_time(40) / 40
+    k = 320
+    t = batch_time(k)
+    assert t <= 4 * unit * k, (
+        f"containment batch at k={k} took {t:.4f}s, band allows {4 * unit * k:.4f}s"
+    )
 
 
 @pytest.mark.parametrize("ambient", ["int", "plane"])
