@@ -32,13 +32,17 @@ formigrams, the merge-time matrix or the NotADendrogram message, against
 the tests' statement of the rule and the `same_block` scan), single
 linkage on ties (`linkage-ties`: the critical points and values of
 `single_linkage` over 1 to 12 points whose distances take few values,
-against the tests' rescan of every pair at every distinct distance) and,
-last, the answers decided up front (`infinite`: d_F with its witness on
-formigram pairs whose first or last values differ, against both codes
-walked key by key, and erosion on barcodes with unequal counts of
-infinite bars, against the per-grade oracle), on freshly sampled
-instances, and reports per-family counts (including how many infinite
-values were hit).
+against the tests' rescan of every pair at every distinct distance), the
+answers decided up front (`infinite`: the d_F value on formigram pairs
+whose first or last values differ, with the witness of
+`interleaving_distance_with_witness`, against both codes walked key by
+key, and erosion on barcodes with unequal counts of infinite bars,
+against the per-grade oracle) and, last, the paths past that exit
+(`formigram-finite`: d_F on pairs drawn as `formigram` draws them whose
+first and last values agree, against the oracle; `erosion-finite`:
+erosion on barcodes with equal counts of infinite bars, against the
+direct oracle), on freshly sampled instances, and reports per-family
+counts (including how many infinite values were hit).
 Disagreements abort with the offending instance printed for replay, and
 so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
 code, a SubPartition; for validation, a report string or None; for
@@ -333,9 +337,33 @@ def infinite_instance(r):
                 return "erosion", b1, b2
 
 
+def finite_formigram_instance(r):
+    """Two formigrams drawn as the `formigram` family draws them, drawn
+    again until their first values agree and their last values agree."""
+    while True:
+        f1, f2 = rand_formigram_pair(r, ground(r.randint(1, 4)), 5)
+        if f1.values[0] == f2.values[0] and f1.values[-1] == f2.values[-1]:
+            return f1, f2
+
+
+def finite_erosion_instance(r):
+    """Two barcodes drawn as the `erosion` family draws them, drawn again
+    until their counts of infinite bars agree."""
+    while True:
+        b1, b2 = rand_barcode(r, 4), rand_barcode(r, 4)
+        if essential(b1) == essential(b2):
+            return b1, b2
+
+
+def d_F_with_witness(f1, f2):
+    """The value of `interleaving_distance`, which decides unequal outer
+    values up front, and the witness of the walk over both codes."""
+    return interleaving_distance(f1, f2), interleaving_distance_with_witness(f1, f2)[1]
+
+
 # kind -> (library answer, twin answer), each a (distance, witness) pair
 DECIDED = {
-    "d_F": (interleaving_distance_with_witness, d_F_by_every_key),
+    "d_F": (d_F_with_witness, d_F_by_every_key),
     "erosion": (lambda b1, b2: (erosion_distance(b1, b2), None),
                 lambda b1, b2: (oracle_erosion(b1, b2), None)),
 }
@@ -558,6 +586,22 @@ def main():
         rng,
         args.iterations,
         value=lambda got: got[0],
+    )
+    sweep(
+        "formigram-finite",
+        finite_formigram_instance,
+        interleaving_distance,
+        oracle_formigram_distance,
+        rng,
+        args.iterations,
+    )
+    sweep(
+        "erosion-finite",
+        finite_erosion_instance,
+        erosion_distance,
+        oracle_erosion_direct,
+        rng,
+        args.iterations,
     )
     print("all families agree")
 

@@ -244,9 +244,14 @@ def _by_mask(ground: GroundSet, values, read) -> dict[int, object]:
 
 
 def _diff(a: int | float, b: int | float) -> int | float:
-    """|a - b| for two ints or infinities on one scale, 0 for two equal
-    infinities (whose difference is nan)."""
-    return 0 if a == b else abs(a - b)
+    """|a - b| for two ints or infinities on one scale: 0 when they are
+    equal, else INF when either is an infinity (a float, by a type test),
+    so no int of any size meets an infinity in arithmetic."""
+    if a == b:
+        return 0
+    if isinstance(a, float) or isinstance(b, float):
+        return INF
+    return abs(a - b)
 
 
 def _search(x: GroundSet, y: GroundSet, at_x, at_y, missing, gap, grow, guard: int):

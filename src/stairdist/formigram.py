@@ -24,11 +24,13 @@ in v_m (a generator with left end INF), and is empty iff not merged in the
 join of all values; the key's two profiles stay a bounded distance apart
 iff its membership agrees in all three (merged meaning present, for a
 singleton key).  Two values differ iff some key's membership does, so
-unequal outer values decide INF before any code is built, and
-`_infinite_key` names the first key in code order whose membership
-differs in one of the three values, the key the walk over the codes would
-return.  A difference in the join alone is left to that walk: checking
-the joins up front costs every finite pair two more joins.
+`interleaving_distance` answers INF for unequal outer values before any
+code is built.  A difference in the join alone is left to the walk over
+the codes: checking the joins up front costs every finite pair two more
+joins.  The witness has one route, that walk:
+`interleaving_distance_with_witness` always builds both codes and names
+the first key in code order that attains the largest distance, INF
+included.
 
 Dendrograms run on one integer scale.  `single_linkage` reads each matrix
 entry once (`_read_matrix`, through `rat.rows_on_scale`), takes a minimum
@@ -339,13 +341,9 @@ def interleaving_distance_with_witness(
     f: Formigram, g: Formigram
 ) -> tuple[RatX, PairKey]:
     """Largest pairwise staircase Hausdorff distance, with the first
-    attaining pair key in code order.  Unequal first or last values give
-    INF at once, with the key `_infinite_key` names, before any code is
-    built; otherwise both codes are built and every key's pair of
-    staircases meets in one `hausdorff` call."""
+    attaining pair key in code order, INF included: both codes are built
+    and every key's pair of staircases meets in one `hausdorff` call."""
     _check_same_ground(f.ground, g.ground)
-    if f.values[0] != g.values[0] or f.values[-1] != g.values[-1]:
-        return INF, _infinite_key(f, g)
     code_f = cosheaf_code(f)
     code_g = cosheaf_code(g)
     best: RatX = Fraction(0)
@@ -357,22 +355,13 @@ def interleaving_distance_with_witness(
     return best, witness
 
 
-def _infinite_key(f: Formigram, g: Formigram) -> PairKey:
-    """The first pair key, in code order, whose membership differs between
-    f and g in the first value, the last value or the join of all values:
-    the first key whose staircases lie at infinite distance."""
-    views = [(f.values[0], g.values[0]), (f.values[-1], g.values[-1]),
-             (join_all(f.ground, f.values), join_all(g.ground, g.values))]
-    return next(
-        frozenset((x, y))
-        for x, y in combinations_with_replacement(f.ground.elements, 2)
-        if any(p.same_block(x, y) != q.same_block(x, y) for p, q in views)
-    )
-
-
 def interleaving_distance(f: Formigram, g: Formigram) -> RatX:
     """The formigram interleaving distance (exact; INF when no interleaving
-    exists)."""
+    exists).  Unequal first or last values give INF before any code is
+    built; otherwise the value of `interleaving_distance_with_witness`."""
+    _check_same_ground(f.ground, g.ground)
+    if f.values[0] != g.values[0] or f.values[-1] != g.values[-1]:
+        return INF
     return interleaving_distance_with_witness(f, g)[0]
 
 

@@ -45,7 +45,11 @@ c/2 is the exact c // 2: it stores their kink set and corner sums, in
 O(k); ``_on(u, S)`` puts u on S first.  One kernel then walks two sides on
 the same scale: ``_walk`` reads g_u - g_v at their merged kinks and past
 both ends in one pass, and ``_gap`` and ``profile`` (against a side of
-known height) read that one list; ``_contained`` reads the generator
+known height) read that one list.  An empty side, and in the plane the
+full plane, has no finite profile: ``_gap`` answers it INF up front and
+``profile`` gives its special form, so every value the walk reads is an
+int and no int meets an infinity in arithmetic, which keeps coordinates
+of any size exact.  ``_contained`` reads the generator
 tuples on S (``on_scale``) alone.  ``hausdorff`` and ``subset`` take
 S = lcm(S_u, S_v) of the two own scales, S_u = 2 L_u for L_u the lcm of
 u's finite denominators (``rat.common_scale`` of u alone), which is the
@@ -214,25 +218,6 @@ def thicken(u: Staircase, eps: Fraction) -> Staircase:
     )
 
 
-def _g(u: Staircase, c: Fraction) -> RatX:
-    """Entry height of the staircase on the flow line a + b = c.
-
-    +inf for the empty staircase; -inf only for the full plane.  Rescans
-    every generator: the reference that ``_walk`` and ``profile`` are
-    tested against.
-    """
-    if not u.gens:
-        return INF
-    best = INF
-    for l, r in u.gens:
-        t = max(r, NEG_INF if l == INF else c - l)
-        if u.clamped:
-            t = max(t, c / 2)
-        if t < best:
-            best = t
-    return best
-
-
 def _scale(u: Staircase) -> int:
     """u's own scale, ``common_scale`` of its generators (2 lcm of its
     finite denominators), worked out once per object.  It is kept in u's
@@ -293,23 +278,24 @@ def _merged_breaks(*kinks: set[int]) -> list[int]:
 
 
 def _corners(gens: tuple[_IntGen, ...]) -> list[int | float]:
-    """Corner sums l_i + r_i, ascending: -inf first at most, +inf last."""
-    return [NEG_INF if r == NEG_INF else INF if l == INF else l + r for l, r in gens]
+    """Corner sums l_i + r_i, ascending: -inf first at most, +inf last.
+    l = INF is read first, so the full generator's corner is +inf."""
+    return [INF if l == INF else NEG_INF if r == NEG_INF else l + r for l, r in gens]
 
 
-def _walk(a: _Side, b: _Side, clamped: bool) -> list[int | float]:
+def _walk(a: _Side, b: _Side, clamped: bool) -> list[int]:
     """g_u - g_v at the merged kinks cs of two sides on one scale
-    (a = ``_on(u, S)``, b = ``_on(v, S)``) and at cs[0] - 2 and cs[-1] + 2,
-    beyond which both profiles are single lines.
+    (a = ``_on(u, S)``, b = ``_on(v, S)``), neither empty nor the full
+    plane, and at cs[0] - 2 and cs[-1] + 2, beyond which both profiles are
+    single lines.
 
     A pointer j into each side's corners is the first generator whose
     corner l_j + r_j is not left of c: every generator before it is on its
     slope-1 leg and every one after it is higher than r_j, so
-    g(c) = min(r_j, c - l_{j-1}), clamped to at least c // 2.  An empty side
-    reads +inf; the full corner is -inf, so j passes it and the full plane
-    reads c - INF = -inf.  A difference is an int, or +-inf against the
-    other side's proper region (nan for two empty sides or two full planes:
-    equal generators)."""
+    g(c) = min(r_j, c - l_{j-1}), clamped to at least c // 2.  No pointer
+    passes a corner of +inf, the full generator's included, so l_{j-1} is
+    an int; r_j is -inf only for the full generator of the interval
+    poset, where the clamp reads c // 2.  Every value read is an int."""
     cs = _merged_breaks(a[1], b[1])
     su, _, cu = a
     sv, _, cv = b
@@ -341,11 +327,17 @@ def _walk(a: _Side, b: _Side, clamped: bool) -> list[int | float]:
 
 def _gap(a, b, clamped: bool) -> int | float:
     """sup_c |g_u(c) - g_v(c)| times S for a = ``_on(u, S)`` and
-    b = ``_on(v, S)``: an int, or INF when one side is empty/full against
-    the other's proper region, or when the profiles diverge in a tail.
-    O((k_u + k_v) log(k_u + k_v)) int operations."""
-    if a[0] == b[0]:  # the same set, and the only sides read as nan
+    b = ``_on(v, S)``: an int, or INF.  Equal sides are 0.  Otherwise an
+    empty side (g = +inf) or, in the plane, the full plane (g = -inf) is
+    INF against any other, read off the generators; every other pair is
+    walked (the full interval poset too: its profile is c / 2), and is INF
+    when its profiles diverge in a tail.  O((k_u + k_v) log(k_u + k_v))
+    int operations."""
+    su, sv = a[0], b[0]
+    if su == sv:
         return 0
+    if not su or not sv or not clamped and (_is_full(su) or _is_full(sv)):
+        return INF
     d = _walk(a, b, clamped)
     # Beyond the extreme breakpoints both profiles are single lines: equal
     # slopes leave |g_u - g_v| at its endpoint value, anything else diverges.

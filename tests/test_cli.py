@@ -165,6 +165,35 @@ def test_staircase_cli(tmp_path, capsys):
     assert [p["slope"] for p in prof["pieces"]] == ["1/2", "1", "0", "1/2"]
 
 
+BIG = str(10**400)  # past the float range
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["staircase", "hausdorff", "big.json", "empty.json"], {"distance": "inf"}),
+    (["staircase", "profile", "big.json"], {
+        "breakpoints": [str(2 * 10**400)],
+        "pieces": [{"slope": "0", "value_at_left": None}, {"slope": "1", "value_at_left": BIG}],
+    }),
+    (["tripod", "--indexing", "r", "dot.json", "dots.json"], {"distance": "inf"}),
+], ids=["hausdorff", "profile", "tripod-r"])
+def test_coordinates_past_the_float_range_are_answered(tmp_path, capsys, argv, expected):
+    """An input number past the float range, written out in digits, gets
+    its exact answer and exit 0: no int meets an infinity in float
+    arithmetic on the way."""
+    docs = {
+        "big.json": {"ambient": "int", "generators": [[BIG, BIG]]},
+        "empty.json": {"ambient": "int", "generators": []},
+        "dot.json": {"vertices": ["a"], "simplices": [{"verts": ["a"], "birth": BIG}]},
+        "dots.json": {
+            "vertices": ["a", "b"],
+            "simplices": [{"verts": ["a"], "birth": BIG}, {"verts": ["b"], "birth": BIG}],
+        },
+    }
+    paths = [write(tmp_path, x, docs[x]) if x in docs else x for x in argv]
+    code, out, err = run(capsys, *paths)
+    assert (code, err, json.loads(out)) == (0, "", expected)
+
+
 def test_smooth_roundtrip_and_determinism(tmp_path, capsys):
     b = write(tmp_path, "b.json", LOOP_THETA_PRIME)
     code1, out1, _ = run(capsys, "formigram", "smooth", "--epsilon", "1/2", b)

@@ -664,10 +664,11 @@ def test_d_F_and_grid_put_each_part_on_its_scale_once(monkeypatch):
     the parts of `cosheaf_code` and `grid_code`, in code order.  Where every
     pair meets on one scale, each distinct part object is put on it once:
     its kinks are found (`_breaks`) once, however many keys share it,
-    while `_on` still runs twice per call.  d_F between formigrams whose
-    first or last values differ answers INF with no `hausdorff` or `_on`
-    call; the draws meet both cases.  The answers are those of the
-    oracles, and the witness is the first attaining key in code order."""
+    while `_on` still runs twice per call.  `interleaving_distance`
+    between formigrams whose first or last values differ answers INF with
+    no `hausdorff` or `_on` call; the draws meet both cases.  The answers
+    are those of the oracles, and the witness is the first attaining key
+    in code order."""
     conversions, _, _, calls = kernel_calls(monkeypatch)
     met = []
     for module in (formigram_module, compare):
@@ -704,9 +705,13 @@ def test_d_F_and_grid_put_each_part_on_its_scale_once(monkeypatch):
         f1, f2 = (on_integers(rng, f) for f in rand_formigram_pair(rng, g, max_crit=3))
         outer = f1.values[0] != f2.values[0] or f1.values[-1] != f2.values[-1]
         decided += outer
-        (d, witness), code_1, code_2 = run(
-            interleaving_distance_with_witness, cosheaf_code, f1, f2, None if outer else saved_d_F
-        )
+        if outer:
+            d, code_1, code_2 = run(interleaving_distance, cosheaf_code, f1, f2, None)
+            witness = interleaving_distance_with_witness(f1, f2)[1]
+        else:
+            (d, witness), code_1, code_2 = run(
+                interleaving_distance_with_witness, cosheaf_code, f1, f2, saved_d_F
+            )
         assert d == oracle_formigram_distance(f1, f2)
         ds = [hausdorff(code_1[key], code_2[key]) for key in code_1]
         assert witness == (list(code_1)[ds.index(d)] if d > 0 else fs(g.elements[0]))
@@ -794,14 +799,24 @@ def test_gh_ultrametric_examples():
 
 
 def test_gh_dendrograms_equal_gh_ultrametrics():
+    """gromov_hausdorff_formigrams(SL X, SL Y) ==
+    gromov_hausdorff_ultrametrics(u_X, u_Y) for u = `ultrametric(SL d)`:
+    under each correspondence the pullbacks are dendrograms again, whose
+    d_F is the sup gap of their merge times (Kim and Memoli, formigrams;
+    Carlsson and Memoli, 2010), so the two searches minimize the same
+    worst mismatch, and both report half of it.  Their cost tables share
+    nothing (staircase gaps against matrix entries), so this checks the
+    branch and bound, the orientation rule and `_by_mask` within the
+    guard, at 4 x 4 with the guard raised to 16 and at 5 x 5 to 25."""
     rng = random.Random(151)
-    for _ in range(8):
-        gx, gy = ground(rng.randint(1, 3)), ground(rng.randint(1, 3))
+    shapes = [(rng.randint(1, 3), rng.randint(1, 4)) for _ in range(8)]
+    for nx, ny, guard in [*[(nx, ny, 12) for nx, ny in shapes], *[(4, 4, 16), (5, 5, 25)] * 3]:
+        gx, gy = ground(nx), ground(ny)
         fx = single_linkage(gx, rand_metric(rng, gx))
         fy = single_linkage(gy, rand_metric(rng, gy))
-        assert gromov_hausdorff_formigrams(fx, fy) == gromov_hausdorff_ultrametrics(
-            ultrametric(fx), ultrametric(fy)
-        )
+        assert gromov_hausdorff_formigrams(fx, fy, guard) == gromov_hausdorff_ultrametrics(
+            ultrametric(fx), ultrametric(fy), guard
+        ), (nx, ny)
 
 
 # --- grid clusterings ---------------------------------------------------------------

@@ -49,19 +49,22 @@ from stairdist import (
     ultrametric,
 )
 from stairdist.oracle import oracle_formigram_distance, oracle_grid_distance, oracle_hausdorff
-from stairdist.rat import common_scale, rat
-from stairdist.staircase import Staircase, _g
+from stairdist.rat import common_scale, is_finite, rat
+from stairdist.staircase import Staircase, StepProfile
 from conftest import (
+    full_r_filtration,
     ground,
     rand_barcode,
     rand_formigram,
     rand_formigram_pair,
     rand_grid_pair,
+    rand_int_filtration,
     rand_metric,
     rand_r_filtration,
+    rand_staircase_pair,
     union_staircase,
 )
-from test_staircase import common_kinks
+from test_staircase import _g, common_kinks, moved
 
 F = Fraction
 
@@ -362,6 +365,62 @@ def test_wide_scale_agrees_with_oracle_and_reference(ambient):
         assert subset(u, v) == contained
         assert subset(v, u) == profile_route(v, u)[1]
         assert subset(u, u) and hausdorff(u, u) == 0
+
+
+def test_answers_past_the_float_range_are_those_of_the_unmoved_inputs():
+    """Inputs moved by t = 10**400, past the float range, get the answers
+    of the unmoved inputs, so no int of that size meets an infinity in
+    arithmetic: `hausdorff` in both ambients against empty, full and
+    random partners (every generator moved along the diagonal, `moved`),
+    `profile` (breakpoints + 2 t, values + t), the tripod distances and
+    the one-point shortcut (births + t, supports moved) and erosion and
+    bottleneck (bar ends + t).  A translation keeps every distance."""
+    t = 10**400
+    rng = random.Random(401)
+    answers = []
+
+    def both(distance, a, b, far_a, far_b):
+        d = distance(a, b)
+        assert same(distance(far_a, far_b), d), (a, b)
+        answers.append(d)
+
+    for ambient in ("int", "plane"):
+        for _ in range(60):
+            u, v = rand_staircase_pair(rng, ambient)
+            for w in (v, empty(ambient), full(ambient)):
+                both(hausdorff, u, w, moved(u, t), moved(w, t))
+                both(hausdorff, w, u, moved(w, t), moved(u, t))
+            if any(is_finite(l) and is_finite(r) for l, r in u.gens):  # a kink at l + r
+                prof = profile(u)
+                assert profile(moved(u, t)) == StepProfile(
+                    tuple([c + 2 * t for c in prof.breakpoints]),
+                    tuple([x + t for x in prof.values]),
+                    prof.slopes,
+                ), u
+
+    def births(f):
+        return RFiltration(f.ground, {s: b + t for s, b in f.births.items()})
+
+    def supports(f):
+        return IntFiltration(f.ground, {s: moved(u, t) for s, u in f.supports.items()})
+
+    def bars(b):
+        return barcode([(p + t, q if q == INF else q + t) for p, q in b])
+
+    for _ in range(20):
+        f, g = (rng.choice((rand_r_filtration, full_r_filtration))(rng, ground(rng.randint(1, 3)))
+                for _ in range(2))
+        both(tripod_distance_r, f, g, births(f), births(g))
+        f, g = (rand_int_filtration(rng, ground(rng.randint(1, 3)), pinned=rng.random() < 0.5)
+                for _ in range(2))
+        both(tripod_distance_int, f, g, supports(f), supports(g))
+        point = rand_int_filtration(rng, ground(1))
+        both(one_point_tripod, f, point, supports(f), supports(point))
+        b1, b2 = rand_barcode(rng, 4), rand_barcode(rng, 4)
+        both(erosion_distance, b1, b2, bars(b1), bars(b2))
+        both(bottleneck_distance, b1, b2, bars(b1), bars(b2))
+    finite = sum(type(d) is Fraction for d in answers)
+    assert 100 < finite < len(answers) - 100
 
 
 def test_answer_digest_is_pinned():

@@ -379,10 +379,12 @@ def d_F_pair(rng, kind):
 
 @pytest.mark.parametrize("kind", ["pair", "tail", "free"])
 def test_d_F_decides_unequal_outer_values_up_front(monkeypatch, kind):
-    """The library's d_F returns its twin's value, type and witness, in
-    both argument orders.  It builds no cosheaf code exactly when the
-    first or the last values differ (then the answer is INF), and both
-    codes otherwise; the draws of each kind meet both cases."""
+    """The library's d_F with its witness returns its twin's value, type
+    and witness, in both argument orders, and `interleaving_distance` the
+    same value and type.  `interleaving_distance` builds no cosheaf code
+    exactly when the first or the last values differ (then the answer is
+    INF), and both codes otherwise; the witness always comes from the walk
+    over both codes.  The draws of each kind meet both cases."""
     built = []
     code = formigram_module.cosheaf_code
     monkeypatch.setattr(formigram_module, "cosheaf_code", lambda f: built.append(f) or code(f))
@@ -392,10 +394,12 @@ def test_d_F_decides_unequal_outer_values_up_front(monkeypatch, kind):
         f1, f2 = d_F_pair(rng, kind)
         outer = f1.values[0] != f2.values[0] or f1.values[-1] != f2.values[-1]
         for x, y in ((f1, f2), (f2, f1)):
-            built.clear()
             d, witness = interleaving_distance_with_witness(x, y)
             d_twin, witness_twin = d_F_by_every_key(x, y)
             assert (d, type(d), witness) == (d_twin, type(d_twin), witness_twin)
+            built.clear()
+            value = interleaving_distance(x, y)
+            assert (value, type(value)) == (d, type(d))
             assert built == ([] if outer else [x, y])
             if outer:
                 assert d == INF
@@ -935,17 +939,42 @@ def test_ultrametric_checks_dendrograms_as_the_twin_does(monkeypatch):
             assert str(raised.value) == problem, f
 
 
+def sup_gap(rows1, rows2):
+    """max |a - b| over the entries of two matrices of one shape."""
+    return max(abs(a - b) for r1, r2 in zip(rows1, rows2) for a, b in zip(r1, r2))
+
+
 def test_dendrogram_distance_is_ultrametric_sup_difference():
+    """d_F(SL d1, SL d2) == max |u1 - u2| for u = `ultrametric(SL d)` on one
+    ground, at n = 2 to 12 and at n = 40, past every oracle: a dendrogram
+    smoothed by eps is the dendrogram eps later, so an eps-interleaving of
+    two dendrograms is a sup-norm bound on their merge times (Carlsson and
+    Memoli, "Characterization, stability and convergence of hierarchical
+    clustering methods", 2010, read through the formigram interleaving of
+    Kim and Memoli).  The matrices are `rand_metric`'s dissimilarities,
+    which single linkage reads without the triangle inequality."""
     rng = random.Random(53)
-    for _ in range(15):
-        g = ground(rng.randint(2, 4))
-        d1, d2 = rand_metric(rng, g), rand_metric(rng, g)
-        f1, f2 = single_linkage(g, d1), single_linkage(g, d2)
+    for n in [*range(2, 13), *[40] * 3]:
+        g = ground(n)
+        f1, f2 = (single_linkage(g, rand_metric(rng, g)) for _ in range(2))
         u1, u2 = ultrametric(f1), ultrametric(f2)
-        expected = max(
-            abs(u1(x, y) - u2(x, y)) for x in g.elements for y in g.elements
-        )
-        assert interleaving_distance(f1, f2) == expected
+        assert interleaving_distance(f1, f2) == sup_gap(u1.entries, u2.entries), n
+
+
+def test_single_linkage_merge_times_are_stable():
+    """max |u1 - u2| <= max |d1 - d2| for u = `ultrametric(SL d)`: single
+    linkage is 1-Lipschitz from dissimilarities to merge times in the sup
+    norm (Carlsson and Memoli, 2010, stability of single linkage), at
+    n = 2 to 40.  The bound is not read off equal values."""
+    rng = random.Random(181)
+    strict = 0
+    for n in [*range(2, 13)] * 2 + [40] * 3:
+        g = ground(n)
+        d1, d2 = rand_metric(rng, g), rand_metric(rng, g)
+        gap = sup_gap(*(ultrametric(single_linkage(g, d)).entries for d in (d1, d2)))
+        assert gap <= sup_gap(d1, d2), n
+        strict += gap < sup_gap(d1, d2)
+    assert strict > 10
 
 
 # --- pullback ---------------------------------------------------------------------

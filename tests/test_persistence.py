@@ -19,7 +19,9 @@ from stairdist import (
     full,
     h0_barcode,
     hausdorff,
+    interleaving_distance,
     rank,
+    single_linkage,
     staircase,
     sublevel_staircase,
 )
@@ -28,7 +30,7 @@ from stairdist.oracle import oracle_hausdorff
 from stairdist.staircase import INT
 from stairdist.persistence import _perfect_matching_exists
 from stairdist.rat import is_finite
-from conftest import rand_barcode, rand_fraction, rand_r_filtration, ground
+from conftest import rand_barcode, rand_fraction, rand_metric, rand_r_filtration, ground
 
 F = Fraction
 
@@ -621,3 +623,30 @@ def test_barcode_validation():
         bottleneck_distance(((-INF, 1),), ((0, 1),))
     with pytest.raises(ValidationError):
         erosion_distance(((-INF, 1),), ((0, 1),))
+
+
+def test_h0_bottleneck_is_at_most_d_F_of_single_linkage():
+    """bottleneck(h0(R1), h0(R2)) <= d_F(SL d1, SL d2), with R the
+    1-skeleton filtration of d (each vertex born at 0, each edge at its
+    dissimilarity) and SL `single_linkage`, at n = 2 to 12 and n = 40.
+    Elder-rule H0 is a functor of the dendrogram: an eps-interleaving of
+    the dendrograms eps-interleaves the H0 modules, whose interleaving
+    distance is the bottleneck distance (isometry theorem; Chazal et al.,
+    "Proximity of persistence modules and their diagrams", 2009).  Both
+    sides use the sup norm on bar ends, and an unmatched bar costs half
+    its length."""
+    rng = random.Random(227)
+    strict = 0
+    for n in [*range(2, 13)] * 2 + [40] * 2:
+        g = ground(n)
+        d1, d2 = rand_metric(rng, g), rand_metric(rng, g)
+        h0 = [h0_barcode(RFiltration(g, {
+            **{frozenset({x}): 0 for x in g.elements},
+            **{frozenset({g.elements[i], g.elements[j]}): d[i][j]
+               for i in range(n) for j in range(i + 1, n)},
+        })) for d in (d1, d2)]
+        low = bottleneck_distance(*h0)
+        d_F = interleaving_distance(single_linkage(g, d1), single_linkage(g, d2))
+        assert low <= d_F, n
+        strict += low < d_F
+    assert strict > 10

@@ -34,8 +34,8 @@ from stairdist.staircase import (
     StepProfile,
     _antichain,
     _contained,
-    _g,
     _gap,
+    _is_full,
     _merged_breaks,
     _on,
     _scale,
@@ -47,6 +47,25 @@ from conftest import rand_fraction, rand_staircase, rand_staircase_pair
 F = Fraction
 DELTA = F(3, 2)
 LOOP = staircase([(-DELTA, NEG_INF), (INF, DELTA)])
+
+
+def _g(u: Staircase, c: Fraction):
+    """Entry height of the staircase on the flow line a + b = c.
+
+    +inf for the empty staircase; -inf only for the full plane.  Rescans
+    every generator: the reference that ``_walk`` and ``profile`` are
+    tested against.
+    """
+    if not u.gens:
+        return INF
+    best = INF
+    for l, r in u.gens:
+        t = max(r, NEG_INF if l == INF else c - l)
+        if u.clamped:
+            t = max(t, c / 2)
+        if t < best:
+            best = t
+    return best
 
 
 def test_normalize_examples():
@@ -483,12 +502,14 @@ def gap_and_containment_by_g(u, v, real):
 @pytest.mark.parametrize("ambient", ["int", "plane"])
 def test_walk_matches_rescanning_reference(ambient):
     """The one walk over both staircases reads g_u - g_v, as _g gives it
-    through the scale, at every merged kink and one step past each end;
-    _gap and the walk twin of `_contained` equal the largest |g_u - g_v|
-    and the containment that _g gives there, as does `subset`, and in the
-    plane the containment by generators.  oracle_hausdorff reads `subset`,
-    which compares generators and so shares nothing with the walk, but it
-    reads it only at candidate distances: this test is the walk's own."""
+    through the scale, at every merged kink and one step past each end,
+    as an int, for every pair with neither side empty nor the full plane;
+    _gap answers those sides before any walk.  _gap and the walk twin of
+    `_contained` equal the largest |g_u - g_v| and the containment that _g
+    gives there, as does `subset`, and in the plane the containment by
+    generators.  oracle_hausdorff reads `subset`, which compares
+    generators and so shares nothing with the walk, but it reads it only
+    at candidate distances: this test is the walk's own."""
     rng = random.Random(59)
     specials = special_staircases(ambient)
     pairs = [(u, v) for u in specials for v in specials]
@@ -502,15 +523,11 @@ def test_walk_matches_rescanning_reference(ambient):
         cs = _merged_breaks(a[1], b[1])
         pts = [cs[0] - 2, *cs, cs[-1] + 2]
         real = [F(c, scale) for c in pts]
-        d = _walk(a, b, u.clamped)
-        assert len(d) == len(pts)
-        for x, c in zip(d, real):
-            expect = _g(u, c) - _g(v, c)
-            if expect != expect:  # nan: both sides empty, or both the full plane
-                assert u.gens == v.gens and x != x
-            else:
-                assert from_scale(x, scale) == expect, (u, v, c)
-                assert type(x) is int or x in (INF, NEG_INF)
+        if walked(a, b, u.clamped):
+            d = _walk(a, b, u.clamped)
+            assert len(d) == len(pts)
+            for x, c in zip(d, real):
+                assert type(x) is int and from_scale(x, scale) == _g(u, c) - _g(v, c), (u, v, c)
         gap, inside = gap_and_containment_by_g(u, v, real)
         assert from_scale(_gap(a, b, u.clamped), scale) == gap, (u, v)
         assert contained_by_walk(a, b, u.clamped) == inside == subset(u, v), (u, v)
@@ -518,13 +535,24 @@ def test_walk_matches_rescanning_reference(ambient):
             assert inside == plane_subset_by_generators(u, v), (u, v)
 
 
+def walked(a, b, clamped):
+    """Whether `_walk` reads the pair of sides: neither is empty nor, in
+    the plane, the full plane, the sides whose profile is a constant
+    infinity."""
+    return all(s[0] and (clamped or not _is_full(s[0])) for s in (a, b))
+
+
 def contained_by_walk(a, b, clamped):
     """The walk twin of `_contained`: u inside v for a = ``_on(u, S)`` and
     b = ``_on(v, S)``, read off g_u - g_v at the merged kinks and past both
     ends (`_walk`), where it must be >= 0 and must not fall in either tail.
+    A profile that is a constant infinity (g_u = +inf for an empty u,
+    g_v = -inf for the full plane v, and so on) is read without a walk.
     O((k_u + k_v) log(k_u + k_v)) int operations."""
-    if a[0] == b[0]:  # the same set, and the only sides read as nan
-        return True
+    if a[0] == b[0] or not a[0] or not clamped and _is_full(b[0]):
+        return True  # the same set, g_u = +inf or g_v = -inf
+    if not walked(a, b, clamped):
+        return False  # g_v = +inf or g_u = -inf, against a finite profile
     d = _walk(a, b, clamped)
     return d[1] <= d[0] and d[-1] >= d[-2] and min(d) >= 0
 
@@ -550,9 +578,8 @@ def test_contained_matches_the_walk_twin(ambient):
     reads off the profiles, on empty and full staircases, infinite tails,
     generators on or across the diagonal (l >= r), thickened and shrunk
     copies, copies with generators added or dropped, and the same pairs
-    moved past the float range.  The walk meets an infinity with float
-    arithmetic, which no int past that range survives, so the twin reads
-    each pair before the move: a translation keeps every containment."""
+    moved past the float range, where the twin reads them too: a
+    translation keeps every containment."""
     rng = random.Random(71)
     specials = special_staircases(ambient)
     pairs = [(u, v) for u in specials for v in specials]
@@ -579,7 +606,8 @@ def test_contained_matches_the_walk_twin(ambient):
     for u, v in pairs:
         for a, b in [(u, v), (v, u)]:
             want = subset_by_walk(a, b)
-            assert contained(a, b) == contained(moved(a, big), moved(b, big)) == want, (a, b)
+            far = moved(a, big), moved(b, big)
+            assert contained(a, b) == contained(*far) == subset_by_walk(*far) == want, (a, b)
             inside += want
             diagonal += any(l >= r for l, r in a.gens)
     assert 1000 < inside < 2 * len(pairs) - 1000 and diagonal > 1000
