@@ -93,6 +93,8 @@ from stairdist.oracle import (
     reconstruct,
 )
 from conftest import (
+    broken_copies,
+    dendrogram_mutant,
     full_r_filtration,
     ground,
     rand_barcode,
@@ -107,30 +109,27 @@ from conftest import (
     rand_r_filtration,
     rand_staircase_pair,
 )
-from test_compare import (
+from twins import (
+    brute_merge_time,
+    d_F_by_every_key,
+    essential,
+    is_dendrogram_twin,
+    oracle_bottleneck,
+    oracle_erosion,
+    oracle_erosion_direct,
     oracle_gh_via_pullbacks,
-    search_inputs,
-    unpruned_gh_formigrams,
-    unpruned_gh_ultrametrics,
-)
-from test_filtration import (
-    broken_copies,
     oracle_tripod_int,
     oracle_tripod_r,
     per_face_validate,
+    plane_subset_by_generators,
+    search_inputs,
+    single_linkage_rescan,
+    ultrametric_scan,
+    unpruned_gh_formigrams,
+    unpruned_gh_ultrametrics,
     unpruned_tripod_int,
     unpruned_tripod_r,
 )
-from test_formigram import (
-    brute_merge_time,
-    d_F_by_every_key,
-    dendrogram_mutant,
-    is_dendrogram_twin,
-    single_linkage_rescan,
-    ultrametric_scan,
-)
-from test_persistence import essential, oracle_bottleneck, oracle_erosion, oracle_erosion_direct
-from test_staircase import plane_subset_by_generators
 
 # ground-set sizes of the correspondence families: |X| * |Y| <= 8
 SEARCH_SIZES = [(nx, ny) for nx in range(1, 9) for ny in range(1, 9) if nx * ny <= 8]

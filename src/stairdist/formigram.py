@@ -37,13 +37,13 @@ entry once (`_read_matrix`, through `rat.rows_on_scale`), takes a minimum
 spanning tree by an O(n^2) Prim scan of the int matrix (Gower and Ross:
 single linkage is read off that tree) and unites its n - 1 edges, sorted,
 one weight group at a time; each partition is the blocks kept per root,
-canonical by construction (`lattice._canonical`), so it costs
+canonical by construction (`lattice._built`), so it costs
 2 (n - 1) `find` calls in all.  `ultrametric` reads every merge time from
 one union-find walk over the point values, O(m n) `find` calls, and the
 same walk checks that its input is a dendrogram, so it owns that rule and
 `is_dendrogram` returns its message.  Both build their result past its
-constructor's re-checks, through `_built`.  `Fraction` appears only in the
-critical points and the ultrametric entries.
+constructor's re-checks, through the same door.  `Fraction` appears only
+in the critical points and the ultrametric entries.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
-from .lattice import _canonical, _check_same_ground
+from .lattice import _built, _check_same_ground
 from .rat import INF, NEG_INF, RatX, increasing_rats, is_finite, rat, rows_on_scale
-from .staircase import INT, Staircase, _antichain, hausdorff
+from .staircase import INT, Staircase, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
 
@@ -324,7 +324,7 @@ def _code(pairs, run, ambient: str, lefts, rights) -> dict[PairKey, Staircase]:
     their order, from `run(x, y)`: the (i, j) index pairs of the normalized
     antichain sorted by l, whose generators are (lefts[i], rights[j]).  Keys
     with equal runs share one (frozen) Staircase, built without the
-    normalizing sweep (`_antichain`).  `cosheaf_code` and the grid code of
+    normalizing sweep (`lattice._built`).  `cosheaf_code` and the grid code of
     `compare` both build through it."""
     shared: dict[tuple, Staircase] = {}
     out: dict[PairKey, Staircase] = {}
@@ -332,7 +332,8 @@ def _code(pairs, run, ambient: str, lefts, rights) -> dict[PairKey, Staircase]:
         ij = run(x, y)
         u = shared.get(ij)
         if u is None:
-            u = shared[ij] = _antichain(ambient, tuple([(lefts[i], rights[j]) for i, j in ij]))
+            gens = tuple([(lefts[i], rights[j]) for i, j in ij])
+            u = shared[ij] = _built(Staircase, ambient=ambient, gens=gens)
         out[frozenset((x, y))] = u
     return out
 
@@ -477,7 +478,7 @@ def single_linkage(ground: GroundSet, d: list[list[Fraction]]) -> Formigram:
         parent[rb] = ra
         blocks[ra] = tuple(sorted(blocks[ra] + blocks.pop(rb), key=index.__getitem__))
         if k + 1 == len(edges) or edges[k + 1][0] != t:
-            part = _canonical(ground, tuple(blocks.values()))
+            part = _built(SubPartition, ground=ground, blocks=tuple(blocks.values()))
             crit.append(Fraction(t, scale))
             values += (part, part)
     return _built(Formigram, ground=ground, crit=tuple(crit), values=tuple(values))
@@ -541,13 +542,3 @@ def ultrametric(f: Formigram) -> Ultrametric:
     # the walk wrote a finite symmetric Fraction matrix with a zero diagonal
     return _built(Ultrametric, ground=f.ground, entries=tuple([tuple(row) for row in entries]))
 
-
-def _built(cls, **fields):
-    """An instance of the frozen dataclass cls on fields its caller built
-    valid by design, past the constructor's reading and checks: the one
-    door past them, for `single_linkage`'s Formigram and `ultrametric`'s
-    Ultrametric."""
-    value = object.__new__(cls)
-    for name, x in fields.items():
-        object.__setattr__(value, name, x)
-    return value

@@ -5,10 +5,11 @@ refinement (P <= Q iff every block of P sits inside a block of Q).  The empty
 subpartition is the zero element and the one-block partition the unit.  A
 join of any number of parts is one union-find pass over all their blocks
 (`join_all`); meets intersect blocks pairwise.  A value the library builds
-canonical by design (the empty, discrete and one-block partitions, and the
-union-find reads of `join_all` and `single_linkage`) skips the
-constructor's checks through one door, `_canonical`; meets, and values
-from outside, are checked.
+valid by design skips its constructor's checks through one door,
+`_built`: the empty, discrete and one-block partitions and the union-find
+reads of `join_all` and `single_linkage`, and the package's staircases,
+formigrams and ultrametrics built that way too; meets, and values from
+outside, are checked.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ class SubPartition:
 
     @classmethod
     def empty(cls, ground: GroundSet) -> "SubPartition":
-        return _canonical(ground, ())
+        return _built(cls, ground=ground, blocks=())
 
     @classmethod
     def singletons(cls, ground: GroundSet) -> "SubPartition":
-        return _canonical(ground, tuple([(x,) for x in ground.elements]))
+        return _built(cls, ground=ground, blocks=tuple([(x,) for x in ground.elements]))
 
     @classmethod
     def one_block(cls, ground: GroundSet) -> "SubPartition":
-        return _canonical(ground, (ground.elements,))
+        return _built(cls, ground=ground, blocks=(ground.elements,))
 
     @cached_property
     def block_index(self) -> Mapping[str, int]:
@@ -195,17 +196,20 @@ def join_all(ground: GroundSet, parts: Iterable[SubPartition]) -> SubPartition:
     return _from_forest(ground, parent, sorted(members))
 
 
-def _canonical(ground: GroundSet, blocks: tuple[tuple[str, ...], ...]) -> SubPartition:
-    """A SubPartition on blocks that its caller already built canonical
-    (nonempty, disjoint, on the ground, members in ground order, blocks in
-    the order of their first members), so the constructor's checks and
-    sorts are skipped.  O(1).  The one door past them: `empty`,
-    `singletons`, `one_block`, `_from_forest` and `single_linkage`, whose
-    blocks are kept per root of its union-find, build through it."""
-    p = object.__new__(SubPartition)
-    object.__setattr__(p, "ground", ground)
-    object.__setattr__(p, "blocks", blocks)
-    return p
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls on fields its caller built
+    valid by design, past the constructor's reading, checks and sorts:
+    one ``__dict__`` update, O(1).  The one door past the value
+    constructors.  Through it go the canonical subpartitions of `empty`,
+    `singletons`, `one_block`, `_from_forest` and `single_linkage` (blocks
+    nonempty, disjoint, on the ground, members in ground order, blocks in
+    the order of their first members), the normalized antichains of the
+    cosheaf and grid codes and of the sublevel sweep (sorted by l, of
+    Fractions and infinities on their own sides), and `single_linkage`'s
+    Formigram and `ultrametric`'s Ultrametric."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def _from_forest(ground: GroundSet, parent: list[int], members: Iterable[int]) -> SubPartition:
@@ -213,13 +217,13 @@ def _from_forest(ground: GroundSet, parent: list[int], members: Iterable[int]) -
     each block listed from its first member on.  Its caller, `join_all`,
     passes ascending, distinct indices, so each block's members come in
     ground order and the blocks in the order of their first members: the
-    value is canonical by construction and goes through `_canonical`.
+    value is canonical by construction and goes through `_built`.
     Private, since another order would break that."""
     comps: dict[int, list[str]] = {}
     elements = ground.elements
     for i in members:
         comps.setdefault(find(parent, i), []).append(elements[i])
-    return _canonical(ground, tuple([tuple(c) for c in comps.values()]))
+    return _built(SubPartition, ground=ground, blocks=tuple([tuple(c) for c in comps.values()]))
 
 
 def is_join_irreducible(p: SubPartition) -> bool:

@@ -26,9 +26,9 @@ from fractions import Fraction
 
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
-from .lattice import find
+from .lattice import _built, find
 from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
-from .staircase import INT, Staircase, _antichain, _gaps
+from .staircase import INT, Staircase, _gaps
 
 Bar = tuple[Fraction, RatX]
 Barcode = tuple[Bar, ...]  # as built by barcode(); the distances accept raw pairs
@@ -108,7 +108,7 @@ def sublevel_staircase(bars: Barcode, n: int) -> Staircase:
         raise ValueError("n must be >= 0")
     bars = barcode(bars)
     n = min(n, len(bars))
-    return _antichain(INT, _sublevels(bars, n + 1, n)[0])
+    return _built(Staircase, ambient=INT, gens=_sublevels(bars, n + 1, n)[0])
 
 
 def erosion_distance(b1: Barcode, b2: Barcode) -> RatX:

@@ -68,7 +68,7 @@ size of S.
 
 Constructions that emit the normalized antichain by design (the cosheaf
 code, the grid code and the sublevel sweep) skip the normalizing
-constructor through ``_antichain``.
+constructor through ``lattice._built``.
 """
 
 from __future__ import annotations
@@ -173,16 +173,6 @@ def full(ambient: str = INT) -> Staircase:
 
 def empty(ambient: str = INT) -> Staircase:
     return Staircase(ambient, ())
-
-
-def _antichain(ambient: str, gens: tuple[Gen, ...]) -> Staircase:
-    """A Staircase on gens that its caller already built as the normalized
-    antichain sorted by l, of Fractions and infinities on their own sides,
-    so the constructor's reading and sweep are skipped.  O(1)."""
-    u = object.__new__(Staircase)
-    object.__setattr__(u, "ambient", ambient)
-    object.__setattr__(u, "gens", gens)
-    return u
 
 
 def contains(u: Staircase, p: tuple[Fraction, Fraction]) -> bool:

@@ -2,8 +2,10 @@
 
 Randomized agreement tests use `random.Random` with fixed seeds so failures
 reproduce; hypothesis drives the algebraic-law property tests.  Its profile
-is registered when pytest configures, so the scripts that import these
-builders (`scripts/answer_digest.py`) need the standard library alone.
+is registered when pytest configures, so what imports these builders
+(`tests/twins.py`, `scripts/answer_digest.py` and `scripts/oracle_sweep.py`)
+needs the standard library alone.  A builder that only one test module
+reads stays in that module.
 """
 
 from fractions import Fraction
@@ -21,8 +23,15 @@ from stairdist import (
     Staircase,
     SubPartition,
     barcode,
+    single_linkage,
     staircase,
 )
+
+F = Fraction
+
+
+def fs(*xs):
+    return frozenset(xs)
 
 
 def pytest_configure(config):
@@ -323,3 +332,87 @@ def rand_int_filtration(
             for picks in product(*(supports[e].gens for e in faces))
         )
     return IntFiltration(g, supports)
+
+
+def named_grounds(nx, ny):
+    return tuple(GroundSet(tuple(f"{c}{i}" for i in range(n))) for c, n in (("x", nx), ("y", ny)))
+
+
+def shrunk(u, d):
+    """A staircase inside u: every generator moved (l - d, r + d)."""
+    return staircase((l - d, r + d) for l, r in u.gens)
+
+
+def broken_copies(rng, f: IntFiltration):
+    """f, f with one face's support swapped for a smaller staircase, and f
+    with one face dropped (a face of some stored simplex in each)."""
+    faces = [s - {v} for s in f.supports if len(s) > 1 for v in s]
+    out = [f]
+    if faces:
+        face, gone = rng.choice(faces), rng.choice(faces)
+        swapped = dict(f.supports)
+        swapped[face] = shrunk(f.supports[face], rand_fraction(rng, lo=0, hi=2) + F(1, 4))
+        dropped = {s: u for s, u in f.supports.items() if s != gone}
+        out += [IntFiltration(f.ground, swapped), IntFiltration(f.ground, dropped)]
+    return out
+
+
+def rand_partition(rng, g):
+    blocks = {}
+    for x in g:
+        blocks.setdefault(rng.randrange(len(g)), []).append(x)
+    return SubPartition(g, tuple(map(tuple, blocks.values())))
+
+
+def dendrogram_mutant(rng, g):
+    """A dendrogram built directly, or single linkage's, with at most one
+    mutation: the critical points shifted off 0 or gone, a value before 0,
+    a point value apart from its right value, a point value (with its
+    right value) that misses an element or is any partition, or the last
+    critical point dropped."""
+    if rng.random() < 0.5:
+        f = rand_dendrogram(rng, g)
+    else:
+        f = single_linkage(g, rand_metric(rng, g))
+    crit, values = list(f.crit), list(f.values)
+    k = rng.randrange(len(crit))
+    kind = rng.randrange(7)
+    if kind == 0:
+        if rng.random() < 0.2:
+            crit, values = [], values[:1]
+        else:
+            shift = rand_fraction(rng, lo=-2, hi=2) or F(1)
+            crit = [t + shift for t in crit]
+    elif kind == 1:
+        values[0] = rand_subpartition(rng, g)
+    elif kind == 2:
+        values[2 * k + 2] = rand_subpartition(rng, g)
+    elif kind == 3 and len(g) > 1:
+        x = rng.choice(g.elements)
+        blocks = [tuple(y for y in blk if y != x) for blk in values[2 * k + 1].blocks]
+        values[2 * k + 1] = values[2 * k + 2] = SubPartition(g, tuple(b for b in blocks if b))
+    elif kind == 4:
+        values[2 * k + 1] = values[2 * k + 2] = rand_partition(rng, g)
+    elif kind == 5 and len(crit) > 1:
+        crit, values = crit[:-1], values[:-2]
+    return Formigram(g, tuple(crit), tuple(values))
+
+
+def rand_tied_barcode(rng, max_bars):
+    """Bars on a coarse grid: tied births and deaths, zero-length bars and
+    infinite deaths, in no particular order."""
+    bars = []
+    for _ in range(rng.randint(0, max_bars)):
+        p = F(rng.randint(-3, 3), rng.choice((1, 2)))
+        r = rng.random()
+        bars.append((p, INF if r < 0.2 else p if r < 0.3 else p + rng.randint(1, 4)))
+    return tuple(bars)
+
+
+def moved(u, t):
+    """u with every finite coordinate moved by t: a translation along the
+    diagonal, which keeps both ambients' order and the clamp, and so every
+    containment."""
+    return Staircase(u.ambient, tuple([
+        tuple([x if isinstance(x, float) else x + t for x in g]) for g in u.gens
+    ]))

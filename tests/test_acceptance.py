@@ -8,7 +8,6 @@ seeds.
 import contextlib
 import random
 import time
-from fractions import Fraction
 from itertools import combinations
 
 from stairdist import (
@@ -51,6 +50,8 @@ from stairdist.oracle import (
     oracle_hausdorff,
 )
 from conftest import (
+    F,
+    fs,
     ground,
     rand_barcode,
     rand_formigram,
@@ -62,11 +63,13 @@ from conftest import (
     rand_r_filtration,
     rand_subpartition,
 )
-from test_compare import oracle_gh_via_pullbacks
-from test_filtration import oracle_tripod_r
-from test_lattice import brute_greatest_lower_bound, brute_least_upper_bound
+from twins import (
+    brute_greatest_lower_bound,
+    brute_least_upper_bound,
+    oracle_gh_via_pullbacks,
+    oracle_tripod_r,
+)
 
-F = Fraction
 DELTA = F(3, 2)
 XY = GroundSet(("x", "y"))
 XYZ = GroundSet(("x", "y", "z"))
@@ -74,10 +77,6 @@ MERGED = SubPartition(XY, (("x", "y"),))
 SPLIT = SubPartition(XY, (("x",), ("y",)))
 THETA = Formigram.constant(MERGED)
 THETA_PRIME = Formigram(XY, (-DELTA, DELTA), (MERGED, MERGED, SPLIT, MERGED, MERGED))
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 @contextlib.contextmanager

@@ -2,7 +2,6 @@
 
 import json
 import sys
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -13,8 +12,8 @@ from stairdist.errors import ValidationError
 from stairdist.formigram import Formigram
 from stairdist.rat import INF, fmt_rat
 from stairdist.staircase import Staircase, hausdorff
+from conftest import F
 
-F = Fraction
 
 LOOP_THETA = {"ground": ["x", "y"], "crit": [], "values": [[["x", "y"]]]}
 LOOP_THETA_PRIME = {

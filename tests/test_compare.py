@@ -2,9 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
 import importlib
-from itertools import combinations_with_replacement
 import random
 
 import pytest
@@ -17,7 +15,6 @@ from stairdist import (
     INF,
     SizeGuardExceeded,
     SubPartition,
-    Surjection,
     ValidationError,
     barcode,
     enumerate_correspondences,
@@ -29,7 +26,6 @@ from stairdist import (
     gromov_hausdorff_ultrametrics,
     interleaving_distance,
     one_point_tripod,
-    pullback_formigram,
     single_linkage,
     sublevel_staircase,
     ultrametric,
@@ -53,8 +49,11 @@ from stairdist.formigram import (
 )
 from stairdist.oracle import grid_interleaved, oracle_formigram_distance, oracle_grid_distance
 from conftest import (
+    F,
+    fs,
     full_r_filtration,
     ground,
+    named_grounds,
     rand_barcode,
     rand_formigram,
     rand_formigram_pair,
@@ -64,129 +63,43 @@ from conftest import (
     rand_merged_tail_formigram,
     rand_metric,
     rand_r_filtration,
+    rand_tied_barcode,
 )
-
-F = Fraction
+from twins import (
+    _key_pairs,
+    _names,
+    _realizable_pairs,
+    essential,
+    gh_cost_formigrams,
+    gh_cost_ultrametrics,
+    grown_items,
+    is_minimal_cover,
+    minimal_covers,
+    named,
+    one_point_tripod_by_subsets,
+    oracle_erosion,
+    oracle_gh_via_pullbacks,
+    rows_of,
+    search_inputs,
+    split,
+    tripod_cost_int,
+    tripod_cost_r,
+    unpruned_gh_formigrams,
+    unpruned_gh_ultrametrics,
+    unpruned_min_max,
+    unpruned_tripod_int,
+    unpruned_tripod_r,
+)
 
 # the package exports a function named `staircase`, so fetch the module
 staircase_module = importlib.import_module("stairdist.staircase")
 formigram_module = importlib.import_module("stairdist.formigram")
 
 
-def fs(*xs):
-    return frozenset(xs)
-
-
-def oracle_gh_via_pullbacks(fx, fy, guard=12):
-    """The definitional route: half the best pullback interleaving distance
-    over all correspondences, with the relation itself as the apex."""
-    best = INF
-    for rel in enumerate_correspondences(fx.ground, fy.ground, guard):
-        znames = tuple(f"{x}|{y}" for x, y in rel)
-        z = GroundSet(znames)
-        phi_x = Surjection(z, fx.ground, {f"{x}|{y}": x for x, y in rel})
-        phi_y = Surjection(z, fy.ground, {f"{x}|{y}": y for x, y in rel})
-        d = interleaving_distance(
-            pullback_formigram(fx, phi_x), pullback_formigram(fy, phi_y)
-        )
-        best = min(best, d)
-    return best / 2
-
-
-def _key_pairs(rel):
-    """Pair keys ({x1, x2}, {y1, y2}) of every two related pairs: the GH
-    items of a correspondence, by name."""
-    for (x1, y1), (x2, y2) in combinations_with_replacement(rel, 2):
-        yield frozenset({x1, x2}), frozenset({y1, y2})
-
-
-def unpruned_min_max(x, y, items, cost, guard=12):
-    """The unpruned twin of `min_max_over_correspondences`: every minimal
-    cover in turn, listed by brute force (`minimal_covers`), its items by
-    name from `items(rel)`, `cost` once per distinct item.  A cover is
-    abandoned as soon as its worst item reaches the best value so far, and
-    the search stops at 0."""
-    memo = {}
-    best = INF
-    for rel in minimal_covers(x, y, guard):
-        worst = F(0)
-        for item in items(rel):
-            c = memo.get(item)
-            if c is None:
-                c = memo[item] = cost(*item)
-            if c > worst:
-                worst = c
-                if worst >= best:
-                    break
-        if worst < best:
-            best = worst
-            if best == 0:
-                break
-    return best
-
-
-def gh_cost_formigrams(fx, fy):
-    """The merge-staircase mismatch of a pair of keys, by name."""
-    code_x, code_y = cosheaf_code(fx), cosheaf_code(fy)
-
-    def cost(kx, ky):
-        return hausdorff(code_x[kx], code_y[ky])
-
-    return cost
-
-
-def gh_cost_ultrametrics(ux, uy):
-    """The distortion of a pair of keys, by name."""
-
-    def cost(kx, ky):
-        return abs(ux(min(kx), max(kx)) - uy(min(ky), max(ky)))
-
-    return cost
-
-
-def unpruned_gh_formigrams(fx, fy, guard=12):
-    """GH between formigrams through the unpruned twin, on Fraction costs."""
-    cost = gh_cost_formigrams(fx, fy)
-    return unpruned_min_max(fx.ground, fy.ground, _key_pairs, cost, guard) / 2
-
-
-def unpruned_gh_ultrametrics(ux, uy, guard=12):
-    """GH between ultrametrics through the unpruned twin, on Fraction costs."""
-    cost = gh_cost_ultrametrics(ux, uy)
-    return unpruned_min_max(ux.ground, uy.ground, _key_pairs, cost, guard) / 2
-
-
-def named_grounds(nx, ny):
-    return tuple(GroundSet(tuple(f"{c}{i}" for i in range(n))) for c, n in (("x", nx), ("y", ny)))
-
-
 def reversed_grounds(nx, ny):
     """`named_grounds` with each canonical order the reverse of the sorted
     one, so a mask numbered by sorted names misreads them."""
     return tuple(GroundSet(g.elements[::-1]) for g in named_grounds(nx, ny))
-
-
-def _names(elements, mask):
-    """The element set of a mask: bit k stands for elements[k]."""
-    return frozenset([e for k, e in enumerate(elements) if mask >> k & 1])
-
-
-def split(item, nx):
-    """A packed item of a search with nx elements in X as (x-mask, y-mask):
-    x bits below bit nx, y bits from bit nx up."""
-    return item & ((1 << nx) - 1), item >> nx
-
-
-def grown_items(grow, rows):
-    """The packed items `grow` adds over the rows N(xs[i]) of a relation
-    (bitmasks over y, handed to `grow` in item coordinates, as the search
-    does), from the last row to the first, in order."""
-    nx = len(rows)
-    state, out = (), []
-    for i in reversed(range(nx)):
-        state, new = grow(state, i, rows[i] << nx)
-        out += new
-    return out
 
 
 def searched_covers(x, y, guard=12):
@@ -217,29 +130,6 @@ def cover_of(rows, x, y):
     return tuple([
         (a, b) for a, m in zip(x.elements, rows) for k, b in enumerate(y.elements) if m >> k & 1
     ])
-
-
-@cache
-def minimal_covers(x, y, guard=12):
-    """Every minimal cover of x and y by brute force, as named pairs: the
-    correspondences in which every pair has an end of degree one, in the
-    order of `enumerate_correspondences`.  Cached per shape and names, as
-    the twins list the same covers again and again."""
-    return tuple([
-        rel for rel in enumerate_correspondences(x, y, guard) if is_minimal_cover(rel, x, y)
-    ])
-
-
-def rows_of(rel, x, y):
-    return tuple([
-        sum(1 << k for k, b in enumerate(y.elements) if (a, b) in rel) for a in x.elements
-    ])
-
-
-def named(items, x, y):
-    """Packed items as pairs of element sets."""
-    pairs = [split(item, len(x)) for item in items]
-    return [(_names(x.elements, mx), _names(y.elements, my)) for mx, my in pairs]
 
 
 # --- correspondences -------------------------------------------------------------
@@ -274,16 +164,6 @@ def test_correspondence_guard():
     i4 = to_int_indexed(r4)
     with pytest.raises(SizeGuardExceeded):
         tripod_distance_int(i4, i4)
-
-
-def is_minimal_cover(rel, x, y):
-    """A correspondence of x and y in which every pair has an end of
-    degree one."""
-    dx = Counter(a for a, _ in rel)
-    dy = Counter(b for _, b in rel)
-    return set(dx) == set(x.elements) and set(dy) == set(y.elements) and all(
-        dx[a] == 1 or dy[b] == 1 for a, b in rel
-    )
 
 
 @pytest.mark.parametrize(
@@ -329,39 +209,10 @@ def test_key_items_are_the_key_pairs():
                 assert len(items) == len(set(items))
 
 
-def search_inputs(rng, nx, ny, grounds=named_grounds):
-    """One random pair of inputs of each searched kind over the nx and ny
-    elements of `grounds(nx, ny)`, with the public search and its unpruned
-    twin: (kind, search, twin, a, b)."""
-    from test_filtration import unpruned_tripod_int, unpruned_tripod_r
-
-    gx, gy = grounds(nx, ny)
-    make = rand_formigram if rng.random() < 0.5 else rand_merged_tail_formigram
-    yield (
-        "gh_formigrams", gromov_hausdorff_formigrams, unpruned_gh_formigrams,
-        make(rng, gx, max_crit=2), make(rng, gy, max_crit=2),
-    )
-    yield (
-        "gh_ultrametrics", gromov_hausdorff_ultrametrics, unpruned_gh_ultrametrics,
-        *[ultrametric(single_linkage(g, rand_metric(rng, g))) for g in (gx, gy)],
-    )
-    yield (
-        "tripod_r", tripod_distance_r, unpruned_tripod_r,
-        full_r_filtration(rng, gx), full_r_filtration(rng, gy),
-    )
-    if rng.random() < 0.5:
-        ix, iy = (to_int_indexed(full_r_filtration(rng, g)) for g in (gx, gy))
-    else:
-        ix, iy = (rand_int_filtration(rng, g, pinned=True) for g in (gx, gy))
-    yield "tripod_int", tripod_distance_int, unpruned_tripod_int, ix, iy
-
-
 def search_instances(rng, nx, ny):
     """The inputs of `search_inputs` as the search loop reads them, with the
     items and the Fraction cost by name that the unpruned twin reads, and
     the library's `grow`: (kind, x, y, items, cost, grow)."""
-    from test_filtration import _realizable_pairs, tripod_cost_int, tripod_cost_r
-
     parts = {
         "gh_formigrams": (_key_pairs, gh_cost_formigrams, _key_items),
         "gh_ultrametrics": (_key_pairs, gh_cost_ultrametrics, _key_items),
@@ -541,8 +392,6 @@ def test_int_cost_searches_compare_no_fraction(monkeypatch):
     """The line-indexed tripod distance and GH between ultrametrics read
     each Fraction onto the integer scale once: the search compares ints
     only, and the answers still match the twins'."""
-    from test_filtration import unpruned_tripod_r
-
     rng = random.Random(173)
     gx, gy = named_grounds(3, 4)
     pairs = []
@@ -606,9 +455,6 @@ def test_one_hausdorff_per_distinct_staircase_pair(monkeypatch, nx, ny):
     agree with their twins.  Erosion between barcodes with unequal counts
     of infinite bars answers INF with no kernel work at all; the draws
     meet both cases."""
-    from test_filtration import one_point_tripod_by_subsets, unpruned_tripod_int
-    from test_persistence import essential, oracle_erosion
-
     conversions, corner_lists, gaps, calls = kernel_calls(monkeypatch)
     decided = 0
     rng = random.Random(nx * 10 + ny)
@@ -900,8 +746,6 @@ def test_built_staircases_need_no_normalization():
     """`cosheaf_code`, `grid_upper_set` and `sublevel_staircase` skip the
     normalizing constructor: normalizing what they build again changes
     nothing, and every coordinate is already a Fraction or an infinity."""
-    from test_persistence import rand_tied_barcode
-
     rng = random.Random(181)
     for _ in range(150):
         g = ground(rng.randint(1, 5))

@@ -52,8 +52,10 @@ from stairdist.oracle import oracle_formigram_distance, oracle_grid_distance, or
 from stairdist.rat import common_scale, is_finite, rat
 from stairdist.staircase import Staircase, StepProfile
 from conftest import (
+    F,
     full_r_filtration,
     ground,
+    moved,
     rand_barcode,
     rand_formigram,
     rand_formigram_pair,
@@ -64,9 +66,7 @@ from conftest import (
     rand_staircase_pair,
     union_staircase,
 )
-from test_staircase import _g, common_kinks, moved
-
-F = Fraction
+from twins import _g, common_kinks
 
 
 def is_exact(x) -> bool:

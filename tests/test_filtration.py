@@ -1,6 +1,5 @@
 """Filtrations and tripod distances, including the interval-indexed form."""
 
-from fractions import Fraction
 from itertools import combinations
 import random
 import re
@@ -39,88 +38,26 @@ from stairdist.compare import enumerate_correspondences
 from stairdist.filtration import Simplex, _image_items
 from stairdist.staircase import Staircase
 from conftest import (
+    F,
+    broken_copies,
+    fs,
     full_r_filtration,
     ground,
+    named_grounds,
     rand_fraction,
     rand_int_filtration,
     rand_r_filtration,
 )
-from test_compare import grown_items, named, named_grounds, rows_of, unpruned_min_max
-from test_staircase import subset_by_walk
-
-F = Fraction
-
-
-def fs(*xs):
-    return frozenset(xs)
-
-
-def tripod_cost_r(f, g):
-    """The birth discrepancy of an image pair (A, B), by name."""
-
-    def cost(a, b):
-        ba, bb = birth(f, a), birth(g, b)
-        if ba == INF and bb == INF:
-            return F(0)
-        return INF if (ba == INF) != (bb == INF) else abs(ba - bb)
-
-    return cost
-
-
-def tripod_cost_int(f, g):
-    """The support-staircase Hausdorff distance of an image pair, by name."""
-
-    def cost(a, b):
-        return hausdorff(support(f, a), support(g, b))
-
-    return cost
-
-
-def oracle_tripod_r(f, g, guard=12):
-    """Literal subset enumeration over each correspondence."""
-    return _oracle_tripod(f, g, tripod_cost_r(f, g), guard)
-
-
-def oracle_tripod_int(f, g, guard=12):
-    """Literal subset enumeration with support-staircase costs."""
-    return _oracle_tripod(f, g, tripod_cost_int(f, g), guard)
-
-
-def _realizable_pairs(pairs):
-    """The image pairs (pi_X S, pi_Y S) of the nonempty sub-relations S of
-    the correspondence, each once, in order of first appearance: the
-    tripod items of a correspondence, by name.  A minimal cover has at most
-    |X| + |Y| - 1 pairs, so this walks at most 2^(|X| + |Y| - 1) subsets."""
-    seen = set()
-    for k in range(1, len(pairs) + 1):
-        for sub in combinations(pairs, k):
-            item = frozenset(x for x, _ in sub), frozenset(y for _, y in sub)
-            if item not in seen:
-                seen.add(item)
-                yield item
-
-
-def unpruned_tripod_r(f, g, guard=12):
-    """The line-indexed tripod distance through the unpruned twin."""
-    return unpruned_min_max(f.ground, g.ground, _realizable_pairs, tripod_cost_r(f, g), guard)
-
-
-def unpruned_tripod_int(f, g, guard=12):
-    """The interval-indexed tripod distance through the unpruned twin."""
-    return unpruned_min_max(f.ground, g.ground, _realizable_pairs, tripod_cost_int(f, g), guard)
-
-
-def _oracle_tripod(f, g, cost, guard):
-    best = INF
-    for rel in enumerate_correspondences(f.ground, g.ground, guard):
-        worst = F(0)
-        for k in range(1, len(rel) + 1):
-            for sigma in combinations(rel, k):
-                a = fs(*(x for x, _ in sigma))
-                b = fs(*(y for _, y in sigma))
-                worst = max(worst, cost(a, b))
-        best = min(best, worst)
-    return best
+from twins import (
+    _realizable_pairs,
+    grown_items,
+    named,
+    one_point_tripod_by_subsets,
+    oracle_tripod_int,
+    oracle_tripod_r,
+    per_face_validate,
+    rows_of,
+)
 
 
 # --- validation / birth ---------------------------------------------------------
@@ -259,42 +196,6 @@ def test_validate_r_reads_a_ground_out_of_sorted_order():
         f = rand_r_filtration(rng, g, edge_prob=rng.random(), tri_prob=rng.choice((0, 0.5, 1)))
         copies = broken_r_copies(rng, f)
         assert [validate_filtration(h) for h in copies] == [fraction_validate(h) for h in copies]
-
-
-def per_face_validate(f: IntFiltration):
-    """The per-face twin of `validate_filtration` on an interval-indexed
-    filtration: one containment per (simplex, face) by the walk twin of
-    `staircase._contained`, each on the pair's own scale."""
-    for s, u in f.supports.items():
-        if len(s) == 1:
-            continue
-        for v in s:
-            face = s - {v}
-            if not subset_by_walk(u, support(f, face)):
-                return (
-                    f"support of simplex {sorted(s)} is not contained in the "
-                    f"support of its face {sorted(face)}"
-                )
-    return None
-
-
-def shrunk(u, d):
-    """A staircase inside u: every generator moved (l - d, r + d)."""
-    return staircase((l - d, r + d) for l, r in u.gens)
-
-
-def broken_copies(rng, f: IntFiltration):
-    """f, f with one face's support swapped for a smaller staircase, and f
-    with one face dropped (a face of some stored simplex in each)."""
-    faces = [s - {v} for s in f.supports if len(s) > 1 for v in s]
-    out = [f]
-    if faces:
-        face, gone = rng.choice(faces), rng.choice(faces)
-        swapped = dict(f.supports)
-        swapped[face] = shrunk(f.supports[face], rand_fraction(rng, lo=0, hi=2) + F(1, 4))
-        dropped = {s: u for s, u in f.supports.items() if s != gone}
-        out += [IntFiltration(f.ground, swapped), IntFiltration(f.ground, dropped)]
-    return out
 
 
 def test_validate_int_matches_per_face_twin():
@@ -573,17 +474,6 @@ def test_one_point_matches_general_route():
     for _ in range(10):
         f = rand_int_filtration(rng, ground(rng.randint(1, 3)))
         assert one_point_tripod(f, pt) == tripod_distance_int(f, pt)
-
-
-def one_point_tripod_by_subsets(f, g):
-    """The worst support distance to the point over every nonempty vertex
-    subset, stored or absent: 2^|X| Hausdorff calls."""
-    star = support(g, Simplex(g.ground.elements))
-    worst = F(0)
-    for k in range(1, len(f.ground) + 1):
-        for a in combinations(f.ground.elements, k):
-            worst = max(worst, hausdorff(support(f, fs(*a)), star))
-    return worst
 
 
 def test_one_point_tripod_matches_subset_loop():

@@ -43,6 +43,9 @@ from stairdist.lattice import find
 from stairdist.rat import rat
 from stairdist.oracle import reconstruct
 from conftest import (
+    F,
+    dendrogram_mutant,
+    fs,
     ground,
     rand_dendrogram,
     rand_formigram,
@@ -53,8 +56,14 @@ from conftest import (
     rand_metric,
     rand_subpartition,
 )
+from twins import (
+    brute_merge_time,
+    d_F_by_every_key,
+    is_dendrogram_twin,
+    single_linkage_rescan,
+    ultrametric_scan,
+)
 
-F = Fraction
 DELTA = F(3, 2)
 XY = GroundSet(("x", "y"))
 MERGED = SubPartition(XY, (("x", "y"),))
@@ -62,10 +71,6 @@ SPLIT = SubPartition(XY, (("x",), ("y",)))
 
 THETA = Formigram.constant(MERGED)
 THETA_PRIME = Formigram(XY, (-DELTA, DELTA), (MERGED, MERGED, SPLIT, MERGED, MERGED))
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 # --- validation / evaluation ---------------------------------------------------
@@ -352,18 +357,6 @@ def test_interleaving_distance_infinite():
     assert interleaving_distance(THETA, late) == INF
 
 
-def d_F_by_every_key(f, g):
-    """d_F with its witness by the definition: both cosheaf codes, one
-    `hausdorff` per pair key in code order, the first attaining key."""
-    code_f, code_g = cosheaf_code(f), cosheaf_code(g)
-    best, witness = F(0), fs(f.ground.elements[0])
-    for key in code_f:
-        d = hausdorff(code_f[key], code_g[key])
-        if d > best:
-            best, witness = d, key
-    return best, witness
-
-
 def d_F_pair(rng, kind):
     """Two formigrams over 1 to 4 elements of one of three kinds: `pair`
     (`rand_formigram_pair`), `tail` (a merged-tail formigram against a
@@ -511,35 +504,6 @@ def test_single_linkage_matches_brute_transitive_closure():
                 assert u(x, y) == brute_merge_time(d, i, j)
 
 
-def single_linkage_rescan(ground_set, d):
-    """Reference single linkage: at every distinct distance t, rescan all
-    pairs and unite those at distance <= t; emit the partition when t
-    merged anything."""
-    n = len(ground_set)
-    thresholds = sorted({d[i][j] for i in range(n) for j in range(i + 1, n)})
-    parent = list(range(n))
-    crit = [F(0)]
-    start = SubPartition.singletons(ground_set)
-    values = [SubPartition.empty(ground_set), start, start]
-    for t in thresholds:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i][j] <= t:
-                    ri, rj = find(parent, i), find(parent, j)
-                    if ri != rj:
-                        parent[ri] = rj
-                        changed = True
-        if changed:
-            comps = {}
-            for i in range(n):
-                comps.setdefault(find(parent, i), []).append(ground_set.elements[i])
-            part = SubPartition(ground_set, tuple(map(tuple, comps.values())))
-            crit.append(t)
-            values.extend((part, part))
-    return Formigram(ground_set, tuple(crit), tuple(values))
-
-
 def test_single_linkage_matches_rescan_with_ties():
     rng = random.Random(53)
     for _ in range(60):
@@ -552,22 +516,6 @@ def test_single_linkage_matches_rescan_with_ties():
                 d[i][j] = d[j][i] = F(rng.randint(1, 4), rng.choice((1, 2)))
         f, ref = single_linkage(g, d), single_linkage_rescan(g, d)
         assert (f.crit, f.values) == (ref.crit, ref.values)
-
-
-def brute_merge_time(d, i, j):
-    n = len(d)
-    candidates = sorted({d[a][b] for a in range(n) for b in range(n)})
-    for t in candidates:
-        seen, stack = {i}, [i]
-        while stack:
-            cur = stack.pop()
-            for nxt in range(n):
-                if nxt not in seen and d[cur][nxt] <= t:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if j in seen:
-            return t
-    raise AssertionError("never merged")
 
 
 def test_invalid_metrics():
@@ -697,23 +645,6 @@ def test_matrix_reader_agrees_with_its_twin():
 def test_ultrametric_requires_dendrogram():
     with pytest.raises(NotADendrogram):
         ultrametric(THETA_PRIME)
-
-
-def ultrametric_scan(f):
-    """Reference merge times: for every pair, scan the critical points in
-    order for the first point value in which the pair shares a block."""
-    n = len(f.ground)
-    entries = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = f.ground.elements[i], f.ground.elements[j]
-            for k, t in enumerate(f.crit):
-                if f.values[2 * k + 1].same_block(x, y):
-                    entries[i][j] = entries[j][i] = t
-                    break
-            else:
-                raise AssertionError(f"{x} and {y} never merge")
-    return tuple([tuple(row) for row in entries])
 
 
 def has_idle_crit(f):
@@ -848,68 +779,6 @@ def test_single_linkage_growth_band(monkeypatch):
         f = single_linkage(g, d)
         assert (f.crit, f.values) == expected
         assert calls <= 2 * (n - 1), (n, calls)
-
-
-def is_dendrogram_twin(f):
-    """The dendrogram rule stated on the values, by `refines` and
-    `is_partition`, check by check in the order of `is_dendrogram`'s
-    messages: the twin of `ultrametric`'s walk."""
-    if not f.crit or f.crit[0] != 0:
-        return "first critical point must be 0"
-    if f.values[0].blocks != ():
-        return "value before time 0 must be the empty subpartition"
-    for k in range(len(f.crit)):
-        point, right = f.values[2 * k + 1], f.values[2 * k + 2]
-        if point != right:
-            return f"not right-continuous at critical point #{k}"
-        if not point.is_partition():
-            return f"value at critical point #{k} is not a partition of the ground set"
-        if k >= 1 and not f.values[2 * k].refines(point):
-            return f"not monotone at critical point #{k}"
-    if len(f.values[-1].blocks) != 1:
-        return "final value must be the one-block partition"
-    return None
-
-
-def rand_partition(rng, g):
-    blocks = {}
-    for x in g:
-        blocks.setdefault(rng.randrange(len(g)), []).append(x)
-    return SubPartition(g, tuple(map(tuple, blocks.values())))
-
-
-def dendrogram_mutant(rng, g):
-    """A dendrogram built directly, or single linkage's, with at most one
-    mutation: the critical points shifted off 0 or gone, a value before 0,
-    a point value apart from its right value, a point value (with its
-    right value) that misses an element or is any partition, or the last
-    critical point dropped."""
-    if rng.random() < 0.5:
-        f = rand_dendrogram(rng, g)
-    else:
-        f = single_linkage(g, rand_metric(rng, g))
-    crit, values = list(f.crit), list(f.values)
-    k = rng.randrange(len(crit))
-    kind = rng.randrange(7)
-    if kind == 0:
-        if rng.random() < 0.2:
-            crit, values = [], values[:1]
-        else:
-            shift = rand_fraction(rng, lo=-2, hi=2) or F(1)
-            crit = [t + shift for t in crit]
-    elif kind == 1:
-        values[0] = rand_subpartition(rng, g)
-    elif kind == 2:
-        values[2 * k + 2] = rand_subpartition(rng, g)
-    elif kind == 3 and len(g) > 1:
-        x = rng.choice(g.elements)
-        blocks = [tuple(y for y in blk if y != x) for blk in values[2 * k + 1].blocks]
-        values[2 * k + 1] = values[2 * k + 2] = SubPartition(g, tuple(b for b in blocks if b))
-    elif kind == 4:
-        values[2 * k + 1] = values[2 * k + 2] = rand_partition(rng, g)
-    elif kind == 5 and len(crit) > 1:
-        crit, values = crit[:-1], values[:-2]
-    return Formigram(g, tuple(crit), tuple(values))
 
 
 def test_ultrametric_checks_dendrograms_as_the_twin_does(monkeypatch):

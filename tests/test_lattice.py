@@ -22,6 +22,7 @@ from stairdist import (
     single_linkage,
 )
 from conftest import ground, rand_metric, rand_subpartition
+from twins import brute_greatest_lower_bound, brute_least_upper_bound
 
 XYZ = GroundSet(("x", "y", "z"))
 
@@ -31,22 +32,6 @@ def sp(g, *blocks):
 
 
 # --- brute-force lattice oracles -------------------------------------------
-
-
-def brute_least_upper_bound(*parts):
-    everything = enumerate_subpartitions(parts[0].ground)
-    ubs = [s for s in everything if all(p.refines(s) for p in parts)]
-    least = [s for s in ubs if all(s.refines(t) for t in ubs)]
-    assert len(least) == 1, "join must be the unique minimum upper bound"
-    return least[0]
-
-
-def brute_greatest_lower_bound(p, q):
-    everything = enumerate_subpartitions(p.ground)
-    lbs = [s for s in everything if s.refines(p) and s.refines(q)]
-    greatest = [s for s in lbs if all(t.refines(s) for t in lbs)]
-    assert len(greatest) == 1, "meet must be the unique maximum lower bound"
-    return greatest[0]
 
 
 def join_refines(a, b):

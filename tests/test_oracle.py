@@ -1,6 +1,5 @@
 """The brute-force routes themselves: monotonicity, densification, reports."""
 
-from fractions import Fraction
 import random
 
 from stairdist import (
@@ -19,19 +18,14 @@ from stairdist.oracle import (
     parts_equality_check,
     reconstruct,
 )
-from conftest import ground, rand_formigram, rand_formigram_pair
+from conftest import F, fs, ground, rand_formigram, rand_formigram_pair
 
-F = Fraction
 XY = GroundSet(("x", "y"))
 MERGED = SubPartition(XY, (("x", "y"),))
 SPLIT = SubPartition(XY, (("x",), ("y",)))
 DELTA = F(3, 2)
 THETA = Formigram.constant(MERGED)
 THETA_PRIME = Formigram(XY, (-DELTA, DELTA), (MERGED, MERGED, SPLIT, MERGED, MERGED))
-
-
-def fs(*xs):
-    return frozenset(xs)
 
 
 def test_candidate_set_shape():

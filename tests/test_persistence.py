@@ -1,6 +1,5 @@
 """Barcodes: rank, sublevel staircases, erosion, elder-rule H0, bottleneck."""
 
-from fractions import Fraction
 import random
 import time
 
@@ -26,80 +25,28 @@ from stairdist import (
     sublevel_staircase,
 )
 import stairdist.persistence as persistence
-from stairdist.oracle import oracle_hausdorff
 from stairdist.staircase import INT
 from stairdist.persistence import _perfect_matching_exists
 from stairdist.rat import is_finite
-from conftest import rand_barcode, rand_fraction, rand_metric, rand_r_filtration, ground
-
-F = Fraction
-
-
-def oracle_erosion(b1, b2):
-    """Per-grade Hausdorff distances through the candidate-scan oracle."""
-    best = F(0)
-    for n in range(max(len(b1), len(b2))):
-        d = oracle_hausdorff(sublevel_staircase(b1, n), sublevel_staircase(b2, n))
-        best = max(best, d)
-    return best
-
-
-def _pick(lo, hi):
-    """Some rational strictly inside (lo, hi)."""
-    if lo != -INF and hi != INF:
-        return (lo + hi) / 2
-    if lo != -INF:
-        return lo + 1
-    if hi != INF:
-        return hi - 1
-    return F(0)
-
-
-def rank_interleaved(b1, b2, eps):
-    """Direct interleaving of the two rank functions, no staircases: each
-    rank at the eps-thickened interval must not exceed the other's rank at
-    the original interval, for every interval.  Checked on cell interiors
-    of the grid refined by all endpoints and their eps-shifts."""
-    a_coords = sorted(
-        {p for p, _ in b1 + b2} | {p + eps for p, _ in b1 + b2} | {-INF, INF}
-    )
-    b_coords = sorted(
-        {q for _, q in b1 + b2 if q != INF}
-        | {q - eps for _, q in b1 + b2 if q != INF}
-        | {-INF, INF}
-    )
-    for alo, ahi in zip(a_coords, a_coords[1:]):
-        for blo, bhi in zip(b_coords, b_coords[1:]):
-            if not alo < bhi:
-                continue
-            a = _pick(alo, min(ahi, bhi))
-            b = _pick(max(blo, a), bhi)
-            if rank(b2, a - eps, b + eps) > rank(b1, a, b):
-                return False
-            if rank(b1, a - eps, b + eps) > rank(b2, a, b):
-                return False
-    return True
-
-
-def oracle_erosion_direct(b1, b2):
-    """Erosion via the defining rank-interleaving predicate over the
-    candidate set of endpoint differences and their halves."""
-    from stairdist.oracle import candidate_epsilons, first_admissible
-
-    coords = [p for p, _ in b1 + b2] + [q for _, q in b1 + b2 if q != INF]
-    cands = candidate_epsilons(coords)
-    return first_admissible(cands, lambda e: rank_interleaved(b1, b2, e))
-
-
-def _match_cost(p, q):
-    if is_finite(p[1]) != is_finite(q[1]):
-        return INF
-    dd = F(0) if not is_finite(p[1]) else abs(p[1] - q[1])
-    return max(abs(p[0] - q[0]), dd)
-
-
-def _deletion_cost(p):
-    return (p[1] - p[0]) / 2 if is_finite(p[1]) else INF
+from conftest import (
+    F,
+    ground,
+    rand_barcode,
+    rand_fraction,
+    rand_metric,
+    rand_r_filtration,
+    rand_tied_barcode,
+)
+from twins import (
+    _deletion_cost,
+    _match_cost,
+    _pick,
+    essential,
+    oracle_bottleneck,
+    oracle_erosion,
+    oracle_erosion_direct,
+)
+from twins import rank_interleaved  # perfbench/referees.py reads it from this module
 
 
 def _bottleneck_feasible(costs, dels1, dels2, eps):
@@ -134,32 +81,6 @@ def diagonal_candidates(b1, b2):
     cands.update(c for row in costs for c in row if is_finite(c))
     cands.update(c for c in dels1 + dels2 if is_finite(c))
     return sorted(cands), costs, dels1, dels2
-
-
-def oracle_bottleneck(b1, b2):
-    """Minimum over all partial matchings of the worst per-bar cost."""
-    best = INF
-
-    def rec(i, used, cost):
-        nonlocal best
-        if cost >= best:
-            return
-        if i == len(b1):
-            total = cost
-            for j, q in enumerate(b2):
-                if j not in used:
-                    total = max(total, _deletion_cost(q))
-                    if total >= best:
-                        return
-            best = min(best, total)
-            return
-        rec(i + 1, used, max(cost, _deletion_cost(b1[i])))
-        for j, q in enumerate(b2):
-            if j not in used:
-                rec(i + 1, used | {j}, max(cost, _match_cost(b1[i], q)))
-
-    rec(0, frozenset(), F(0))
-    return best
 
 
 # --- rank ------------------------------------------------------------------
@@ -258,17 +179,6 @@ def grid_sublevel(bars, n):
     return staircase(corners, INT)
 
 
-def rand_tied_barcode(rng, max_bars):
-    """Bars on a coarse grid: tied births and deaths, zero-length bars and
-    infinite deaths, in no particular order."""
-    bars = []
-    for _ in range(rng.randint(0, max_bars)):
-        p = F(rng.randint(-3, 3), rng.choice((1, 2)))
-        r = rng.random()
-        bars.append((p, INF if r < 0.2 else p if r < 0.3 else p + rng.randint(1, 4)))
-    return tuple(bars)
-
-
 def test_strip_sweep_matches_grid_twin():
     rng = random.Random(71)
     for i in range(300):
@@ -292,11 +202,6 @@ def counting_sublevels(monkeypatch):
 
     monkeypatch.setattr(persistence, "_sublevels", counting)
     return built
-
-
-def essential(bars) -> int:
-    """The number of bars of infinite death."""
-    return sum(d == INF for _, d in bars)
 
 
 def test_each_grade_has_at_most_one_generator_per_strip(monkeypatch):

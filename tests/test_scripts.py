@@ -1,6 +1,8 @@
 """The scripts run end to end: the oracle sweep agrees on every family, and
-the two example scripts print JSON.  The sweep imports random builders and
-twins from the test modules by name, so this also catches a renamed twin.
+the two example scripts print JSON, each run with no site-packages.  The
+sweep imports its random builders from `conftest` and its twins from
+`twins` by name, so this also catches a renamed twin or one that needs
+pytest or hypothesis.
 README's library example runs too, and its module table and the tests it
 names match the tree."""
 
@@ -17,15 +19,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
+    """Run a script on the package's source with no site-packages
+    (`python -S`): every script needs the standard library alone."""
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-S", str(ROOT / "scripts" / name), *args],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120,
     )
 
 
 def test_oracle_sweep_agrees():
-    """Every family agrees, `infinite` with every answer INF."""
+    """Every family agrees, `infinite` with every answer INF, with no
+    site-packages: the builders in `conftest` and the twins in `twins`
+    need the standard library alone."""
     done = run_script("oracle_sweep.py", "--iterations", "3", "--seed", "0")
     assert done.returncode == 0, done.stdout + done.stderr
     *families, verdict = done.stdout.splitlines()

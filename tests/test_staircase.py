@@ -1,7 +1,6 @@
 """Staircase engine: examples, profile shape, flow laws, oracle agreement."""
 
 from dataclasses import asdict
-from fractions import Fraction
 from math import lcm
 import copy
 import pickle
@@ -27,45 +26,32 @@ from stairdist import (
     thicken,
     upper_set_interleaved,
 )
+from stairdist.lattice import _built
 from stairdist.oracle import oracle_hausdorff
 from stairdist.rat import common_scale, from_scale, on_scale
 from stairdist.staircase import (
     Staircase,
     StepProfile,
-    _antichain,
     _contained,
     _gap,
-    _is_full,
     _merged_breaks,
     _on,
     _scale,
     _walk,
     plane_generator,
 )
-from conftest import rand_fraction, rand_staircase, rand_staircase_pair
+from conftest import F, moved, rand_fraction, rand_staircase, rand_staircase_pair
+from twins import (
+    _g,
+    common_kinks,
+    contained_by_walk,
+    plane_subset_by_generators,
+    subset_by_walk,
+    walked,
+)
 
-F = Fraction
 DELTA = F(3, 2)
 LOOP = staircase([(-DELTA, NEG_INF), (INF, DELTA)])
-
-
-def _g(u: Staircase, c: Fraction):
-    """Entry height of the staircase on the flow line a + b = c.
-
-    +inf for the empty staircase; -inf only for the full plane.  Rescans
-    every generator: the reference that ``_walk`` and ``profile`` are
-    tested against.
-    """
-    if not u.gens:
-        return INF
-    best = INF
-    for l, r in u.gens:
-        t = max(r, NEG_INF if l == INF else c - l)
-        if u.clamped:
-            t = max(t, c / 2)
-        if t < best:
-            best = t
-    return best
 
 
 def test_normalize_examples():
@@ -214,13 +200,6 @@ def test_hausdorff_matches_candidate_scan_oracle():
     assert seen_finite_positive > 20
 
 
-def common_kinks(u, v):
-    """The merged candidate kinks of u and v, taken back from their common
-    scale as Fractions."""
-    scale = common_scale(u.gens, v.gens)
-    return [F(c, scale) for c in _merged_breaks(_on(u, scale)[1], _on(v, scale)[1])]
-
-
 def find_violating_line(u, v):
     """A flow line on which u pokes out of v (g_u < g_v), or None."""
     cs = common_kinks(u, v)
@@ -319,15 +298,6 @@ def test_plane_generator_flips_the_corner():
         got = plane_generator(corner)
         assert got == gen
         assert [type(x) for x in got] == [type(x) for x in gen]
-
-
-def plane_subset_by_generators(u, v):
-    """u inside v in the plane, from the generators alone: a corner region
-    lies in a finite union of corner regions iff it lies in one of them
-    (its corner must, or with an infinite coordinate its unbounded edge
-    must, and each region is an up-set of the flipped product order).  The
-    diagonal clamp breaks this on intervals (see the covering example)."""
-    return all(any(l <= l2 and r >= r2 for l2, r2 in v.gens) for l, r in u.gens)
 
 
 def test_plane_full_vs_proper():
@@ -535,43 +505,6 @@ def test_walk_matches_rescanning_reference(ambient):
             assert inside == plane_subset_by_generators(u, v), (u, v)
 
 
-def walked(a, b, clamped):
-    """Whether `_walk` reads the pair of sides: neither is empty nor, in
-    the plane, the full plane, the sides whose profile is a constant
-    infinity."""
-    return all(s[0] and (clamped or not _is_full(s[0])) for s in (a, b))
-
-
-def contained_by_walk(a, b, clamped):
-    """The walk twin of `_contained`: u inside v for a = ``_on(u, S)`` and
-    b = ``_on(v, S)``, read off g_u - g_v at the merged kinks and past both
-    ends (`_walk`), where it must be >= 0 and must not fall in either tail.
-    A profile that is a constant infinity (g_u = +inf for an empty u,
-    g_v = -inf for the full plane v, and so on) is read without a walk.
-    O((k_u + k_v) log(k_u + k_v)) int operations."""
-    if a[0] == b[0] or not a[0] or not clamped and _is_full(b[0]):
-        return True  # the same set, g_u = +inf or g_v = -inf
-    if not walked(a, b, clamped):
-        return False  # g_v = +inf or g_u = -inf, against a finite profile
-    d = _walk(a, b, clamped)
-    return d[1] <= d[0] and d[-1] >= d[-2] and min(d) >= 0
-
-
-def subset_by_walk(u, v):
-    """`subset` by the walk twin, on the common scale of u and v."""
-    scale = lcm(_scale(u), _scale(v))
-    return contained_by_walk(_on(u, scale), _on(v, scale), u.clamped)
-
-
-def moved(u, t):
-    """u with every finite coordinate moved by t: a translation along the
-    diagonal, which keeps both ambients' order and the clamp, and so every
-    containment."""
-    return Staircase(u.ambient, tuple([
-        tuple([x if isinstance(x, float) else x + t for x in g]) for g in u.gens
-    ]))
-
-
 @pytest.mark.parametrize("ambient", ["int", "plane"])
 def test_contained_matches_the_walk_twin(ambient):
     """`_contained`, which compares generators, answers what the walk twin
@@ -725,7 +658,7 @@ def test_scale_memo_is_invisible_and_follows_the_scale(ambient):
     put on (`_on`).  Met by partners on denominators 3, then 5, then 3
     again, it gives every `hausdorff` and `subset` the answer of fresh
     copies and of `oracle_hausdorff`, whether built by the normalizing
-    constructor or by `_antichain`; ==, hash, repr, asdict and a pickle
+    constructor or by `lattice._built`; ==, hash, repr, asdict and a pickle
     round trip do not see what it keeps, and neither a pickle nor a copy
     carries it: the pickle's bytes are a fresh copy's."""
     rng = random.Random(211)
@@ -744,7 +677,7 @@ def test_scale_memo_is_invisible_and_follows_the_scale(ambient):
     us = special_staircases(ambient)
     for _ in range(40):
         u = on(rng.choice((1, 2)), rng.random() < 0.5)
-        us += [u, _antichain(ambient, u.gens)]
+        us += [u, _built(Staircase, ambient=ambient, gens=u.gens)]
     finite = 0
     for u in us:
         before = repr(u), hash(u), asdict(u)
