@@ -1,53 +1,15 @@
 #!/usr/bin/env python3
 """Random agreement sweep: every fast distance against its brute-force twin.
 
-Covers staircase Hausdorff on intervals, formigram interleaving,
-grid-clustering interleaving, erosion and bottleneck distances,
-single-linkage merge times, the correspondence searches (Gromov-Hausdorff
-between formigrams, line- and interval-indexed tripod distances at
-|X|*|Y| <= 8), the cosheaf code (the join over a random open interval
-rebuilt from the merge staircases, against the join of the pieces) and the
-merge times of dendrograms built directly (`um`: idle critical points and
-several merges at one time included, against the `same_block` scan), the
-pruned correspondence search (`search`: both Gromov-Hausdorff distances
-and both tripod distances at 9 <= |X|*|Y| <= 12, past the brute-force
-oracles, in both argument orders, one ground's canonical order not
-sorted, against the unpruned search over every minimal cover), the
-validation of interval-indexed filtrations (`validate`: valid ones and
-copies with one face's support shrunk or dropped, against one walk-twin
-containment per (simplex, face), comparing the report strings or None),
-the one-point tripod shortcut (`one-point`: interval-indexed filtrations
-over 1 to 4 vertices against a one-vertex filtration, against the search
-`tripod_distance_int`), staircases of the plane (`plane`: Hausdorff
-against the candidate scan; `subset`: containment, where half the second
-staircases hold the first's generators or are its thickening, against
-containment generator by generator), the pruned search past the default
-guard (`search16`: as `search`, at 4 x 4 with guard 16 on the search and on
-the twin), the tripod searches where most answers are finite
-(`tripod-full`: tripod r and tripod int on full filtrations, built as the
-tests' `search_inputs` builds them, at the `search` shapes, in both
-argument orders, against the unpruned twins), the dendrogram check of
-`ultrametric`'s walk (`dendrogram-check`: mutated dendrograms and random
-formigrams, the merge-time matrix or the NotADendrogram message, against
-the tests' statement of the rule and the `same_block` scan), single
-linkage on ties (`linkage-ties`: the critical points and values of
-`single_linkage` over 1 to 12 points whose distances take few values,
-against the tests' rescan of every pair at every distinct distance), the
-answers decided up front (`infinite`: the d_F value on formigram pairs
-whose first or last values differ, with the witness of
-`interleaving_distance_with_witness`, against both codes walked key by
-key, and erosion on barcodes with unequal counts of infinite bars,
-against the per-grade oracle) and, last, the paths past that exit
-(`formigram-finite`: d_F on pairs drawn as `formigram` draws them whose
-first and last values agree, against the oracle; `erosion-finite`:
-erosion on barcodes with equal counts of infinite bars, against the
-direct oracle), on freshly sampled instances, and reports per-family
-counts (including how many infinite values were hit).
+`FAMILIES` is the one list of what is swept: each row names a family, the
+builder of its random instances, the library's answer, the twin's answer
+and, where the answer is not a distance, the check that it is exact.  The
+families run in table order from one seeded `random.Random`, so a row
+added last leaves every earlier family's instances as they were.  Each
+family prints its instance count and how many answers were infinite.
 Disagreements abort with the offending instance printed for replay, and
-so does a fast answer that is not a Fraction or +-inf (or, for the cosheaf
-code, a SubPartition; for validation, a report string or None; for
-containment, a bool; for the dendrogram check, a message string; for
-single linkage, critical points and SubPartitions).
+so does a fast answer that fails its exactness check: by default a
+Fraction or +-inf, a tuple of them or a SubPartition.
 """
 
 import argparse
@@ -57,6 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
@@ -85,6 +48,7 @@ from stairdist import (
     ultrametric,
     validate_filtration,
 )
+from stairdist.compare import CORRESPONDENCE_GUARD
 from stairdist.formigram import interleaving_distance_with_witness
 from stairdist.oracle import (
     oracle_formigram_distance,
@@ -198,16 +162,21 @@ def full_tripod_instance(r):
     return r.choice(tripods)
 
 
-def both_orders(kind, a, b):
-    return SEARCHES[kind][1](a, b), SEARCHES[kind][1](b, a)
+def in_both_orders(guard=CORRESPONDENCE_GUARD):
+    """The library search of an instance (kind, a, b) in both argument
+    orders, and the unpruned twin's answer twice, both under `guard`."""
+    return (
+        lambda kind, a, b: (SEARCHES[kind][1](a, b, guard), SEARCHES[kind][1](b, a, guard)),
+        lambda kind, a, b: (SEARCHES[kind][2](a, b, guard),) * 2,
+    )
 
 
-def twin_both_orders(kind, a, b):
-    return (SEARCHES[kind][2](a, b),) * 2
-
-
-def slhc_merge_times(g, d):
-    return ultrametric(single_linkage(g, d)).entries
+def merge_times(f):
+    """The merge-time matrix of `ultrametric`, or its NotADendrogram message."""
+    try:
+        return ultrametric(f).entries
+    except NotADendrogram as e:
+        return str(e)
 
 
 def brute_merge_times(g, d):
@@ -220,10 +189,6 @@ def dendrogram_instance(r):
     return (rand_dendrogram(r, ground(r.randint(1, 6)), dens=dens),)
 
 
-def dendrogram_merge_times(f):
-    return ultrametric(f).entries
-
-
 def dendrogram_check_instance(r):
     """A mutated dendrogram (a valid one a third of the time) or, one time
     in five, a random formigram, over 1 to 6 elements."""
@@ -231,13 +196,6 @@ def dendrogram_check_instance(r):
     if r.random() < 0.2:
         return (rand_formigram(r, g),)
     return (dendrogram_mutant(r, g),)
-
-
-def checked_merge_times(f):
-    try:
-        return ultrametric(f).entries
-    except NotADendrogram as e:
-        return str(e)
 
 
 def twin_checked_merge_times(f):
@@ -257,14 +215,14 @@ def tied_metric_instance(r):
     return g, d
 
 
-def linkage(g, d):
-    f = single_linkage(g, d)
-    return f.crit, f.values
+def crit_and_values(linkage):
+    """`linkage(g, d)` read as its critical points and values."""
 
+    def read(g, d):
+        f = linkage(g, d)
+        return f.crit, f.values
 
-def rescan_linkage(g, d):
-    f = single_linkage_rescan(g, d)
-    return f.crit, f.values
+    return read
 
 
 def code_instance(r):
@@ -382,10 +340,65 @@ def is_exact(x) -> bool:
     return type(x) is Fraction or (type(x) is float and math.isinf(x))
 
 
-def sweep(name, make, fast, slow, rng, iterations, exact=is_exact, value=lambda got: got):
-    """Run `iterations` instances of `make`; `value` reads the distance
-    out of an answer, for the exactness check and the count of infinite
-    values."""
+class Family(NamedTuple):
+    """One row of the sweep: `make(rng)` draws an instance, `fast` and
+    `slow` answer it, `exact` checks the fast answer and `value` reads the
+    distance out of it, for that check and the count of infinite values."""
+
+    name: str
+    make: Callable
+    fast: Callable
+    slow: Callable
+    exact: Callable = is_exact
+    value: Callable = lambda got: got
+
+
+FAMILIES = [
+    Family("staircase", lambda r: rand_staircase_pair(r, "int"), hausdorff, oracle_hausdorff),
+    Family("formigram", lambda r: rand_formigram_pair(r, ground(r.randint(1, 4)), 5),
+           interleaving_distance, oracle_formigram_distance),
+    Family("grid", lambda r: rand_grid_pair(r, ground(r.randint(1, 3))),
+           grid_interleaving_distance, oracle_grid_distance),
+    Family("bottleneck", lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
+           bottleneck_distance, oracle_bottleneck),
+    # the correspondence searches at |X| * |Y| <= 8, against the brute-force oracles
+    Family("gh", search_pair(small_formigram), gromov_hausdorff_formigrams,
+           oracle_gh_via_pullbacks),
+    Family("tripod-r", search_pair(small_r_filtration), tripod_distance_r, oracle_tripod_r),
+    Family("tripod-int", search_pair(small_int_filtration), tripod_distance_int,
+           oracle_tripod_int),
+    Family("erosion", lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
+           erosion_distance, oracle_erosion_direct),
+    Family("slhc", metric_instance, lambda g, d: merge_times(single_linkage(g, d)),
+           brute_merge_times),
+    Family("code", code_instance, code_join, evaluate_cosheaf),
+    Family("um", dendrogram_instance, merge_times, ultrametric_scan),
+    # all four searches past the oracles, against the search over every minimal cover
+    Family("search", large_search_instance, *in_both_orders()),
+    Family("validate", validate_instance, validate_filtration, per_face_validate,
+           exact=is_report),
+    Family("one-point", one_point_instance, one_point_tripod, tripod_distance_int),
+    Family("plane", lambda r: rand_staircase_pair(r, "plane"), hausdorff, oracle_hausdorff),
+    Family("subset", subset_instance, subset, plane_subset_by_generators,
+           exact=lambda x: type(x) is bool),
+    Family("search16", lambda r: large_search_instance(r, [(4, 4)]), *in_both_orders(16)),
+    Family("tripod-full", full_tripod_instance, *in_both_orders()),
+    Family("dendrogram-check", dendrogram_check_instance, merge_times,
+           twin_checked_merge_times, exact=lambda x: type(x) is str or is_exact(x)),
+    Family("linkage-ties", tied_metric_instance, crit_and_values(single_linkage),
+           crit_and_values(single_linkage_rescan)),
+    # answers decided before any staircase is built, then the paths past that exit
+    Family("infinite", infinite_instance, lambda kind, a, b: DECIDED[kind][0](a, b),
+           lambda kind, a, b: DECIDED[kind][1](a, b), value=lambda got: got[0]),
+    Family("formigram-finite", finite_formigram_instance, interleaving_distance,
+           oracle_formigram_distance),
+    Family("erosion-finite", finite_erosion_instance, erosion_distance, oracle_erosion_direct),
+]
+
+
+def sweep(family, rng, iterations):
+    """Run `iterations` instances of one family, printing one line."""
+    name, make, fast, slow, exact, value = family
     t0 = time.perf_counter()
     infinite = 0
     for i in range(iterations):
@@ -401,7 +414,7 @@ def sweep(name, make, fast, slow, rng, iterations, exact=is_exact, value=lambda 
             print(f"  instance: {instance!r}")
             print(f"  fast={got} slow={expected}")
             sys.exit(1)
-        if value(got) in (INF, (INF, INF)):  # `search` answers in both argument orders
+        if value(got) in (INF, (INF, INF)):  # the searches answer in both argument orders
             infinite += 1
     dt = time.perf_counter() - t0
     print(f"{name:<16} {iterations:>5} instances  {infinite:>4} infinite  {dt:6.2f}s")
@@ -413,195 +426,8 @@ def main():
     ap.add_argument("--iterations", type=int, default=150)
     args = ap.parse_args()
     rng = random.Random(args.seed)
-
-    sweep(
-        "staircase",
-        lambda r: rand_staircase_pair(r, "int"),
-        hausdorff,
-        oracle_hausdorff,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "formigram",
-        lambda r: rand_formigram_pair(r, ground(r.randint(1, 4)), 5),
-        interleaving_distance,
-        oracle_formigram_distance,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "grid",
-        lambda r: rand_grid_pair(r, ground(r.randint(1, 3))),
-        grid_interleaving_distance,
-        oracle_grid_distance,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "bottleneck",
-        lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
-        bottleneck_distance,
-        oracle_bottleneck,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "gh",
-        search_pair(small_formigram),
-        gromov_hausdorff_formigrams,
-        oracle_gh_via_pullbacks,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "tripod-r",
-        search_pair(small_r_filtration),
-        tripod_distance_r,
-        oracle_tripod_r,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "tripod-int",
-        search_pair(small_int_filtration),
-        tripod_distance_int,
-        oracle_tripod_int,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "erosion",
-        lambda r: (rand_barcode(r, 4), rand_barcode(r, 4)),
-        erosion_distance,
-        oracle_erosion_direct,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "slhc",
-        metric_instance,
-        slhc_merge_times,
-        brute_merge_times,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "code",
-        code_instance,
-        code_join,
-        evaluate_cosheaf,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "um",
-        dendrogram_instance,
-        dendrogram_merge_times,
-        ultrametric_scan,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "search",
-        large_search_instance,
-        both_orders,
-        twin_both_orders,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "validate",
-        validate_instance,
-        validate_filtration,
-        per_face_validate,
-        rng,
-        args.iterations,
-        exact=is_report,
-    )
-    sweep(
-        "one-point",
-        one_point_instance,
-        one_point_tripod,
-        tripod_distance_int,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "plane",
-        lambda r: rand_staircase_pair(r, "plane"),
-        hausdorff,
-        oracle_hausdorff,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "subset",
-        subset_instance,
-        subset,
-        plane_subset_by_generators,
-        rng,
-        args.iterations,
-        exact=lambda x: type(x) is bool,
-    )
-    sweep(
-        "search16",
-        lambda r: large_search_instance(r, [(4, 4)]),
-        lambda kind, a, b: (SEARCHES[kind][1](a, b, 16), SEARCHES[kind][1](b, a, 16)),
-        lambda kind, a, b: (SEARCHES[kind][2](a, b, 16),) * 2,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "tripod-full",
-        full_tripod_instance,
-        both_orders,
-        twin_both_orders,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "dendrogram-check",
-        dendrogram_check_instance,
-        checked_merge_times,
-        twin_checked_merge_times,
-        rng,
-        args.iterations,
-        exact=lambda x: type(x) is str or is_exact(x),
-    )
-    sweep(
-        "linkage-ties",
-        tied_metric_instance,
-        linkage,
-        rescan_linkage,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "infinite",
-        infinite_instance,
-        lambda kind, a, b: DECIDED[kind][0](a, b),
-        lambda kind, a, b: DECIDED[kind][1](a, b),
-        rng,
-        args.iterations,
-        value=lambda got: got[0],
-    )
-    sweep(
-        "formigram-finite",
-        finite_formigram_instance,
-        interleaving_distance,
-        oracle_formigram_distance,
-        rng,
-        args.iterations,
-    )
-    sweep(
-        "erosion-finite",
-        finite_erosion_instance,
-        erosion_distance,
-        oracle_erosion_direct,
-        rng,
-        args.iterations,
-    )
+    for family in FAMILIES:
+        sweep(family, rng, args.iterations)
     print("all families agree")
 
 

@@ -322,7 +322,8 @@ class GridClustering:
     """Plane-indexed clustering, constant on the open cells of a finite
     grid; cells[row][col] with row 0 the unbounded bottom strip and col 0
     the unbounded left strip.  Values on cut lines are taken from the
-    upper-right cell, which the closure-insensitive distances never see."""
+    upper-right cell, which the closure-insensitive distances never see.
+    The cuts and cells are stored as tuples."""
 
     ground: GroundSet
     x_cuts: tuple[Fraction, ...]
@@ -332,6 +333,7 @@ class GridClustering:
     def __post_init__(self):
         for name in ("x_cuts", "y_cuts"):
             object.__setattr__(self, name, increasing_rats(getattr(self, name), "cuts"))
+        object.__setattr__(self, "cells", tuple([tuple(row) for row in self.cells]))
         nrow, ncol = len(self.y_cuts) + 1, len(self.x_cuts) + 1
         if len(self.cells) != nrow or any(len(r) != ncol for r in self.cells):
             raise ValidationError(f"need {nrow} rows x {ncol} cols of cells")

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import GroundSet, Surjection
-from .rat import INF, RatX, common_scale, from_scale, is_finite, on_scale, rat, to_scale
+from .rat import INF, RatX, common_scale, fmt_rat, from_scale, is_finite, on_scale, rat, to_scale
 from .staircase import INT, Staircase, _contained, _gaps, empty, staircase
 
 Simplex = frozenset
@@ -142,8 +142,8 @@ def validate_filtration(f) -> str | None:
                 if face_born > b:
                     face = s - {v}
                     return (
-                        f"face {sorted(face)} born at {f.births[face]} after its "
-                        f"coface {sorted(s)} born at {f.births[s]}"
+                        f"face {sorted(face)} born at {fmt_rat(f.births[face])} after its "
+                        f"coface {sorted(s)} born at {fmt_rat(f.births[s])}"
                     )
         return None
     if isinstance(f, IntFiltration):

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .lattice import GroundSet, SubPartition, Surjection, find, join_all, pullback
 from .lattice import _built, _check_same_ground
-from .rat import INF, NEG_INF, RatX, increasing_rats, is_finite, rat, rows_on_scale
+from .rat import INF, NEG_INF, RatX, fmt_rat, increasing_rats, is_finite, rat, rows_on_scale
 from .staircase import INT, Staircase, hausdorff
 
 PairKey = frozenset  # frozenset({x}) or frozenset({x, y})
@@ -74,7 +74,8 @@ class Formigram:
     """Critical points are read by ``rat.increasing_rats`` (finite and
     strictly increasing, else ValidationError); 2m + 1 values are needed
     (else ValidationError), each on the formigram's ground (else
-    GroundSetMismatch)."""
+    GroundSetMismatch).  Both are stored as tuples, so equal values compare
+    equal and hash alike whatever sequence they came in."""
 
     ground: GroundSet
     crit: tuple[Fraction, ...]
@@ -82,6 +83,7 @@ class Formigram:
 
     def __post_init__(self):
         object.__setattr__(self, "crit", increasing_rats(self.crit, "critical points"))
+        object.__setattr__(self, "values", tuple(self.values))
         m = len(self.crit)
         if len(self.values) != 2 * m + 1:
             raise ValidationError(
@@ -114,10 +116,12 @@ def validate(f: Formigram) -> str | None:
     naming the first violating critical index."""
     for k, t in enumerate(f.crit):
         point = f.values[2 * k + 1]
-        if not f.values[2 * k].refines(point):
-            return f"not locally maximal at critical point #{k} (t = {t}): left value exceeds point value"
-        if not f.values[2 * k + 2].refines(point):
-            return f"not locally maximal at critical point #{k} (t = {t}): right value exceeds point value"
+        for side, v in (("left", f.values[2 * k]), ("right", f.values[2 * k + 2])):
+            if not v.refines(point):
+                return (
+                    f"not locally maximal at critical point #{k} (t = {fmt_rat(t)}): "
+                    f"{side} value exceeds point value"
+                )
     return None
 
 
@@ -170,7 +174,7 @@ def smooth(f: Formigram, eps: Fraction) -> Formigram:
     """
     eps = rat(eps)
     if eps < 0:
-        raise NegativeEpsilon(f"eps = {eps} < 0")
+        raise NegativeEpsilon(f"eps = {fmt_rat(eps)} < 0")
     if not is_finite(eps):
         raise ValidationError(f"eps must be finite, got {eps}")
     if eps == 0 or not f.crit:
@@ -224,7 +228,7 @@ def evaluate_cosheaf(f: Formigram, interval: tuple[Fraction, Fraction]) -> SubPa
     """Join of f over the nonempty open interval (a, b)."""
     a, b = interval
     if not a < b:
-        raise EmptyInterval(f"({a}, {b}) is not a nonempty open interval")
+        raise EmptyInterval(f"({fmt_rat(a)}, {fmt_rat(b)}) is not a nonempty open interval")
     # a critical point at either end lies outside the open interval
     i, j = f._piece_of(a), f._piece_of(b)
     return join_all(f.ground, f.values[i + i % 2:j - j % 2 + 1])

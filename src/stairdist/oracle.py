@@ -27,7 +27,7 @@ from .formigram import (
     smooth,
 )
 from .lattice import SubPartition, _check_same_ground, join_all
-from .rat import INF, RatX, is_finite
+from .rat import INF, RatX, fmt_rat, is_finite
 from .staircase import Staircase, contains, upper_set_interleaved
 
 
@@ -84,7 +84,7 @@ def reconstruct(
     singleton/doubleton parts whose staircase contains the interval."""
     a, b = interval
     if not a < b:
-        raise EmptyInterval(f"({a}, {b}) is not a nonempty open interval")
+        raise EmptyInterval(f"({fmt_rat(a)}, {fmt_rat(b)}) is not a nonempty open interval")
     parts = []
     for key, u in code.items():
         if contains(u, (a, b)):
@@ -111,7 +111,7 @@ def parts_equality_check(f: Formigram, g: Formigram) -> PartsReport:
     report = PartsReport(engine, direct, witness)
     if not report.equal:
         raise StairdistError(
-            f"decomposed distance {engine} != direct infimum {direct} "
+            f"decomposed distance {fmt_rat(engine)} != direct infimum {fmt_rat(direct)} "
             f"(witness pair {sorted(witness)})"
         )
     return report

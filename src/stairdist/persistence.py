@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import EmptyInterval, InvalidFiltration, ValidationError
 from .filtration import RFiltration, validate_filtration
 from .lattice import _built, find
-from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
+from .rat import INF, NEG_INF, RatX, common_scale, fmt_rat, from_scale, is_finite, on_scale, rat
 from .staircase import INT, Staircase, _gaps
 
 Bar = tuple[Fraction, RatX]
@@ -41,9 +41,9 @@ def barcode(bars) -> Barcode:
     for b, d in bars:
         b, d = rat(b), rat(d)
         if not is_finite(b):
-            raise ValidationError(f"bar [{b}, {d}] has an infinite birth")
+            raise ValidationError(f"bar [{fmt_rat(b)}, {fmt_rat(d)}] has an infinite birth")
         if not b <= d:
-            raise ValidationError(f"bar [{b}, {d}] has birth after death")
+            raise ValidationError(f"bar [{fmt_rat(b)}, {fmt_rat(d)}] has birth after death")
         out.append((b, d))
     return tuple(sorted(out))
 
@@ -51,7 +51,7 @@ def barcode(bars) -> Barcode:
 def rank(bars: Barcode, a: Fraction, b: Fraction) -> int:
     """Number of bars [p, q] with p <= a and b <= q."""
     if not a < b:
-        raise EmptyInterval(f"need a < b, got ({a}, {b})")
+        raise EmptyInterval(f"need a < b, got ({fmt_rat(a)}, {fmt_rat(b)})")
     return sum(1 for p, q in bars if p <= a and b <= q)
 
 

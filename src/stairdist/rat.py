@@ -10,8 +10,9 @@ coordinates through `rat`, so an int becomes a Fraction and an inexact
 float or a bool is refused; `parse_rat` reads text as well, and
 `increasing_rats` reads the finite increasing times of critical points and cuts.
 Text with more digits than Python's int-to-str limit is refused on input
-(`within_digit_limit`), and `fmt_rat` writes every value in full, however
-long, without changing that limit.
+(`within_digit_limit`), and so is a short exponent whose value, written
+out, passes it; `fmt_rat` writes every value in full, however long,
+without changing that limit.
 
 The exact kernels (the staircase profile walk, the bottleneck search, single
 linkage and the Gromov-Hausdorff and tripod searches) run on ints:
@@ -26,6 +27,7 @@ split each Fraction into its numerator and denominator once, with
 
 from fractions import Fraction
 import math
+import re
 import sys
 
 from .errors import ValidationError
@@ -69,34 +71,65 @@ def increasing_rats(ts, what: str) -> tuple[Fraction, ...]:
 
 
 def parse_rat(text) -> RatX:
-    """Parse "p/q", "p" or "inf"/"-inf", or read any other value through
-    ``rat``; a zero denominator and anything ``rat`` refuses raise
-    ValueError, and text with more digits than Python's int-to-str limit
-    ValidationError (naming the limit, not the digits).  An infinity is
-    refused, where it has no meaning, by the constructor of the value it
-    goes into."""
+    """Parse "p/q", "p", a decimal with an optional exponent ("1.5e-3") or
+    "inf"/"-inf", or read any other value through ``rat``.  Text is read
+    by one grammar on every supported Python, `Fraction`'s as Python 3.10
+    reads it: no "_" between digits and no space around "/".  Text outside
+    it and a zero denominator raise ValueError, and a number whose digits,
+    written out as an integer or "p/q", pass Python's int-to-str limit
+    ValidationError (naming the limit, not the digits), before any power of
+    ten is built.  An infinity is refused, where it has no meaning, by the
+    constructor of the value it goes into."""
     if not isinstance(text, str):
         return rat(text)
     x = _INFINITIES.get(text.strip())
     if x is not None:
         return x
-    try:
-        return Fraction(within_digit_limit(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    m = _NUMBER.match(within_digit_limit(text))
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign, num, den, dec, exp = m.groups()
+    if den is not None:
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        x = Fraction(int(num), int(den))
+    else:
+        digits = num + (dec or "")
+        shift = int(exp or 0) - len(digits) + len(num)  # n * 10**shift is the value
+        if exp is not None:  # written out as n followed by zeros, or n over 10**-shift
+            _check_digits(len(digits) + (shift if shift >= 0 else 1 - shift))
+        n = int(digits)
+        x = Fraction(n * 10**shift) if shift >= 0 else Fraction(n, 10**-shift)
+    return -x if sign == "-" else x
+
+
+# `Fraction`'s text grammar as Python 3.10 reads it; later versions also
+# take "_" between digits (3.11) and spaces around "/" (3.12)
+_NUMBER = re.compile(r"""
+    \s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>\d*)
+    (?:/(?P<den>\d+)|(?:\.(?P<dec>\d*))?(?:[eE](?P<exp>[-+]?\d+))?)
+    \s*\Z""", re.VERBOSE)
 
 
 def within_digit_limit(text: str) -> str:
     """text, refused with ValidationError (naming the limit, not the digits)
     when it has more decimal digits than Python's int-to-str limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+    limit = _limit()
     if limit and len(text) > limit:
-        digits = sum([c.isdecimal() for c in text])
-        if digits > limit:
-            raise ValidationError(
-                f"a number of {digits} digits is over the limit of {limit} digits"
-            )
+        _check_digits(sum([c.isdecimal() for c in text]))
     return text
+
+
+def _limit() -> int:
+    """Python's int-to-str limit on digits; 0, no limit, before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _check_digits(digits: int) -> None:
+    limit = _limit()
+    if limit and digits > limit:
+        raise ValidationError(f"a number of {digits} digits is over the limit of {limit} digits")
 
 
 def common_scale(*pair_lists) -> int:
@@ -167,7 +200,8 @@ def _decimal(n: int) -> str:
 
 def fmt_rat(x: RatX) -> str:
     """Canonical string form: "p/q", "p", "inf" or "-inf", in full however
-    many digits it has."""
+    many digits it has; an int is written as the Fraction it reads as, so
+    error messages can write what a caller passed."""
     if isinstance(x, Fraction):
         try:
             return str(x)
@@ -178,4 +212,6 @@ def fmt_rat(x: RatX) -> str:
         return "inf"
     if x == NEG_INF:
         return "-inf"
+    if isinstance(x, int) and not isinstance(x, bool):
+        return fmt_rat(Fraction(x))
     raise ValueError(f"not an extended rational: {x!r}")

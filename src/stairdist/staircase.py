@@ -80,7 +80,7 @@ from math import lcm
 from operator import itemgetter
 
 from .errors import AmbientMismatch, NegativeEpsilon, PointOutsideAmbient, ValidationError
-from .rat import INF, NEG_INF, RatX, common_scale, from_scale, is_finite, on_scale, rat
+from .rat import INF, NEG_INF, RatX, common_scale, fmt_rat, from_scale, is_finite, on_scale, rat
 
 INT, PLANE = "int", "plane"
 
@@ -158,7 +158,7 @@ def _exact_gen(g) -> Gen:
     """g with both coordinates through ``rat``; an empty region raises."""
     l, r = rat(g[0]), rat(g[1])
     if l == NEG_INF or r == INF:
-        raise ValueError(f"generator {g} denotes an empty region")
+        raise ValueError(f"generator ({fmt_rat(l)}, {fmt_rat(r)}) denotes an empty region")
     return l, r
 
 
@@ -179,7 +179,7 @@ def contains(u: Staircase, p: tuple[Fraction, Fraction]) -> bool:
     """Closed-region membership of an ambient point."""
     a, b = p
     if u.clamped and not a < b:
-        raise PointOutsideAmbient(f"({a}, {b}) is not an interval: need a < b")
+        raise PointOutsideAmbient(f"({fmt_rat(a)}, {fmt_rat(b)}) is not an interval: need a < b")
     return any(a <= l and b >= r for l, r in u.gens)
 
 
@@ -196,7 +196,7 @@ def thicken(u: Staircase, eps: Fraction) -> Staircase:
     equals thickening by a + b.
     """
     if eps < 0:
-        raise NegativeEpsilon(f"eps = {eps} < 0")
+        raise NegativeEpsilon(f"eps = {fmt_rat(eps)} < 0")
     if eps == 0:
         return u
     return Staircase(

@@ -1,11 +1,12 @@
-"""Shared random-instance builders and hypothesis configuration.
+"""Shared random-instance builders.
 
-Randomized agreement tests use `random.Random` with fixed seeds so failures
-reproduce; hypothesis drives the algebraic-law property tests.  Its profile
-is registered when pytest configures, so what imports these builders
-(`tests/twins.py`, `scripts/answer_digest.py` and `scripts/oracle_sweep.py`)
-needs the standard library alone.  A builder that only one test module
-reads stays in that module.
+Every randomized test draws from `random.Random` with a fixed seed, so each
+run draws the same instances and a failure reproduces; the property tests
+run `DRAWS` draws each, their amounts from `amounts`, which draws the ends
+of the range first.  What imports these builders (`tests/twins.py`,
+`scripts/answer_digest.py` and `scripts/oracle_sweep.py`) needs the
+standard library alone.  A builder that only one test module reads stays
+in that module.
 """
 
 from fractions import Fraction
@@ -34,18 +35,6 @@ def fs(*xs):
     return frozenset(xs)
 
 
-def pytest_configure(config):
-    from hypothesis import HealthCheck, settings
-
-    settings.register_profile(
-        "default",
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    settings.load_profile("default")
-
-
 def ground(n: int) -> GroundSet:
     """n distinct names whose string order is their index order: a to y,
     then za to zy, zza to zzy and so on."""
@@ -56,6 +45,20 @@ def ground(n: int) -> GroundSet:
 def rand_fraction(rng: random.Random, lo=-6, hi=6, dens=(1, 2, 3, 4)) -> Fraction:
     den = rng.choice(dens)
     return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+DRAWS = 60  # draws of each property test
+
+
+def amounts(rng: random.Random, k: int, hi, max_den: int) -> list[tuple[Fraction, ...]]:
+    """DRAWS tuples of k amounts in [0, hi] with denominators up to
+    max_den: every tuple of the ends 0 and hi first, then random ones."""
+    ends = list(product((F(0), F(hi)), repeat=k))
+    dens = range(1, max_den + 1)
+    return ends + [
+        tuple([rand_fraction(rng, 0, hi, dens) for _ in range(k)])
+        for _ in range(DRAWS - len(ends))
+    ]
 
 
 def rand_subpartition(rng: random.Random, g: GroundSet) -> SubPartition:

@@ -10,7 +10,7 @@ import pytest
 from stairdist import cli, io_json
 from stairdist.errors import ValidationError
 from stairdist.formigram import Formigram
-from stairdist.rat import INF, fmt_rat
+from stairdist.rat import INF, fmt_rat, parse_rat
 from stairdist.staircase import Staircase, hausdorff
 from conftest import F
 
@@ -397,6 +397,31 @@ def test_input_numbers_past_the_limit_are_refused(tmp_path, capsys):
         code, out, err = run(capsys, "bottleneck", path, essential)
         assert code == 2 and out == "" and err.startswith(f"error: {path}: ")
         assert f"limit of {limit} digits" in err and digits[:50] not in err
+    # a short exponent written out past the limit, refused before 10**exp is built
+    loop = write(tmp_path, "loop.json", LOOP_THETA)
+    for number in (f"1e{limit}", f"-1e-{limit}", "1e999999999", "2.5e-999999999"):
+        path = write(tmp_path, "exponent.json", {"bars": [["0", number]]})
+        for argv, named in [
+            (("bottleneck", path, essential), path),
+            (("formigram", "smooth", loop, "--epsilon", number), "--epsilon"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith(f"error: {named}: ")
+            assert f"limit of {limit} digits" in err and number not in err
+
+
+def test_numbers_read_by_one_grammar_on_every_python(tmp_path, capsys):
+    """Numbers are read by Python 3.10's `Fraction` grammar on every
+    version: "_" between digits (read since 3.11) and spaces around "/"
+    (read since 3.12) are refused with exit 2, naming the file."""
+    texts = ("1e3", "1.5", "-2/3", "inf", " .5E1 ")
+    assert [parse_rat(t) for t in texts] == [F(1000), F(3, 2), F(-2, 3), INF, F(5)]
+    for number in ("1_000", "1 / 2", "1/ 2", "1 /2", "1_0/3"):
+        with pytest.raises(ValueError):
+            parse_rat(number)
+        path = write(tmp_path, "bars.json", {"bars": [["0", number]]})
+        code, out, err = run(capsys, "bottleneck", path, path)
+        assert code == 2 and out == "" and err.startswith(f"error: {path}: bad number")
 
 
 @pytest.mark.parametrize("simplices", [

@@ -16,19 +16,24 @@ import pytest
 from stairdist import (
     INF,
     NEG_INF,
+    EmptyInterval,
     Formigram,
     GridClustering,
     GroundSet,
     IntFiltration,
     InvalidMetric,
+    NegativeEpsilon,
+    PointOutsideAmbient,
     RFiltration,
     SubPartition,
     Ultrametric,
     ValidationError,
     barcode,
     bottleneck_distance,
+    contains,
     empty,
     erosion_distance,
+    evaluate_cosheaf,
     full,
     grid_interleaving_distance,
     gromov_hausdorff_formigrams,
@@ -38,18 +43,27 @@ from stairdist import (
     one_point_tripod,
     pointwise_refines,
     profile,
+    rank,
     single_linkage,
     smooth,
     staircase,
     sublevel_staircase,
     subset,
+    thicken,
     to_int_indexed,
     tripod_distance_int,
     tripod_distance_r,
     ultrametric,
+    validate,
+    validate_filtration,
 )
-from stairdist.oracle import oracle_formigram_distance, oracle_grid_distance, oracle_hausdorff
-from stairdist.rat import common_scale, is_finite, rat
+from stairdist.oracle import (
+    oracle_formigram_distance,
+    oracle_grid_distance,
+    oracle_hausdorff,
+    reconstruct,
+)
+from stairdist.rat import common_scale, fmt_rat, is_finite, rat
 from stairdist.staircase import Staircase, StepProfile
 from conftest import (
     F,
@@ -440,9 +454,9 @@ def test_answer_digest_is_pinned():
 
 
 def test_answer_digest_needs_the_standard_library_alone():
-    """The digest imports the tests' builders, but not hypothesis or pytest:
-    it runs with no site-packages (`python -S`) and prints the pinned
-    seed-3 line, so it can be checked on any local Python."""
+    """The digest imports the tests' builders, but not pytest: it runs with
+    no site-packages (`python -S`) and prints the pinned seed-3 line, so it
+    can be checked on any local Python."""
     root = Path(__file__).resolve().parent.parent
     out = subprocess.run(
         [sys.executable, "-S", str(root / "scripts" / "answer_digest.py"), "--seed", "3"],
@@ -455,10 +469,49 @@ def test_answer_digest_needs_the_standard_library_alone():
     )
 
 
-def test_hypothesis_profile_is_loaded_under_pytest():
-    """`conftest.pytest_configure` loads the suite's profile: 60 examples a
-    property, no deadline."""
-    from hypothesis import settings
 
-    assert settings.default.max_examples == 60
-    assert settings.default.deadline is None
+BIG = 10**5000  # past Python's int-to-str limit of 4300 digits
+XY = GroundSet(("x", "y"))
+MERGED, SPLIT = SubPartition(XY, (("x", "y"),)), SubPartition(XY, (("x",), ("y",)))
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: barcode([(BIG, 1)]), ValidationError, id="barcode"),
+    pytest.param(lambda: barcode([(INF, BIG)]), ValidationError, id="barcode-infinite-birth"),
+    pytest.param(lambda: rank(((F(0), INF),), F(BIG), F(1)), EmptyInterval, id="rank"),
+    pytest.param(lambda: staircase([(BIG, INF)]), ValueError, id="staircase-generator"),
+    pytest.param(lambda: contains(full(), (F(BIG), F(1))), PointOutsideAmbient, id="contains"),
+    pytest.param(lambda: thicken(full(), F(-BIG)), NegativeEpsilon, id="thicken"),
+    pytest.param(lambda: smooth(Formigram.constant(MERGED), -BIG), NegativeEpsilon, id="smooth"),
+    pytest.param(lambda: evaluate_cosheaf(Formigram.constant(MERGED), (F(BIG), F(1))),
+                 EmptyInterval, id="evaluate_cosheaf"),
+    pytest.param(lambda: reconstruct({}, XY, (F(BIG), F(1))), EmptyInterval, id="reconstruct"),
+    pytest.param(lambda: validate(Formigram(XY, (BIG,), (MERGED, SPLIT, SPLIT))), None,
+                 id="validate"),
+    pytest.param(lambda: validate_filtration(RFiltration(
+        XY, {frozenset("x"): BIG, frozenset("y"): 0, frozenset("xy"): 0})), None,
+                 id="validate_filtration"),
+])
+def test_messages_write_numbers_past_the_digit_limit(call, error):
+    """Error messages and reports write their numbers through `fmt_rat`, in
+    full, so a number past Python's int-to-str limit gives the library's
+    own error or report, not the ValueError that `str` raises."""
+    if error is None:
+        message = call()
+    else:
+        with pytest.raises(error) as raised:
+            call()
+        message = str(raised.value)
+    assert fmt_rat(BIG) in message
+
+
+def test_value_classes_store_tuples_from_lists():
+    """A formigram's values and a grid's cuts and cells are stored as
+    tuples: built from lists or from tuples, the values compare equal and
+    hash alike."""
+    assert Formigram(XY, [], [MERGED]) == Formigram(XY, (), (MERGED,))
+    assert hash(Formigram(XY, [1], [SPLIT, MERGED, SPLIT])) == hash(
+        Formigram(XY, (F(1),), (SPLIT, MERGED, SPLIT)))
+    listed = GridClustering(XY, [1], [], [[SPLIT, MERGED]])
+    assert listed == GridClustering(XY, (F(1),), (), ((SPLIT, MERGED),))
+    assert hash(listed) == hash(GridClustering(XY, (F(1),), (), ((SPLIT, MERGED),)))

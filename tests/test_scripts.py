@@ -1,11 +1,12 @@
-"""The scripts run end to end: the oracle sweep agrees on every family, and
-the two example scripts print JSON, each run with no site-packages.  The
-sweep imports its random builders from `conftest` and its twins from
-`twins` by name, so this also catches a renamed twin or one that needs
-pytest or hypothesis.
+"""The scripts run end to end: the oracle sweep runs every row of its
+`FAMILIES` table and agrees, and the two example scripts print JSON, each
+run with no site-packages.  The sweep imports its random builders from
+`conftest` and its twins from `twins` by name, so this also catches a
+renamed twin or one that needs more than the standard library.
 README's library example runs too, and its module table and the tests it
 names match the tree."""
 
+import importlib.util
 import json
 import os
 import re
@@ -28,14 +29,26 @@ def run_script(name, *args):
     )
 
 
+def sweep_families():
+    """The names of the oracle sweep's `FAMILIES` rows, in table order."""
+    path = ROOT / "scripts" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return [family.name for family in sweep.FAMILIES]
+
+
 def test_oracle_sweep_agrees():
-    """Every family agrees, `infinite` with every answer INF, with no
-    site-packages: the builders in `conftest` and the twins in `twins`
-    need the standard library alone."""
+    """Each row of `FAMILIES` prints one line, in table order, with the
+    requested instance count, `infinite` with every answer INF, and every
+    family agrees, with no site-packages: the builders in `conftest` and the
+    twins in `twins` need the standard library alone."""
     done = run_script("oracle_sweep.py", "--iterations", "3", "--seed", "0")
     assert done.returncode == 0, done.stdout + done.stderr
     *families, verdict = done.stdout.splitlines()
-    infinite = [line.split() for line in families if line.split()[0] == "infinite"]
+    lines = [line.split() for line in families]
+    assert [words[:3] for words in lines] == [[name, "3", "instances"] for name in sweep_families()]
+    infinite = [words for words in lines if words[0] == "infinite"]
     assert [words[:5] for words in infinite] == [["infinite", "3", "instances", "3", "infinite"]]
     assert verdict == "all families agree"
 
